@@ -9,7 +9,7 @@ Subcommands:
   prufer       amplitude/phase decomposition as CSV
 
 Exit codes: 0 all pass (expected failures honored), 1 unexpected failure,
-2 configuration error.  SCHRO1D_THREADS caps scenario parallelism.
+2 configuration error.
 """
 
 from __future__ import annotations

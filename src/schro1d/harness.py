@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,25 +226,13 @@ class SuiteReport:
         return json.dumps(self.to_json_dict(include_wall_time), sort_keys=True, indent=2)
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SCHRO1D_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_scenarios(scenarios, c2_floor: float = 0.0, seed=None) -> SuiteReport:
     ids = [s.id for s in scenarios]
     if len(set(ids)) != len(ids):
         raise ConfigError("scenario ids must be unique", "scenarios")
     ordered = sorted(scenarios, key=lambda s: s.id)
     t0 = time.perf_counter()
-    workers = _worker_count()
-    if workers > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(lambda s: run_scenario(s, c2_floor), ordered))
-    else:
-        entries = [run_scenario(s, c2_floor) for s in ordered]
+    entries = [run_scenario(s, c2_floor) for s in ordered]
     wall = time.perf_counter() - t0
     return SuiteReport(__version__, seed, entries, wall, c2_floor)
 

@@ -11,6 +11,11 @@ The entries are even functions of s, hence independent of the branch of the
 square root; near q = 0 they are evaluated by series to avoid cancellation.
 A classical fixed-step RK4 integrator (with steps split at cell boundaries)
 serves as an independent cross-check.
+
+Both propagators run forward only, over a batch of initial-data columns.
+Backward propagation runs forward on the reflected potential V(-x), from -x0
+with data (u0, -u0'), and reflects the traces back; the two basis solutions
+behind transfer matrices are propagated as one batched pass.
 """
 
 from __future__ import annotations
@@ -139,9 +144,10 @@ class TransferMatrix:
         scale = max(1.0, float(np.sum(np.abs(self.entries) ** 2)))
         return abs(self.det - 1.0) / scale
 
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(self.entries @ other.entries,
-                              other.x_from, self.x_to, self.energy)
+
+def cumtrapz(y, x):
+    """Running trapezoid integral of the samples y over the grid x, from 0."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
 def _propagator_terms(q: complex, dt: np.ndarray):
@@ -184,12 +190,84 @@ def build_grid(V: PiecewisePotential, a: float, b: float, max_step: float):
     return np.concatenate(nodes), edge_idx
 
 
-def _check_overflow(xs, us, dus, i0, i1, forward):
-    mag = np.maximum(np.abs(us[i0:i1 + 1]), np.abs(dus[i0:i1 + 1]))
+def _check_overflow(xs, us, dus, i0, i1):
+    mag = np.max(np.maximum(np.abs(us[:, i0:i1 + 1]), np.abs(dus[:, i0:i1 + 1])), axis=0)
     bad = np.flatnonzero(mag > OVERFLOW_GUARD)
     if bad.size:
-        j = bad[0] if forward else bad[-1]
-        raise OverflowAtX(float(xs[i0 + j]), float(mag[j]))
+        raise OverflowAtX(float(xs[i0 + bad[0]]), float(mag[bad[0]]))
+
+
+def _exact_kernel(xs, edge_idx, qs, u, du):
+    """Closed-form flow of the data columns (u, du) at xs[0] along xs."""
+    us = np.empty((len(u), len(xs)), dtype=complex)
+    dus = np.empty_like(us)
+    for i0, i1, q in zip(edge_idx, edge_idx[1:], qs):
+        # bound the per-evaluation growth factor: evaluating far from the
+        # block base cancels catastrophically for decaying solutions, so the
+        # cell is split into blocks with |Re sqrt(q)| * length <= ~1
+        growth = abs(np.sqrt(q).real)
+        seg_len = xs[i1] - xs[i0]
+        block = seg_len if growth * seg_len <= 1.0 else 1.0 / growth
+        j0 = i0
+        while j0 < i1:
+            j1 = min(int(np.searchsorted(xs, xs[j0] + block, side="right")) - 1, i1)
+            j1 = max(j1, j0 + 1)
+            sl = slice(j0, j1 + 1)
+            c, slh = _propagator_terms(q, xs[sl] - xs[j0])
+            us[:, sl] = c * u[:, None] + slh * du[:, None]
+            dus[:, sl] = q * slh * u[:, None] + c * du[:, None]
+            _check_overflow(xs, us, dus, j0, j1)
+            u, du = us[:, j1].copy(), dus[:, j1].copy()
+            j0 = j1
+    return us, dus
+
+
+def _rk_kernel(xs, edge_idx, qs, u, du):
+    """Fixed-step RK4 flow of the data columns (u, du) at xs[0] along xs."""
+    us = np.empty((len(u), len(xs)), dtype=complex)
+    dus = np.empty_like(us)
+    us[:, 0], dus[:, 0] = u, du
+    u, du = u.tolist(), du.tolist()
+    for i0, i1, q in zip(edge_idx, edge_idx[1:], qs):
+        h = (xs[i1] - xs[i0]) / (i1 - i0)
+        # RK4 on the linear system collapses to one constant 2x2 step matrix
+        alpha = 1.0 + q * h * h / 2.0 + q * q * h ** 4 / 24.0
+        beta = h + q * h ** 3 / 6.0
+        qbeta = q * beta
+        for col in range(len(u)):
+            a, b = u[col], du[col]
+            for i in range(i0 + 1, i1 + 1):
+                a, b = alpha * a + beta * b, qbeta * a + alpha * b
+                us[col, i] = a
+                dus[col, i] = b
+            u[col], du[col] = a, b
+        _check_overflow(xs, us, dus, i0, i1)
+    return us, dus
+
+
+def _traces(kernel, method, V, E, x0, x_end, u0, du0, step):
+    """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end.
+
+    The kernels only run forward: for x_end < x0 the columns run forward on
+    the reflected potential, from -x0 with data (u0, -du0), and the traces
+    are reflected back.
+    """
+    energy = Energy.of(E)
+    x_end = float(x_end)
+    if x_end == x0:
+        raise ValueError("x_end must differ from init.x0")
+    if x_end < x0:
+        try:
+            traces = _traces(kernel, method, V.reflected(), energy, -x0, -x_end,
+                             u0, -du0, step)
+        except OverflowAtX as err:
+            raise OverflowAtX(-err.x, err.magnitude) from None
+        return [t.reflected() for t in traces]
+    xs, edge_idx = build_grid(V, x0, x_end, step)
+    mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
+    qs = (V.value_at(mids) - energy.as_complex).tolist()
+    us, dus = kernel(xs, edge_idx, qs, u0, du0)
+    return [SolutionTrace(xs, u, du, energy, method, float(step)) for u, du in zip(us, dus)]
 
 
 def propagate_exact(
@@ -205,55 +283,9 @@ def propagate_exact(
     returned grid is always increasing.  Aborts with OverflowAtX once the
     solution magnitude exceeds the overflow guard.
     """
-    energy = Energy.of(E)
-    x_end = float(x_end)
-    if x_end == init.x0:
-        raise ValueError("x_end must differ from init.x0")
-    forward = x_end > init.x0
-    a, b = (init.x0, x_end) if forward else (x_end, init.x0)
-    xs, edge_idx = build_grid(V, a, b, max_step)
-    Ec = energy.as_complex
-    us = np.empty(len(xs), dtype=complex)
-    dus = np.empty(len(xs), dtype=complex)
-    u, du = init.u0, init.du0
-
-    segments = range(len(edge_idx) - 1)
-    for k in segments if forward else reversed(segments):
-        i0, i1 = edge_idx[k], edge_idx[k + 1]
-        mid = (xs[i0] + xs[i1]) / 2.0
-        q = complex(V.value_at(mid)) - Ec
-        # bound the per-evaluation growth factor: evaluating far from the
-        # block base cancels catastrophically for decaying solutions, so the
-        # cell is split into blocks with |Re sqrt(q)| * length <= ~1
-        growth = abs(np.sqrt(complex(q)).real)
-        seg_len = xs[i1] - xs[i0]
-        block = seg_len if growth * seg_len <= 1.0 else 1.0 / growth
-        if forward:
-            j0 = i0
-            while j0 < i1:
-                j1 = min(int(np.searchsorted(xs, xs[j0] + block, side="right")) - 1, i1)
-                j1 = max(j1, j0 + 1)
-                sl = slice(j0, j1 + 1)
-                c, slh = _propagator_terms(q, xs[sl] - xs[j0])
-                us[sl] = c * u + slh * du
-                dus[sl] = q * slh * u + c * du
-                _check_overflow(xs, us, dus, j0, j1, forward)
-                u, du = us[j1], dus[j1]
-                j0 = j1
-        else:
-            j1 = i1
-            while j1 > i0:
-                j0 = max(int(np.searchsorted(xs, xs[j1] - block, side="left")), i0)
-                j0 = min(j0, j1 - 1)
-                sl = slice(j0, j1 + 1)
-                c, slh = _propagator_terms(q, xs[sl] - xs[j1])
-                us[sl] = c * u + slh * du
-                dus[sl] = q * slh * u + c * du
-                _check_overflow(xs, us, dus, j0, j1, forward)
-                u, du = us[j0], dus[j0]
-                j1 = j0
-
-    return SolutionTrace(xs, us, dus, energy, "exact_cell", float(max_step))
+    (trace,) = _traces(_exact_kernel, "exact_cell", V, E, init.x0, x_end,
+                       np.array([init.u0]), np.array([init.du0]), max_step)
+    return trace
 
 
 def propagate_rk(
@@ -268,51 +300,17 @@ def propagate_rk(
     Steps are split at cell boundaries so every stage sees the cell's constant
     potential value; used to cross-validate propagate_exact.
     """
-    energy = Energy.of(E)
-    x_end = float(x_end)
-    if x_end == init.x0:
-        raise ValueError("x_end must differ from init.x0")
-    forward = x_end > init.x0
-    a, b = (init.x0, x_end) if forward else (x_end, init.x0)
-    xs, edge_idx = build_grid(V, a, b, step)
-    Ec = energy.as_complex
-    us = np.empty(len(xs), dtype=complex)
-    dus = np.empty(len(xs), dtype=complex)
-    u, du = init.u0, init.du0
-    start = edge_idx[0] if forward else edge_idx[-1]
-    us[start], dus[start] = u, du
-
-    segments = range(len(edge_idx) - 1)
-    for k in segments if forward else reversed(segments):
-        i0, i1 = edge_idx[k], edge_idx[k + 1]
-        n = i1 - i0
-        h = (xs[i1] - xs[i0]) / n
-        if not forward:
-            h = -h
-        q = complex(V.value_at((xs[i0] + xs[i1]) / 2.0)) - Ec
-        # RK4 on the linear system collapses to one constant 2x2 step matrix
-        alpha = 1.0 + q * h * h / 2.0 + q * q * h ** 4 / 24.0
-        beta = h + q * h ** 3 / 6.0
-        qbeta = q * beta
-        if forward:
-            for i in range(i0 + 1, i1 + 1):
-                u, du = alpha * u + beta * du, qbeta * u + alpha * du
-                us[i] = u
-                dus[i] = du
-        else:
-            for i in range(i1 - 1, i0 - 1, -1):
-                u, du = alpha * u + beta * du, qbeta * u + alpha * du
-                us[i] = u
-                dus[i] = du
-        _check_overflow(xs, us, dus, i0, i1, forward)
-
-    return SolutionTrace(xs, us, dus, energy, "rk4", float(step))
+    (trace,) = _traces(_rk_kernel, "rk4", V, E, init.x0, x_end,
+                       np.array([init.u0]), np.array([init.du0]), step)
+    return trace
 
 
 def basis_traces(V: PiecewisePotential, E, x_from: float, x_to: float, max_step: float):
-    """Traces of the two canonical solutions with data (1,0) and (0,1) at x_from."""
-    t1 = propagate_exact(V, E, InitialData(x_from, 1.0, 0.0), x_to, max_step)
-    t2 = propagate_exact(V, E, InitialData(x_from, 0.0, 1.0), x_to, max_step)
+    """Traces of the two canonical solutions with data (1,0) and (0,1) at
+    x_from, propagated together as the columns of one kernel pass."""
+    u0, du0 = np.eye(2, dtype=complex)
+    t1, t2 = _traces(_exact_kernel, "exact_cell", V, E, float(x_from), x_to,
+                     u0, du0, max_step)
     return t1, t2
 
 

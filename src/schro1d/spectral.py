@@ -21,7 +21,7 @@ import numpy as np
 from .constants import Energy
 from .errors import GridTooCoarse, NotRealSolution
 from .potential import PiecewisePotential
-from .solver import SolutionTrace, basis_traces
+from .solver import SolutionTrace, basis_traces, cumtrapz
 
 
 def singular_values_2x2(a, b, c, d):
@@ -42,11 +42,6 @@ def operator_norm_2x2(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     smax, _ = singular_values_2x2(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     return float(smax)
-
-
-def _cumtrapz(y, x):
-    inc = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 @dataclass
@@ -97,7 +92,7 @@ def simon_stolz_curve(
         xs=t1.xs,
         norm_T=smax,
         integrand=integrand,
-        cumulative=_cumtrapz(integrand, t1.xs),
+        cumulative=cumtrapz(integrand, t1.xs),
         energy=energy,
     )
 

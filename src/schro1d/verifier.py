@@ -22,7 +22,7 @@ from .errors import (
     PreconditionFailed,
     TraceTooShort,
 )
-from .solver import SolutionTrace
+from .solver import SolutionTrace, cumtrapz
 
 DEFAULT_TOL = 1e-6
 ZERO_BAND = 1e-3  # relative threshold below which u(x) counts as a zero
@@ -158,9 +158,7 @@ def check_persistence(
 def _window_integrals(xs, fvals, centers_idx, half_width):
     """Trapezoid integrals of fvals over [x-h, x+h], windows snapped outward
     to grid nodes (enlarging the domain; conservative for upper bounds)."""
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (fvals[1:] + fvals[:-1]) * np.diff(xs))]
-    )
+    cum = cumtrapz(fvals, xs)
     x = xs[centers_idx]
     i0 = np.searchsorted(xs, x - half_width, side="right") - 1
     i0 = np.clip(i0, 0, len(xs) - 1)
@@ -309,8 +307,8 @@ def check_weighted(
     w = weight.values(xs)
     au_p_w = np.abs(trace.u) ** p * w
     adu_p_w = np.abs(trace.du) ** p * w
-    cum_u = np.concatenate([[0.0], np.cumsum(0.5 * (au_p_w[1:] + au_p_w[:-1]) * np.diff(xs))])
-    cum_du = np.concatenate([[0.0], np.cumsum(0.5 * (adu_p_w[1:] + adu_p_w[:-1]) * np.diff(xs))])
+    cum_u = cumtrapz(au_p_w, xs)
+    cum_du = cumtrapz(adu_p_w, xs)
 
     def _seg(cum, lo, hi, snap_out):
         if snap_out:

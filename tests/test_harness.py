@@ -13,7 +13,6 @@ from schro1d import (
     run_suite,
 )
 from schro1d.cli import main
-from schro1d.harness import sweep_scenarios
 
 
 SQUARE_WELL_SCENARIO = {
@@ -163,14 +162,6 @@ class TestDeterminism:
         d1 = r1.to_json_dict()
         d2 = r1.to_json_dict(include_wall_time=False)
         assert set(d1) - set(d2) == {"wall_time_s"}
-
-    def test_thread_count_does_not_change_report(self, monkeypatch):
-        scenarios = sweep_scenarios(n_scenarios=6, lemma_samples=60)
-        monkeypatch.setenv("SCHRO1D_THREADS", "1")
-        r1 = run_scenarios(scenarios, seed=1)
-        monkeypatch.setenv("SCHRO1D_THREADS", "4")
-        r2 = run_scenarios(sweep_scenarios(n_scenarios=6, lemma_samples=60), seed=1)
-        assert r1.to_json(include_wall_time=False) == r2.to_json(include_wall_time=False)
 
     def test_entries_sorted_by_id(self):
         a = parse_scenario(dict(SQUARE_WELL_SCENARIO, id="zzz"))

@@ -13,7 +13,7 @@ from schro1d import (
     wronskian,
 )
 from schro1d.potential import make_family
-from schro1d.solver import _propagator_terms, build_grid
+from schro1d.solver import _propagator_terms, basis_traces, build_grid
 
 
 class TestExactPropagator:
@@ -45,16 +45,14 @@ class TestExactPropagator:
             propagate_exact(free_potential, 1.0, InitialData(0.0, 1.0, 0.0), 0.0, 0.01)
 
     def test_overflow_guard_reports_abscissa(self, free_potential):
-        with pytest.raises(OverflowAtX) as exc:
-            # growth rate 10 over [0, 40] blows past the guard
-            propagate_exact(
-                PiecewisePotential((0.0, 40.0), (0.0,)),
-                -100.0,
-                InitialData(0.0, 1.0, 10.0),
-                40.0,
-                0.01,
-            )
-        assert 30.0 < exc.value.x <= 40.0
+        # growth rate 10 over [0, 40] blows past the guard in either direction;
+        # x is reported in the caller's coordinates, inside the interval
+        V = PiecewisePotential((0.0, 40.0), (0.0,))
+        for x0, du0, x_end, lo, hi in ((0.0, 10.0, 40.0, 30.0, 40.0),
+                                       (40.0, -10.0, 0.0, 0.0, 10.0)):
+            with pytest.raises(OverflowAtX) as exc:
+                propagate_exact(V, -100.0, InitialData(x0, 1.0, du0), x_end, 0.01)
+            assert lo < exc.value.x < hi
 
     def test_real_inputs_stay_real(self):
         V = make_family("random_step", {"cells": 10, "low": -2, "high": 2, "seed": 5})
@@ -85,13 +83,14 @@ class TestRkCrossValidation:
     def test_random_step_complex_energy(self):
         V = make_family("random_step", {"cells": 15, "low": -1.5, "high": 1.5, "seed": 3})
         E = 2 + 1j
-        init = InitialData(0.0, 1.0, 0.2 - 0.3j)
-        ex = propagate_exact(V, E, init, 10.0, 1e-4)
-        rk = propagate_rk(V, E, init, 10.0, 1e-4)
-        assert np.array_equal(ex.xs, rk.xs)
-        scale = ex.magnitude_scale()
-        assert np.max(np.abs(ex.u - rk.u)) / scale <= 1e-6
-        assert np.max(np.abs(ex.du - rk.du)) / scale <= 1e-6
+        for x0, x_end in ((0.0, 10.0), (10.0, 0.0)):
+            init = InitialData(x0, 1.0, 0.2 - 0.3j)
+            ex = propagate_exact(V, E, init, x_end, 1e-4)
+            rk = propagate_rk(V, E, init, x_end, 1e-4)
+            assert np.array_equal(ex.xs, rk.xs)
+            scale = ex.magnitude_scale()
+            assert np.max(np.abs(ex.u - rk.u)) / scale <= 1e-6
+            assert np.max(np.abs(ex.du - rk.du)) / scale <= 1e-6
 
 
 class TestTransferMatrix:
@@ -109,6 +108,18 @@ class TestTransferMatrix:
     def test_determinant_conservation_complex_energy(self, square_well):
         T = transfer_matrix(square_well, 2j, 2.0, 0.0, 0.01)
         assert abs(T.det - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("E", [3.0, 1.0 + 0.3j])
+    @pytest.mark.parametrize("x_from, x_to", [(0.0, 8.0), (8.0, 0.0)])
+    def test_basis_traces_match_separate_propagation(self, E, x_from, x_to):
+        V = make_family("random_step", {"cells": 12, "low": -2, "high": 2, "seed": 11})
+        t1, t2 = basis_traces(V, E, x_from, x_to, 0.01)
+        s1 = propagate_exact(V, E, InitialData(x_from, 1.0, 0.0), x_to, 0.01)
+        s2 = propagate_exact(V, E, InitialData(x_from, 0.0, 1.0), x_to, 0.01)
+        for batched, single in ((t1, s1), (t2, s2)):
+            assert np.array_equal(batched.xs, single.xs)
+            assert np.array_equal(batched.u, single.u)
+            assert np.array_equal(batched.du, single.du)
 
     def test_composition(self, square_well):
         E = 1.5 + 0.5j
