@@ -133,43 +133,55 @@ def scenario_trace(scn: Scenario) -> SolutionTrace:
     return propagate_exact(scn.potential, scn.energy, scn.init, scn.span[1], scn.max_step)
 
 
+def _p(spec):
+    return float(spec.get("p", 2))
+
+
+def _weight_and_window(spec, consts, scn):
+    wobj = spec.get("weight", {"kind": "exponential", "rate": 0.0})
+    kind = wobj.get("kind")
+    if kind == "exponential":
+        w = WeightSpec.exponential(wobj.get("rate", 0.0))
+    elif kind == "polynomial":
+        w = WeightSpec.polynomial(wobj.get("exponent", 0.0))
+    else:
+        raise ConfigError(f"unknown weight kind {kind!r}", f"{scn.id}.checks.weight")
+    half = consts.k_radius + consts.delta
+    return w, spec.get("window") or [scn.span[0] + half, scn.span[1] - half]
+
+
+def _lemma31_args(spec, scn):
+    rng = np.random.default_rng(int(spec.get("seed", scn.seed)))
+    return int(spec.get("samples", 100)), rng, float(spec.get("max_gap", 1.5))
+
+
+# check name -> runner(spec, trace, consts, scn, tol): the check function and
+# the parsing of its parameters from the spec.  Runners look the function up
+# by its module-level name when they run, so a wrapper installed on this
+# module sees every call.
+CHECKS = {
+    "derivative_bound": lambda spec, tr, c, scn, tol: check_derivative_bound(tr, c, tol),
+    "persistence": lambda spec, tr, c, scn, tol: check_persistence(tr, c, tol),
+    "local_lp": lambda spec, tr, c, scn, tol: check_local_lp(tr, c, _p(spec), tol),
+    "derivative_lp": lambda spec, tr, c, scn, tol: check_derivative_lp(tr, c, _p(spec), tol),
+    "weighted": lambda spec, tr, c, scn, tol: check_weighted(
+        tr, c, _p(spec), *_weight_and_window(spec, c, scn), tol
+    ),
+    "decay": lambda spec, tr, c, scn, tol: check_decay(
+        tr, float(spec.get("tail_fraction", 0.2)), float(spec.get("drop_factor", 10.0)), tol
+    ),
+    "lemma31": lambda spec, tr, c, scn, tol: sample_lemma31(
+        tr, c, *_lemma31_args(spec, scn), tol
+    ),
+}
+
+
 def _run_check(spec, trace, consts, scn):
     name = spec.get("name")
     tol = float(spec.get("tolerance", 1e-6))
-    if name == "derivative_bound":
-        return check_derivative_bound(trace, consts, tol)
-    if name == "persistence":
-        return check_persistence(trace, consts, tol)
-    if name == "local_lp":
-        return check_local_lp(trace, consts, float(spec.get("p", 2)), tol)
-    if name == "derivative_lp":
-        return check_derivative_lp(trace, consts, float(spec.get("p", 2)), tol)
-    if name == "weighted":
-        wobj = spec.get("weight", {"kind": "exponential", "rate": 0.0})
-        kind = wobj.get("kind")
-        if kind == "exponential":
-            w = WeightSpec.exponential(wobj.get("rate", 0.0))
-        elif kind == "polynomial":
-            w = WeightSpec.polynomial(wobj.get("exponent", 0.0))
-        else:
-            raise ConfigError(f"unknown weight kind {kind!r}", f"{scn.id}.checks.weight")
-        half = consts.k_radius + consts.delta
-        window = spec.get("window") or [scn.span[0] + half, scn.span[1] - half]
-        return check_weighted(trace, consts, float(spec.get("p", 2)), w, window, tol)
-    if name == "decay":
-        return check_decay(
-            trace,
-            float(spec.get("tail_fraction", 0.2)),
-            float(spec.get("drop_factor", 10.0)),
-            tol,
-        )
-    if name == "lemma31":
-        rng = np.random.default_rng(int(spec.get("seed", scn.seed)))
-        return sample_lemma31(
-            trace, consts, int(spec.get("samples", 100)), rng,
-            float(spec.get("max_gap", 1.5)), tol,
-        )
-    raise ConfigError(f"unknown check {name!r}", f"{scn.id}.checks")
+    if not isinstance(name, str) or name not in CHECKS:
+        raise ConfigError(f"unknown check {name!r}", f"{scn.id}.checks")
+    return CHECKS[name](spec, trace, consts, scn, tol)
 
 
 def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:

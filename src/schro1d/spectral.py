@@ -97,15 +97,6 @@ def simon_stolz_curve(
     )
 
 
-def frobenius_integrand(curve_V: PiecewisePotential, E, X: float, step: float):
-    """Same integrand with the Frobenius norm, for the norm-robustness check."""
-    energy = Energy.of(E)
-    t1, t2 = basis_traces(curve_V, energy, 0.0, X, step)
-    f = (np.abs(t1.u) ** 2 + np.abs(t2.u) ** 2
-         + np.abs(t1.du) ** 2 + np.abs(t2.du) ** 2)
-    return t1.xs, 1.0 / f
-
-
 @dataclass
 class PruferTrace:
     """Polar coordinates of a real solution at E = k^2 > 0."""

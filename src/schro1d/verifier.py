@@ -6,6 +6,11 @@ integrals are taken over grid nodes; the documented grid-slack correction
 inflates window maxima by a Lipschitz term (derived from the |u'| samples) so
 that under-sampling can only make the check more conservative, never produce
 a false pass.
+
+Window operations are answered for all centres at once: sliding maxima and
+minima over windows given in x (the grid is non-uniform at breakpoints) go
+through `_window_extreme`, a sparse-table range query that is exact, and
+window integrals are differences of one cumulative trapezoid (`cumtrapz`).
 """
 
 from __future__ import annotations
@@ -88,6 +93,36 @@ def _grid_spacing(xs):
     return float(np.max(np.diff(xs)))
 
 
+def _window_extreme(a, lo, hi, op):
+    """op-reduction of a[lo[j]:hi[j]] for every query j, op being np.maximum
+    or np.minimum; every window must be nonempty.
+
+    Sparse-table range query (Bender & Farach-Colton, LATIN 2000): level k
+    holds the reduction of every run of 2^k consecutive entries, and a window
+    of length n with 2^k <= n < 2^(k+1) is covered by its first and last such
+    runs.  Levels are built one at a time and dropped once their queries are
+    answered, so memory stays O(len(a) + len(lo)).  max and min are exact, so
+    the result equals the per-window reduction bit for bit, except that a zero
+    extreme of a window holding both +0.0 and -0.0 may carry either sign (the
+    order-dependent case of np.max too; moduli hold no -0.0).
+    """
+    lo = np.asarray(lo, dtype=np.intp)
+    hi = np.asarray(hi, dtype=np.intp)
+    if np.any(hi <= lo):
+        raise ValueError("every window must be nonempty")
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(length)), exact for ints
+    table = np.asarray(a)
+    out = np.empty(lo.shape, dtype=table.dtype)
+    for k in range(int(level.max(initial=0)) + 1):
+        if k:
+            half = 1 << (k - 1)
+            table = op(table[:-half], table[half:])
+        sel = level == k
+        part = table[lo[sel]]
+        out[sel] = op(part, table[hi[sel] - (1 << k)], out=part)
+    return out
+
+
 def _interior_indices(xs, pad):
     lo, hi = xs[0] + pad, xs[-1] - pad
     eps = 1e-12 * (1.0 + abs(xs[-1]) + abs(xs[0]))
@@ -110,17 +145,14 @@ def check_derivative_bound(
     h = _grid_spacing(xs)
     lo = np.searchsorted(xs, xs[idx] - K, side="left")
     hi = np.searchsorted(xs, xs[idx] + K, side="right")
-    worst = -np.inf
-    worst_i = idx[0]
-    worst_eps = 0.0
-    for j, i in enumerate(idx):
-        win_u = au[lo[j]:hi[j]]
-        win_du = adu[lo[j]:hi[j]]
-        m = float(np.max(win_u))
-        eps = 0.5 * h * float(np.max(win_du)) / m if m > 0 else 0.0
-        ratio = adu[i] / (C * m * (1.0 + eps)) if m > 0 else np.inf
-        if ratio > worst:
-            worst, worst_i, worst_eps = ratio, i, eps
+    m = _window_extreme(au, lo, hi, np.maximum)
+    m_du = _window_extreme(adu, lo, hi, np.maximum)
+    pos = m > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = np.where(pos, 0.5 * h * m_du / m, 0.0)
+        ratios = np.where(pos, adu[idx] / (C * m * (1.0 + eps)), np.inf)
+    j = int(np.argmax(ratios))  # first of the ties
+    worst, worst_i, worst_eps = ratios[j], idx[j], eps[j]
     notes = f"grid_slack_at_worst={worst_eps:.3e}"
     return _outcome("derivative_bound", idx.size, worst, xs[worst_i], tolerance, notes)
 
@@ -141,13 +173,10 @@ def check_persistence(
     skipped_zeros = int(np.count_nonzero(au <= floor))
     if eligible.size == 0:
         raise NoEligiblePoints("no grid point satisfies the persistence hypothesis")
-    min_ratio = np.inf
-    worst_i = eligible[0]
-    for i in eligible:
-        j = np.searchsorted(xs, xs[i] + delta, side="left")  # [x, x+delta)
-        r = float(np.min(au[i:j]) / au[i])
-        if r < min_ratio:
-            min_ratio, worst_i = r, i
+    end = np.searchsorted(xs, xs[eligible] + delta, side="left")  # [x, x+delta)
+    ratios = _window_extreme(au, eligible, end, np.minimum) / au[eligible]
+    j = int(np.argmin(ratios))  # first of the ties
+    min_ratio, worst_i = float(ratios[j]), eligible[j]
     worst = 0.5 / min_ratio
     # pass iff min_ratio >= 1/2 - tolerance, expressed in ratio form
     eff_tol = 0.5 / (0.5 - tolerance) - 1.0 if tolerance < 0.5 else np.inf
@@ -364,6 +393,32 @@ def _snap_index(xs, x):
     return i if abs(xs[i] - x) < abs(xs[i - 1] - x) else i - 1
 
 
+def _lemma31_terms(u, du, au, scale_u, omega, ix, iy):
+    """(|omega|, Re[conj(omega) u] at nodes ix and iy, Re[conj(omega) u'] at
+    ix) for one triple; raises PreconditionFailed unless u(x) != 0 and
+    Re[conj(omega) u] >= 0 on [ix, iy].  scale_u is max |u| over the trace."""
+    if au[ix] <= 1e-13 * scale_u:
+        raise PreconditionFailed("u(x) = 0 at the requested point")
+    g = np.real(np.conj(omega) * u[ix:iy + 1])
+    if g.min() < -1e-10 * abs(omega) * scale_u:
+        raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
+    return abs(omega), float(g[0]), float(g[-1]), float(np.real(np.conj(omega) * du[ix]))
+
+
+def _lemma31_ratios(xs, au, adu, h, c2, ix, iy, abs_omega, g_x, g_y, du_x):
+    """(ratio, slack, scale, grid_slack) of the core inequality, vectorized
+    over triples whose _lemma31_terms are given."""
+    m = _window_extreme(au, ix, iy + 1, np.maximum)  # m >= |u(x)| > 0
+    eps = 0.5 * h * _window_extreme(adu, ix, iy + 1, np.maximum) / m
+    M = m * (1.0 + eps)
+    dx = xs[iy] - xs[ix]
+    penalty = c2 * dx * (dx + 1.0) * abs_omega * M
+    rhs = g_x + dx * du_x - penalty
+    scale = abs_omega * M * np.maximum(dx * (dx + 1.0), 1e-12)
+    slack = g_y - rhs
+    return 1.0 - slack / scale, slack, scale, eps
+
+
 def check_lemma31(
     trace: SolutionTrace,
     consts: EstimateConstants,
@@ -389,24 +444,10 @@ def check_lemma31(
     if ix > iy:
         raise ValueError("need x <= y within the trace")
     au = np.abs(trace.u)
-    scale_u = float(np.max(au))
-    if au[ix] <= 1e-13 * scale_u:
-        raise PreconditionFailed("u(x) = 0 at the requested point")
-    g = np.real(np.conj(omega) * trace.u)
-    if np.min(g[ix:iy + 1]) < -1e-10 * abs(omega) * scale_u:
-        raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
-    dx = float(xs[iy] - xs[ix])
-    h = _grid_spacing(xs)
-    m = float(np.max(au[ix:iy + 1]))
-    eps = 0.5 * h * float(np.max(np.abs(trace.du[ix:iy + 1]))) / m if m > 0 else 0.0
-    M = m * (1.0 + eps)
-    lhs = float(g[iy])
-    drift = dx * float(np.real(np.conj(omega) * trace.du[ix]))
-    penalty = consts.c2 * dx * (dx + 1.0) * abs(omega) * M
-    rhs = float(g[ix]) + drift - penalty
-    scale = abs(omega) * M * max(dx * (dx + 1.0), 1e-12)
-    slack = lhs - rhs
-    ratio = 1.0 - slack / scale
+    terms = _lemma31_terms(trace.u, trace.du, au, float(np.max(au)), omega, ix, iy)
+    ratio, slack, scale, eps = map(float, _lemma31_ratios(
+        xs, au, np.abs(trace.du), _grid_spacing(xs), consts.c2, ix, iy, *terms
+    ))
     notes = f"slack={slack:.6g}; scale={scale:.6g}; grid_slack={eps:.3e}"
     return _outcome("lemma31", iy - ix + 1, ratio, xs[ix], tolerance, notes)
 
@@ -424,20 +465,21 @@ def sample_lemma31(
     the phase of u(x) so acceptance is likely)."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    xs = trace.xs
-    au = np.abs(trace.u)
-    floor = 1e-3 * float(np.max(au))
-    good = np.flatnonzero(au > floor)
+    xs, u, du = trace.xs, trace.u, trace.du
+    au = np.abs(u)
+    scale_u = float(np.max(au))
+    h = _grid_spacing(xs)
+    good = np.flatnonzero(au > 1e-3 * scale_u)
     if good.size < 2:
         raise NoEligiblePoints("trace has no usable points for sampling")
+    nodes = np.empty((n, 2), dtype=np.intp)
+    terms = np.empty((n, 4))
     accepted = 0
-    worst = -np.inf
-    worst_x = xs[good[0]]
     attempts = 0
     limit = 200 * n
     while accepted < n and attempts < limit:
         attempts += 1
-        ix = int(rng.choice(good))
+        ix = int(good[rng.integers(0, len(good))])
         gap = float(rng.uniform(0.0, max_gap))
         iy = _snap_index(xs, xs[ix] + gap)
         if iy <= ix:
@@ -445,15 +487,17 @@ def sample_lemma31(
             if iy == ix:
                 continue
         phase = float(rng.uniform(-0.5, 0.5))
-        omega = trace.u[ix] / au[ix] * complex(math.cos(phase), math.sin(phase))
+        omega = complex(u[ix] / au[ix] * complex(math.cos(phase), math.sin(phase)))
         try:
-            out = check_lemma31(trace, consts, omega, xs[ix], xs[iy], tolerance)
+            terms[accepted] = _lemma31_terms(u, du, au, scale_u, omega, ix, iy)
         except PreconditionFailed:
             continue
+        nodes[accepted] = ix, iy
         accepted += 1
-        if out.worst_ratio > worst:
-            worst, worst_x = out.worst_ratio, out.witness_x
     if accepted == 0:
         raise NoEligiblePoints("no sampled triple satisfied the hypothesis")
+    ix, iy = nodes[:accepted].T
+    ratios = _lemma31_ratios(xs, au, np.abs(du), h, consts.c2, ix, iy, *terms[:accepted].T)[0]
+    j = int(np.argmax(ratios))
     notes = f"accepted={accepted}; attempts={attempts}"
-    return _outcome("lemma31_sweep", accepted, worst, worst_x, tolerance, notes)
+    return _outcome("lemma31_sweep", accepted, ratios[j], xs[ix[j]], tolerance, notes)

@@ -29,10 +29,9 @@ from schro1d import (
     wronskian,
 )
 from schro1d.harness import scenario_trace
-from schro1d.spectral import frobenius_integrand
 from schro1d.verifier import analytic_trace
 
-from conftest import riemann_c1
+from conftest import frobenius_integrand, riemann_c1
 
 
 def _report(name, ok, detail):

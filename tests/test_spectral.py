@@ -13,7 +13,9 @@ from schro1d import (
     simon_stolz_curve,
 )
 from schro1d.potential import make_family
-from schro1d.spectral import frobenius_integrand, operator_norm_2x2, singular_values_2x2
+from schro1d.spectral import operator_norm_2x2, singular_values_2x2
+
+from conftest import frobenius_integrand
 
 
 class TestMatrixNorm:

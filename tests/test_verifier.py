@@ -1,7 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from schro1d import (
     InitialData,
@@ -10,6 +14,7 @@ from schro1d import (
     TraceTooShort,
     WeightSpec,
     analytic_trace,
+    c1_sup,
     check_decay,
     check_derivative_bound,
     check_derivative_lp,
@@ -23,7 +28,15 @@ from schro1d import (
 )
 from schro1d.errors import InadmissibleWeight
 from schro1d.potential import make_family
-from schro1d.verifier import CheckOutcome
+from schro1d.verifier import (
+    ZERO_BAND,
+    CheckOutcome,
+    _grid_spacing,
+    _interior_indices,
+    _outcome,
+    _snap_index,
+    _window_extreme,
+)
 
 
 class TestDerivativeBound:
@@ -208,8 +221,6 @@ class TestLemma31:
         consts_e = 2 + 1j
         tr = propagate_exact(V, consts_e, InitialData(0.0, 1.0, 0.1j),
                              V.support[1], 0.005)
-        from schro1d import c1_sup
-
         consts = constants_for(c1_sup(V).supremum, consts_e)
         out = sample_lemma31(tr, consts, 200, rng)
         assert out.passed
@@ -226,8 +237,6 @@ class TestOutcomeInvariants:
     def test_scaling_invariance(self, square_well):
         tr = propagate_exact(square_well, 2 + 1j, InitialData(0.0, 1.0, -0.3 + 0.2j),
                              3.0, 0.002)
-        from schro1d import c1_sup
-
         consts = constants_for(c1_sup(square_well).supremum, 2 + 1j)
         lam = 2.0 - 3.0j
         scaled = tr.scaled(lam)
@@ -266,3 +275,217 @@ class TestOutcomeInvariants:
         out = check_weighted(sin_trace, sin_consts, 1.0,
                              WeightSpec.exponential(0.0), (2.0, 18.0))
         assert out.worst_ratio <= 1.0
+
+
+# Reference implementations: the per-point loops the window layer replaced,
+# kept verbatim as oracles.  Max and min are exact, so the vectorized checks
+# must reproduce them bit for bit.
+
+
+def _loop_derivative_bound(trace, consts, tolerance=1e-6):
+    xs = trace.xs
+    au = np.abs(trace.u)
+    adu = np.abs(trace.du)
+    K = consts.k_radius
+    C = consts.c_bound
+    idx = _interior_indices(xs, K)
+    h = _grid_spacing(xs)
+    lo = np.searchsorted(xs, xs[idx] - K, side="left")
+    hi = np.searchsorted(xs, xs[idx] + K, side="right")
+    worst = -np.inf
+    worst_i = idx[0]
+    worst_eps = 0.0
+    for j, i in enumerate(idx):
+        m = float(np.max(au[lo[j]:hi[j]]))
+        eps = 0.5 * h * float(np.max(adu[lo[j]:hi[j]])) / m if m > 0 else 0.0
+        ratio = adu[i] / (C * m * (1.0 + eps)) if m > 0 else np.inf
+        if ratio > worst:
+            worst, worst_i, worst_eps = ratio, i, eps
+    notes = f"grid_slack_at_worst={worst_eps:.3e}"
+    return _outcome("derivative_bound", idx.size, worst, xs[worst_i], tolerance, notes)
+
+
+def _loop_persistence(trace, consts, tolerance=1e-6):
+    xs = trace.xs
+    au = np.abs(trace.u)
+    delta = consts.delta
+    radial = np.real(np.conj(trace.u) * trace.du)
+    floor = ZERO_BAND * float(np.max(au))
+    eligible = np.flatnonzero(
+        (au > floor) & (radial >= 0.0) & (xs + delta <= xs[-1] + 1e-12)
+    )
+    skipped_zeros = int(np.count_nonzero(au <= floor))
+    min_ratio = np.inf
+    worst_i = eligible[0]
+    for i in eligible:
+        j = np.searchsorted(xs, xs[i] + delta, side="left")
+        r = float(np.min(au[i:j]) / au[i])
+        if r < min_ratio:
+            min_ratio, worst_i = r, i
+    worst = 0.5 / min_ratio
+    eff_tol = 0.5 / (0.5 - tolerance) - 1.0 if tolerance < 0.5 else np.inf
+    notes = f"min_modulus_ratio={min_ratio:.6f}; near_zero_points_skipped={skipped_zeros}"
+    return _outcome("persistence", eligible.size, worst, xs[worst_i], eff_tol, notes)
+
+
+def _loop_lemma31(trace, consts, omega, x, y, tolerance=1e-6):
+    omega = complex(omega)
+    xs = trace.xs
+    ix = _snap_index(xs, float(x))
+    iy = _snap_index(xs, float(y))
+    au = np.abs(trace.u)
+    scale_u = float(np.max(au))
+    if au[ix] <= 1e-13 * scale_u:
+        raise PreconditionFailed("u(x) = 0 at the requested point")
+    g = np.real(np.conj(omega) * trace.u)
+    if np.min(g[ix:iy + 1]) < -1e-10 * abs(omega) * scale_u:
+        raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
+    dx = float(xs[iy] - xs[ix])
+    h = _grid_spacing(xs)
+    m = float(np.max(au[ix:iy + 1]))
+    eps = 0.5 * h * float(np.max(np.abs(trace.du[ix:iy + 1]))) / m if m > 0 else 0.0
+    M = m * (1.0 + eps)
+    lhs = float(g[iy])
+    drift = dx * float(np.real(np.conj(omega) * trace.du[ix]))
+    penalty = consts.c2 * dx * (dx + 1.0) * abs(omega) * M
+    rhs = float(g[ix]) + drift - penalty
+    scale = abs(omega) * M * max(dx * (dx + 1.0), 1e-12)
+    slack = lhs - rhs
+    ratio = 1.0 - slack / scale
+    notes = f"slack={slack:.6g}; scale={scale:.6g}; grid_slack={eps:.3e}"
+    return _outcome("lemma31", iy - ix + 1, ratio, xs[ix], tolerance, notes)
+
+
+def _loop_sample_lemma31(trace, consts, n, rng, max_gap=1.5, tolerance=1e-6):
+    xs = trace.xs
+    au = np.abs(trace.u)
+    floor = 1e-3 * float(np.max(au))
+    good = np.flatnonzero(au > floor)
+    accepted = 0
+    worst = -np.inf
+    worst_x = xs[good[0]]
+    attempts = 0
+    limit = 200 * n
+    while accepted < n and attempts < limit:
+        attempts += 1
+        ix = int(rng.choice(good))
+        gap = float(rng.uniform(0.0, max_gap))
+        iy = _snap_index(xs, xs[ix] + gap)
+        if iy <= ix:
+            iy = min(ix + 1, len(xs) - 1)
+            if iy == ix:
+                continue
+        phase = float(rng.uniform(-0.5, 0.5))
+        omega = trace.u[ix] / au[ix] * complex(math.cos(phase), math.sin(phase))
+        try:
+            out = _loop_lemma31(trace, consts, omega, xs[ix], xs[iy], tolerance)
+        except PreconditionFailed:
+            continue
+        accepted += 1
+        if out.worst_ratio > worst:
+            worst, worst_x = out.worst_ratio, out.witness_x
+    notes = f"accepted={accepted}; attempts={attempts}"
+    return _outcome("lemma31_sweep", accepted, worst, worst_x, tolerance, notes)
+
+
+def _random_step_trace():
+    V = make_family("random_step", {"cells": 20, "low": -3, "high": 3, "seed": 31})
+    E = 2 + 1j
+    tr = propagate_exact(V, E, InitialData(0.0, 1.0, -0.4 + 0.3j), V.support[1], 0.002)
+    return tr, constants_for(c1_sup(V).supremum, E)
+
+
+def _spike_lattice_trace():
+    V = make_family("spike_lattice",
+                    {"g": 3.7, "period": 1.0, "cap": 100.0, "cell": 1e-3, "span": 5.0})
+    tr = propagate_exact(V, 1.0, InitialData(V.support[0], 0.8, 0.2), V.support[1], 0.002)
+    return tr, constants_for(c1_sup(V).supremum, 1.0)
+
+
+@pytest.fixture(params=["sin", "harmonic", "random_step_complex", "spike_lattice", "constant"])
+def oracle_case(request, sin_trace, sin_consts, harmonic_trace):
+    if request.param == "sin":
+        return sin_trace, sin_consts
+    if request.param == "constant":
+        # every ratio ties exactly, so the witness must be the first point
+        xs = np.linspace(0.0, 10.0, 2001)
+        tr = analytic_trace(xs, lambda x: np.full_like(x, 2.0), np.zeros_like, 0.0)
+        return tr, constants_for(1.0, 0.0)
+    if request.param == "harmonic":
+        return harmonic_trace, constants_for(0.0, 1.0)
+    if request.param == "random_step_complex":
+        return _random_step_trace()
+    return _spike_lattice_trace()
+
+
+class TestLoopOracles:
+    def test_derivative_bound_equals_loop(self, oracle_case):
+        trace, consts = oracle_case
+        got = check_derivative_bound(trace, consts).to_dict()
+        assert got == _loop_derivative_bound(trace, consts).to_dict()
+
+    def test_persistence_equals_loop(self, oracle_case):
+        trace, consts = oracle_case
+        got = check_persistence(trace, consts).to_dict()
+        assert got == _loop_persistence(trace, consts).to_dict()
+
+    def test_sample_lemma31_equals_loop(self, oracle_case):
+        trace, consts = oracle_case
+        got = sample_lemma31(trace, consts, 400, np.random.default_rng(11)).to_dict()
+        ref = _loop_sample_lemma31(trace, consts, 400, np.random.default_rng(11)).to_dict()
+        assert got == ref
+
+    def test_lemma31_equals_loop(self, oracle_case):
+        trace, consts = oracle_case
+        xs = trace.xs
+        rng = np.random.default_rng(5)
+        compared = 0
+        for _ in range(200):
+            x = float(rng.uniform(xs[0], xs[-1]))
+            y = min(x + float(rng.uniform(0.0, 1.5)), float(xs[-1]))
+            omega = complex(rng.normal(), rng.normal())
+            try:
+                ref = _loop_lemma31(trace, consts, omega, x, y).to_dict()
+            except PreconditionFailed as err:
+                with pytest.raises(PreconditionFailed, match=re.escape(str(err))):
+                    check_lemma31(trace, consts, omega, x, y)
+                continue
+            assert check_lemma31(trace, consts, omega, x, y).to_dict() == ref
+            compared += 1
+        assert compared >= 20
+
+
+@st.composite
+def _windows(draw):
+    """An array and windows over it: random ones, plus the edge cases of the
+    sparse table (length 1, powers of two and one past them, windows ending
+    at len(a), the whole array)."""
+    n = draw(st.integers(1, 300))
+    a = draw(arrays(np.float64, n, elements=st.floats(allow_nan=False)
+                    | st.sampled_from([0.0, -0.0, 1.0])))
+    lengths = [1, n] + [L for k in range(9) for L in (1 << k, (1 << k) + 1) if L <= n]
+    lengths += draw(st.lists(st.integers(1, n), max_size=20))
+    lo, hi = [], []
+    for L in lengths:
+        start = draw(st.integers(0, n - L))
+        lo += [start, n - L]
+        hi += [start + L, n]
+    return a, np.array(lo), np.array(hi)
+
+
+class TestWindowExtreme:
+    @settings(max_examples=200, deadline=None)
+    @given(_windows())
+    def test_equals_brute_force(self, case):
+        a, lo, hi = case
+        for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+            got = _window_extreme(a, lo, hi, op)
+            want = np.array([reduce(a[i:j]) for i, j in zip(lo, hi)])
+            assert got.dtype == a.dtype
+            assert np.array_equal(got, want)
+            if not np.any(np.signbit(a) & (a == 0.0)):  # no -0.0: bitwise too
+                assert got.tobytes() == want.tobytes()
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(ValueError):
+            _window_extreme(np.arange(4.0), [1], [1], np.maximum)
