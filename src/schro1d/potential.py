@@ -15,8 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+
+def _read_only(numbers):
+    arr = np.array(numbers, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -51,13 +58,14 @@ class PiecewisePotential:
         """Described interval [x_0, x_n]; V vanishes outside it."""
         return (self.breakpoints[0], self.breakpoints[-1])
 
-    @property
+    # read-only arrays of the same numbers, built on first use and kept
+    @cached_property
     def bp_array(self):
-        return np.asarray(self.breakpoints)
+        return _read_only(self.breakpoints)
 
-    @property
+    @cached_property
     def value_array(self):
-        return np.asarray(self.values)
+        return _read_only(self.values)
 
     @property
     def negative_values(self):
@@ -100,11 +108,8 @@ class PiecewisePotential:
 
 @dataclass(frozen=True)
 class WindowIntegralProfile:
-    """Exact profile of F(x) = integral_x^{x+1} V_- evaluated at every
-    candidate kink, plus its supremum and (smallest) maximizer."""
+    """Supremum of F(x) = integral_x^{x+1} V_- and its (smallest) maximizer."""
 
-    candidates: tuple
-    integrals: tuple
     supremum: float
     argmax: float
 
@@ -160,12 +165,7 @@ def c1_sup(V: PiecewisePotential) -> WindowIntegralProfile:
     sup = float(np.max(F))
     tol = 1e-12 * (1.0 + abs(sup))
     arg = float(cands[np.flatnonzero(F >= sup - tol)[0]])
-    return WindowIntegralProfile(
-        candidates=tuple(cands.tolist()),
-        integrals=tuple(F.tolist()),
-        supremum=sup,
-        argmax=arg,
-    )
+    return WindowIntegralProfile(supremum=sup, argmax=arg)
 
 
 def _square_well(depth, width):

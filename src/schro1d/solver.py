@@ -16,6 +16,19 @@ Both propagators run forward only, over a batch of initial-data columns.
 Backward propagation runs forward on the reflected potential V(-x), from -x0
 with data (u0, -u0'), and reflects the traces back; the two basis solutions
 behind transfer matrices are propagated as one batched pass.
+
+The exact propagator works in whole-array passes, with Python loops only
+where the work is sequential:
+
+1. grid: all segments between breakpoints are refined uniformly at once,
+   to the nodes np.linspace would give;
+2. blocks: every cell is cut into evaluation blocks of length at most
+   1/|Re sqrt(q)|, all cells together, one block per round;
+3. scan: a loop over the block anchors only carries the data columns with
+   the blocks' closed-form step matrices, until an anchor passes the
+   overflow guard;
+4. fill: every node is evaluated from the anchor of its block, a chunk of
+   nodes per pass.  Series or closed form is chosen once per block.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ from .potential import PiecewisePotential
 
 OVERFLOW_GUARD = 1e150
 SERIES_THRESHOLD = 1e-8
+_SCAN_CHUNK = 256  # blocks scanned between two overflow checks
+_FILL_CHUNK = 2048  # nodes filled per pass, to bound temporaries
 
 
 @dataclass(frozen=True)
@@ -150,44 +165,71 @@ def cumtrapz(y, x):
     return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
-def _propagator_terms(q: complex, dt: np.ndarray):
-    """cosh(s*dt) and sinh(s*dt)/s for s = sqrt(q), series near q = 0."""
-    dt = np.asarray(dt)
-    hmax = float(np.max(np.abs(dt))) if dt.size else 0.0
-    if abs(q) * hmax * hmax < SERIES_THRESHOLD:
-        z = q * dt * dt
-        c = 1.0 + z / 2.0 + z * z / 24.0
-        sl = dt * (1.0 + z / 6.0 + z * z / 120.0)
-    else:
-        s = np.sqrt(complex(q))
-        c = np.cosh(s * dt)
-        sl = np.sinh(s * dt) / s
+def _use_series(q, hmax):
+    """Whether a block of length hmax takes the series: |q| hmax^2 small."""
+    return np.hypot(q.real, q.imag) * hmax * hmax < SERIES_THRESHOLD
+
+
+def _series_terms(q, dt):
+    z = q * dt * dt
+    return 1.0 + z / 2.0 + z * z / 24.0, dt * (1.0 + z / 6.0 + z * z / 120.0)
+
+
+def _closed_terms(q, dt):
+    s = np.sqrt(q)
+    sdt = s * dt
+    c = np.cosh(sdt)
+    sl = np.sinh(sdt, out=sdt)
+    sl /= s
+    return c, sl
+
+
+def _propagator_terms(q, dt, series=None):
+    """cosh(s*dt) and sinh(s*dt)/s for s = sqrt(q), elementwise in q and dt.
+
+    Where `series` holds, the terms come from their Taylor series, which
+    avoids cancellation near q = 0.  By default one choice covers all of dt:
+    the series when |q| * max|dt|^2 < SERIES_THRESHOLD.
+    """
+    dt = np.asarray(dt, dtype=float)
+    q = np.broadcast_to(np.asarray(q, dtype=complex), dt.shape)
+    if series is None:
+        hmax = float(np.max(np.abs(dt))) if dt.size else 0.0
+        series = _use_series(q, hmax)
+    if series.all():
+        return _series_terms(q, dt)
+    if not series.any():
+        return _closed_terms(q, dt)
+    c = np.empty(dt.shape, dtype=complex)
+    sl = np.empty_like(c)
+    c[series], sl[series] = _series_terms(q[series], dt[series])
+    c[~series], sl[~series] = _closed_terms(q[~series], dt[~series])
     return c, sl
 
 
 def build_grid(V: PiecewisePotential, a: float, b: float, max_step: float):
     """Strictly increasing grid on [a, b]: every potential breakpoint inside,
     uniform refinement to spacing <= max_step.  Returns (xs, edge_indices)
-    where edge_indices locate the constant-q segment boundaries in xs."""
+    where edge_indices locate the constant-q segment boundaries in xs.
+
+    Segment [l, r] gets n = ceil((r - l)/max_step) steps and the nodes
+    k*((r - l)/n) + l for k < n, which is what np.linspace(l, r, n + 1)
+    computes, bit for bit."""
     if max_step <= 0:
         raise ValueError("max_step must be positive")
     tol = 1e-12 * (1.0 + max(abs(a), abs(b)))
-    edges = [a]
-    for p in V.breakpoints:
-        if p > a + tol and p < b - tol:
-            edges.append(p)
-    edges.append(b)
-    nodes = []
-    edge_idx = [0]
-    count = 0
-    for l, r in zip(edges, edges[1:]):
-        n = max(1, int(math.ceil((r - l) / max_step - 1e-12)))
-        seg = np.linspace(l, r, n + 1)
-        nodes.append(seg[:-1])
-        count += n
-        edge_idx.append(count)
-    nodes.append(np.array([b]))
-    return np.concatenate(nodes), edge_idx
+    bp = V.bp_array
+    edges = np.concatenate([[a], bp[(bp > a + tol) & (bp < b - tol)], [b]])
+    left, width = edges[:-1], np.diff(edges)
+    n = np.maximum(1, np.ceil(width / max_step - 1e-12)).astype(np.int64)
+    edge_idx = np.concatenate([[0], np.cumsum(n)])
+    xs = np.arange(edge_idx[-1] + 1, dtype=float)
+    nodes = xs[:-1]  # k, the node's index within its segment, then the node
+    nodes -= np.repeat(edge_idx[:-1], n)
+    nodes *= np.repeat(width / n, n)
+    nodes += np.repeat(left, n)
+    xs[-1] = b
+    return xs, edge_idx
 
 
 def _check_overflow(xs, us, dus, i0, i1):
@@ -197,28 +239,102 @@ def _check_overflow(xs, us, dus, i0, i1):
         raise OverflowAtX(float(xs[i0 + bad[0]]), float(mag[bad[0]]))
 
 
+def _block_anchors(xs, edge_idx, qs):
+    """First node of every evaluation block, segment by segment.
+
+    Evaluating far from a block's anchor cancels catastrophically for
+    decaying solutions, so each cell is cut into blocks of length at most
+    1/|Re sqrt(q)|: a block ends at the last node within that length of its
+    anchor, but spans at least one step.  Every segment is cut at once, one
+    block per round, until all of them are used up.
+    """
+    i0, i1 = edge_idx[:-1], edge_idx[1:]
+    growth = np.abs(np.sqrt(qs).real)
+    block = xs[i1] - xs[i0]
+    wide = growth * block > 1.0
+    block[wide] = 1.0 / growth[wide]
+    anchors = [i0]
+    j0 = i0
+    while True:
+        j1 = np.searchsorted(xs, xs[j0] + block, side="right") - 1
+        j1 = np.maximum(np.minimum(j1, i1), j0 + 1)
+        more = j1 < i1
+        if not more.any():
+            return np.concatenate(anchors)
+        j0, i1, block = j1[more], i1[more], block[more]
+        anchors.append(j0)
+
+
+def _anchor_scan(q, h, series, u, du):
+    """Data columns at every block end, carried block by block from (u, du)
+    by the step matrices [[c, sl], [q sl, c]] over the block lengths h.
+
+    Returns the rows (data at xs[0], then at each block end) and the index of
+    the first row over the overflow guard (the number of blocks if none).
+    """
+    nblk, ncol = len(q), len(u)
+    c, sl = _propagator_terms(q, h, series)
+    qsl = q * sl
+    # m[k, j, i] is entry (i, j) of block k's matrix, so that p0 + p1
+    # is (c u + sl du, q sl u + c du), the products in that order
+    m = np.stack([c, qsl, sl, c], axis=1).reshape(nblk, 2, 2, 1)
+    rows = np.empty((nblk + 1, 2, 1, ncol), dtype=complex)
+    flat = rows.reshape(nblk + 1, 2, ncol)
+    flat[0] = u, du
+    p = np.empty((2, 2, ncol), dtype=complex)
+    p0, p1 = p
+    # The scan stays in numpy ufuncs on purpose: numpy's complex multiply
+    # uses FMA where the CPU has it, Python's complex `*` does not, and the
+    # two disagree in the last bit on a large share of products.  Keeping
+    # every product in numpy keeps the traces bit-identical to evaluating
+    # each block as a whole.  Rows are checked against the guard once per
+    # chunk; the rows a chunk computes past the first one over the guard
+    # are discarded, so their overflow to inf or nan is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(0, nblk + 1, _SCAN_CHUNK):
+            r1 = min(r + _SCAN_CHUNK, nblk)
+            for mk, row, nxt in zip(m[r:r1], rows[r:r1], flat[r + 1:r1 + 1]):
+                np.multiply(mk, row, p)
+                np.add(p0, p1, nxt)
+            bad = np.flatnonzero(np.abs(flat[r:r1 + 1]).max(axis=(1, 2)) > OVERFLOW_GUARD)
+            if bad.size:
+                return flat, r + int(bad[0])
+    return flat, nblk
+
+
 def _exact_kernel(xs, edge_idx, qs, u, du):
-    """Closed-form flow of the data columns (u, du) at xs[0] along xs."""
-    us = np.empty((len(u), len(xs)), dtype=complex)
+    """Closed-form flow of the data columns (u, du) at xs[0] along xs.
+
+    A sequential scan carries the data from block anchor to block anchor;
+    every node is then filled, a chunk of nodes at a time, from the anchor
+    of its block: the block with the last anchor at or before the node.
+    """
+    n, ncol = len(xs), len(u)
+    qs = np.asarray(qs, dtype=complex)
+    is_anchor = np.zeros(n, dtype=bool)
+    is_anchor[_block_anchors(xs, edge_idx, qs)] = True
+    row_node = np.append(np.flatnonzero(is_anchor), n - 1)  # node of each scan row
+    owner = np.cumsum(is_anchor[:-1]) - 1  # block of nodes 0..n-2
+    xa = xs[row_node[:-1]]  # abscissa of each block anchor
+    q = qs[np.searchsorted(edge_idx, row_node[:-1], side="right") - 1]
+    h = xs[row_node[1:]] - xa
+    series = _use_series(q, h)  # one choice per block, never per node
+    rows, stop = _anchor_scan(q, h, series, u, du)
+    last = row_node[stop]
+    us = np.empty((ncol, n), dtype=complex)
     dus = np.empty_like(us)
-    for i0, i1, q in zip(edge_idx, edge_idx[1:], qs):
-        # bound the per-evaluation growth factor: evaluating far from the
-        # block base cancels catastrophically for decaying solutions, so the
-        # cell is split into blocks with |Re sqrt(q)| * length <= ~1
-        growth = abs(np.sqrt(q).real)
-        seg_len = xs[i1] - xs[i0]
-        block = seg_len if growth * seg_len <= 1.0 else 1.0 / growth
-        j0 = i0
-        while j0 < i1:
-            j1 = min(int(np.searchsorted(xs, xs[j0] + block, side="right")) - 1, i1)
-            j1 = max(j1, j0 + 1)
-            sl = slice(j0, j1 + 1)
-            c, slh = _propagator_terms(q, xs[sl] - xs[j0])
-            us[:, sl] = c * u[:, None] + slh * du[:, None]
-            dus[:, sl] = q * slh * u[:, None] + c * du[:, None]
-            _check_overflow(xs, us, dus, j0, j1)
-            u, du = us[:, j1].copy(), dus[:, j1].copy()
-            j0 = j1
+    for i in range(0, last, _FILL_CHUNK):
+        own = owner[i:min(i + _FILL_CHUNK, last)]
+        j = i + len(own)
+        qn = q[own]
+        c, sl = _propagator_terms(qn, xs[i:j] - xa[own], series[own])
+        ua, dua = rows[own].transpose(1, 2, 0)  # data at each node's anchor
+        np.multiply(c, ua, out=us[:, i:j])
+        us[:, i:j] += sl * dua
+        np.multiply(qn * sl, ua, out=dus[:, i:j])
+        dus[:, i:j] += c * dua
+    us[:, last], dus[:, last] = rows[stop]
+    _check_overflow(xs, us, dus, 0, last)
     return us, dus
 
 

@@ -44,6 +44,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PiecewisePotential((0.0, 1.0), (np.nan,))
 
+    def test_arrays_are_read_only(self):
+        V = PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0))
+        assert V.bp_array is V.bp_array
+        assert np.array_equal(V.bp_array, V.breakpoints)
+        assert np.array_equal(V.value_array, V.values)
+        for arr in (V.bp_array, V.value_array):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5.0
+        assert V == PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0))
+        assert hash(V) == hash(PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0)))
+
     def test_value_at_zero_extension(self):
         V = THREE_CELL
         assert V.value_at(-0.5) == 0.0
@@ -125,8 +136,13 @@ class TestC1Sup:
         assert c1_sup(V.scaled(lam)).supremum == pytest.approx(lam * s, rel=1e-12, abs=1e-13)
 
     def test_supremum_equals_max_of_profile(self):
+        # F at every kink of the profile: where x or x + 1 is a breakpoint
+        bp = THREE_CELL.bp_array
+        kinks = np.unique(np.clip(np.concatenate([bp, bp - 1.0]), bp[0] - 1.0, bp[-1]))
+        F = window_integral(THREE_CELL, kinks)
         prof = c1_sup(THREE_CELL)
-        assert prof.supremum == max(prof.integrals)
+        assert prof.supremum == np.max(F)
+        assert prof.argmax == kinks[np.argmax(F)]
         assert prof.supremum >= 0.0
 
 

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schro1d import (
     InitialData,
@@ -12,8 +15,17 @@ from schro1d import (
     transfer_matrix,
     wronskian,
 )
+from schro1d import solver
 from schro1d.potential import make_family
-from schro1d.solver import _propagator_terms, basis_traces, build_grid
+from schro1d.solver import (
+    OVERFLOW_GUARD,
+    SERIES_THRESHOLD,
+    _exact_kernel,
+    _propagator_terms,
+    _traces,
+    basis_traces,
+    build_grid,
+)
 
 
 class TestExactPropagator:
@@ -194,3 +206,185 @@ def test_trace_csv_roundtrip(tmp_path, sin_trace):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(sin_trace.xs), 5)
     assert np.allclose(data[:, 1], sin_trace.u.real)
+
+
+# Reference implementation: the per-cell grid build and the per-block kernel
+# that the whole-array passes replaced, kept verbatim as oracles.  The new
+# kernel performs the same floating-point operations on the same operands,
+# so grids and traces must agree bit for bit.
+
+
+def _old_propagator_terms(q: complex, dt: np.ndarray):
+    """cosh(s*dt) and sinh(s*dt)/s for s = sqrt(q), series near q = 0."""
+    dt = np.asarray(dt)
+    hmax = float(np.max(np.abs(dt))) if dt.size else 0.0
+    if abs(q) * hmax * hmax < SERIES_THRESHOLD:
+        z = q * dt * dt
+        c = 1.0 + z / 2.0 + z * z / 24.0
+        sl = dt * (1.0 + z / 6.0 + z * z / 120.0)
+    else:
+        s = np.sqrt(complex(q))
+        c = np.cosh(s * dt)
+        sl = np.sinh(s * dt) / s
+    return c, sl
+
+
+def _old_build_grid(V: PiecewisePotential, a: float, b: float, max_step: float):
+    """Strictly increasing grid on [a, b]: every potential breakpoint inside,
+    uniform refinement to spacing <= max_step.  Returns (xs, edge_indices)
+    where edge_indices locate the constant-q segment boundaries in xs."""
+    if max_step <= 0:
+        raise ValueError("max_step must be positive")
+    tol = 1e-12 * (1.0 + max(abs(a), abs(b)))
+    edges = [a]
+    for p in V.breakpoints:
+        if p > a + tol and p < b - tol:
+            edges.append(p)
+    edges.append(b)
+    nodes = []
+    edge_idx = [0]
+    count = 0
+    for l, r in zip(edges, edges[1:]):
+        n = max(1, int(math.ceil((r - l) / max_step - 1e-12)))
+        seg = np.linspace(l, r, n + 1)
+        nodes.append(seg[:-1])
+        count += n
+        edge_idx.append(count)
+    nodes.append(np.array([b]))
+    return np.concatenate(nodes), edge_idx
+
+
+def _old_check_overflow(xs, us, dus, i0, i1):
+    mag = np.max(np.maximum(np.abs(us[:, i0:i1 + 1]), np.abs(dus[:, i0:i1 + 1])), axis=0)
+    bad = np.flatnonzero(mag > OVERFLOW_GUARD)
+    if bad.size:
+        raise OverflowAtX(float(xs[i0 + bad[0]]), float(mag[bad[0]]))
+
+
+def _old_exact_kernel(xs, edge_idx, qs, u, du):
+    """Closed-form flow of the data columns (u, du) at xs[0] along xs."""
+    us = np.empty((len(u), len(xs)), dtype=complex)
+    dus = np.empty_like(us)
+    for i0, i1, q in zip(edge_idx, edge_idx[1:], qs):
+        # bound the per-evaluation growth factor: evaluating far from the
+        # block base cancels catastrophically for decaying solutions, so the
+        # cell is split into blocks with |Re sqrt(q)| * length <= ~1
+        growth = abs(np.sqrt(q).real)
+        seg_len = xs[i1] - xs[i0]
+        block = seg_len if growth * seg_len <= 1.0 else 1.0 / growth
+        j0 = i0
+        while j0 < i1:
+            j1 = min(int(np.searchsorted(xs, xs[j0] + block, side="right")) - 1, i1)
+            j1 = max(j1, j0 + 1)
+            sl = slice(j0, j1 + 1)
+            c, slh = _old_propagator_terms(q, xs[sl] - xs[j0])
+            us[:, sl] = c * u[:, None] + slh * du[:, None]
+            dus[:, sl] = q * slh * u[:, None] + c * du[:, None]
+            _old_check_overflow(xs, us, dus, j0, j1)
+            u, du = us[:, j1].copy(), dus[:, j1].copy()
+            j0 = j1
+    return us, dus
+
+
+def _outcome(monkeypatch, kernel, grid, V, E, x0, x_end, u0, du0, step):
+    """Traces from `kernel` on `grid`, both run through `_traces` (so backward
+    runs take the same reflection path), or the overflow's (x, magnitude)."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "build_grid", grid)
+        try:
+            return _traces(kernel, "exact_cell", V, E, x0, x_end,
+                           np.asarray(u0, dtype=complex), np.asarray(du0, dtype=complex),
+                           step)
+        except OverflowAtX as err:
+            return err.x, err.magnitude
+
+
+def _assert_same_traces(monkeypatch, V, E, x0, x_end, u0, du0, step):
+    a, b = sorted((x0, x_end))
+    xs, edge_idx = build_grid(V, a, b, step)
+    xs_old, edge_old = _old_build_grid(V, a, b, step)
+    assert np.array_equal(xs, xs_old)
+    assert np.array_equal(edge_idx, edge_old)
+    args = (V, E, x0, x_end, u0, du0, step)
+    new = _outcome(monkeypatch, _exact_kernel, build_grid, *args)
+    old = _outcome(monkeypatch, _old_exact_kernel, _old_build_grid, *args)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert len(new) == len(old) == len(u0)
+    for t, ref in zip(new, old):
+        assert np.array_equal(t.xs, ref.xs)
+        assert np.array_equal(t.u, ref.u)
+        assert np.array_equal(t.du, ref.du)
+
+
+_RANDOM_STEP = make_family("random_step", {"cells": 20, "low": -3, "high": 3, "seed": 8})
+_FREE = PiecewisePotential((0.0, 1.0), (0.0,))
+
+# (V, E, x0, x_end, u0, du0, max_step)
+_ORACLE_CASES = {
+    "spike_lattice": (make_family("spike_lattice", {"span": 2.0}), 1.0,
+                      0.0, 2.0, [1.0], [0.0], 1e-3),
+    "random_step_real": (_RANDOM_STEP, 2.5, 0.0, _RANDOM_STEP.support[1],
+                         [0.7], [-0.4], 1e-2),
+    "random_step_complex": (_RANDOM_STEP, 1.0 + 0.5j, 0.0, _RANDOM_STEP.support[1],
+                            [1.0], [0.2 - 0.3j], 3e-2),
+    "free_multi_block": (_FREE, -1.0, 0.0, 12.0, [1.0], [-1.0], 1e-2),
+    "free_coarse_blocks": (_FREE, -30.0, 0.0, 6.0, [1.0], [-1.0], 0.37),
+    "series_branch": (_FREE, 1e-9, 0.0, 3.0, [1.0], [0.5], 1e-2),
+    # closed form per block, though the series rule would pick nodes near anchors
+    "small_q_closed_form": (_FREE, -1e-6 + 1e-6j, 0.0, 3.0, [1.0], [0.5], 1e-2),
+    "offgrid_breakpoint": (PiecewisePotential((0.0, 1.0005, 2.0), (1.0, -1.0)), 0.5,
+                           0.0, 2.0, [1.0], [0.0], 1e-2),
+    "breakpoint_near_endpoint": (PiecewisePotential((0.0, 1e-13, 1.0, 2.0 - 1e-13),
+                                                    (4.0, -1.0, 2.0)), 0.5,
+                                 0.0, 2.0, [1.0], [0.3], 1e-2),
+    "backward": (_RANDOM_STEP, 1.5 - 0.2j, _RANDOM_STEP.support[1], -0.5,
+                 [1.0], [0.25j], 1e-2),
+    "basis_columns_backward": (_RANDOM_STEP, -1.0, 6.0, 0.0, [1.0, 0.0], [0.0, 1.0], 1e-2),
+}
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_matches_per_block_kernel(self, monkeypatch, case):
+        _assert_same_traces(monkeypatch, *_ORACLE_CASES[case])
+
+    def test_free_case_splits_cells_into_blocks(self):
+        xs, edge_idx = build_grid(_FREE, 0.0, 12.0, 1e-2)
+        qs = np.ones(len(edge_idx) - 1, dtype=complex)
+        assert len(solver._block_anchors(xs, edge_idx, qs)) >= 12
+
+    def test_basis_traces_match_oracle(self, monkeypatch):
+        t1, t2 = basis_traces(_RANDOM_STEP, 0.5 + 0.5j, 0.0, 6.0, 1e-2)
+        old = _outcome(monkeypatch, _old_exact_kernel, _old_build_grid, _RANDOM_STEP,
+                       0.5 + 0.5j, 0.0, 6.0, [1.0, 0.0], [0.0, 1.0], 1e-2)
+        for t, ref in zip((t1, t2), old):
+            assert np.array_equal(t.xs, ref.xs)
+            assert np.array_equal(t.u, ref.u)
+            assert np.array_equal(t.du, ref.du)
+
+    @pytest.mark.parametrize("x0, du0, x_end", [(0.0, 10.0, 40.0), (40.0, -10.0, 0.0)])
+    def test_overflow_parity(self, monkeypatch, x0, du0, x_end):
+        # the inputs of test_overflow_guard_reports_abscissa; no overflow or
+        # invalid-value warning may escape
+        V = PiecewisePotential((0.0, 40.0), (0.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowAtX) as exc:
+                propagate_exact(V, -100.0, InitialData(x0, 1.0, du0), x_end, 0.01)
+            old = _outcome(monkeypatch, _old_exact_kernel, _old_build_grid, V, -100.0,
+                           x0, x_end, [1.0], [du0], 0.01)
+        assert (exc.value.x, exc.value.magnitude) == old
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), cells=st.integers(1, 12),
+           step=st.floats(1e-3, 0.6), energy=st.complex_numbers(max_magnitude=40.0),
+           backward=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_step_property(self, seed, cells, step, energy, backward):
+        V = make_family("random_step", {"cells": cells, "low": -20, "high": 20,
+                                        "seed": seed})
+        a, b = V.support
+        x0, x_end = (b, a - 0.3) if backward else (a - 0.3, b)
+        with pytest.MonkeyPatch.context() as mp:
+            _assert_same_traces(mp, V, energy, x0, x_end, [1.0, 0.5j], [0.0, -1.0], step)
