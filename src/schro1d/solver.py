@@ -310,7 +310,6 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
     of its block: the block with the last anchor at or before the node.
     """
     n, ncol = len(xs), len(u)
-    qs = np.asarray(qs, dtype=complex)
     is_anchor = np.zeros(n, dtype=bool)
     is_anchor[_block_anchors(xs, edge_idx, qs)] = True
     row_node = np.append(np.flatnonzero(is_anchor), n - 1)  # node of each scan row
@@ -344,7 +343,7 @@ def _rk_kernel(xs, edge_idx, qs, u, du):
     dus = np.empty_like(us)
     us[:, 0], dus[:, 0] = u, du
     u, du = u.tolist(), du.tolist()
-    for i0, i1, q in zip(edge_idx, edge_idx[1:], qs):
+    for i0, i1, q in zip(edge_idx, edge_idx[1:], qs.tolist()):
         h = (xs[i1] - xs[i0]) / (i1 - i0)
         # RK4 on the linear system collapses to one constant 2x2 step matrix
         alpha = 1.0 + q * h * h / 2.0 + q * q * h ** 4 / 24.0
@@ -381,7 +380,7 @@ def _traces(kernel, method, V, E, x0, x_end, u0, du0, step):
         return [t.reflected() for t in traces]
     xs, edge_idx = build_grid(V, x0, x_end, step)
     mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
-    qs = (V.value_at(mids) - energy.as_complex).tolist()
+    qs = V.value_at(mids) - energy.as_complex
     us, dus = kernel(xs, edge_idx, qs, u0, du0)
     return [SolutionTrace(xs, u, du, energy, method, float(step)) for u, du in zip(us, dus)]
 

@@ -11,6 +11,18 @@ Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
 through `_window_extreme`, a sparse-table range query that is exact, and
 window integrals are differences of one cumulative trapezoid (`cumtrapz`).
+
+The randomized sweep of the core inequality (`sample_lemma31`) is a batched
+rejection sampler.  Per batch, a Python loop makes only the generator calls,
+in the order the per-attempt loop made them: `integers` for x, `random` for
+the gap and, unless x is the last node, `random` for the phase (uniform(lo,
+hi) is lo + (hi - lo) * random(), bit for bit).  Then numpy snaps y, forms
+omega and tests the sign hypothesis (`_lemma31_hypothesis`, shared with
+`check_lemma31`): a negative endpoint value rejects a triple at once, and
+each remaining triple scans its window until the n-th acceptance.  Batch
+sizes follow the acceptance rate so far, so the generator may advance past
+the last counted attempt; the report counts attempts up to the n-th
+acceptance and is the same as for one attempt at a time.
 """
 
 from __future__ import annotations
@@ -277,6 +289,10 @@ class WeightSpec:
         ws = np.asarray(ws, dtype=float)
         if np.any(ws <= 0) or not np.all(np.isfinite(ws)):
             raise InadmissibleWeight("custom weight samples must be positive and finite")
+        # np.interp silently returns wrong values for unsorted abscissae
+        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+            raise InadmissibleWeight(
+                "custom weight abscissae must be finite and strictly increasing")
         return cls(kind="custom", sample_xs=xs, sample_ws=ws)
 
     def values(self, xs):
@@ -299,11 +315,22 @@ class WeightSpec:
             return (1.0 + h) ** abs(self.exponent)
         if self.kind == "custom":
             xs, ws = self.sample_xs, self.sample_ws
-            best = 1.0
-            for i in range(len(xs)):
-                sel = np.abs(xs - xs[i]) <= h
-                best = max(best, float(ws[i] / np.min(ws[sel])))
-            return best
+
+            def first_near(xs):
+                """First j with |xs[j] - xs[i]| <= h, as the difference rounds,
+                for each i.  Those j are a run of indices around i since xs
+                increases; the search for xs[i] - h can miss the run's start
+                by a node where that rounds differently, and steps onto it."""
+                j = np.searchsorted(xs, xs - h, side="left")
+                while np.any(step := (j > 0) & (np.abs(xs[j - 1] - xs) <= h)):
+                    j[step] -= 1
+                while np.any(step := np.abs(xs[j] - xs) > h):
+                    j[step] += 1
+                return j
+
+            lo = first_near(xs)
+            hi = len(xs) - first_near(-xs[::-1])[::-1]  # the run's end, by reflection
+            return float(np.max(ws / _window_extreme(ws, lo, hi, np.minimum), initial=1.0))
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
 
@@ -384,30 +411,56 @@ def check_decay(
     return _outcome("decay_trend", len(xs), ratio, witness, tolerance, notes)
 
 
-def _snap_index(xs, x):
-    i = int(np.searchsorted(xs, x))
-    if i == 0:
-        return 0
-    if i >= len(xs):
-        return len(xs) - 1
-    return i if abs(xs[i] - x) < abs(xs[i - 1] - x) else i - 1
+def _snap_indices(xs, x):
+    """Index of the grid node nearest to each x; the left node on a tie."""
+    i = np.searchsorted(xs, x)
+    right = np.minimum(i, len(xs) - 1)
+    left = np.maximum(i - 1, 0)
+    return np.where(np.abs(xs[right] - x) < np.abs(xs[left] - x), right, left)
 
 
-def _lemma31_terms(u, du, au, scale_u, omega, ix, iy):
-    """(|omega|, Re[conj(omega) u] at nodes ix and iy, Re[conj(omega) u'] at
-    ix) for one triple; raises PreconditionFailed unless u(x) != 0 and
-    Re[conj(omega) u] >= 0 on [ix, iy].  scale_u is max |u| over the trace."""
-    if au[ix] <= 1e-13 * scale_u:
-        raise PreconditionFailed("u(x) = 0 at the requested point")
-    g = np.real(np.conj(omega) * u[ix:iy + 1])
-    if g.min() < -1e-10 * abs(omega) * scale_u:
-        raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
-    return abs(omega), float(g[0]), float(g[-1]), float(np.real(np.conj(omega) * du[ix]))
+def _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
+    """Hypothesis test of the core inequality for a batch of triples
+    (omega = om_r + i om_i, x = xs[ix], y = xs[iy]); scale_u is max |u| over
+    the trace.  Returns (zero, ok, terms):
+
+      zero   marks the triples with u(x) = 0;
+      ok     marks, in batch order, the triples with u(x) != 0 and
+             Re[conj(omega) u] >= 0 on [ix, iy], up to the need-th one;
+             the triples after it are left unmarked and unscanned;
+      terms  (|omega|, Re[conj(omega) u] at ix and iy, Re[conj(omega) u']
+             at ix) for every triple.
+
+    Every value is computed as the per-triple scalar expressions compute it:
+    Re[conj(omega) u] through numpy's complex multiply (which may use FMA),
+    Re[conj(omega) u'] and |omega| = hypot in real arithmetic.  A triple
+    whose endpoint value is below the threshold fails without a scan (the
+    endpoints are part of the window); the others scan their window.
+    """
+    abs_om = np.hypot(om_r, om_i)
+    conj_om = np.empty(len(om_r), dtype=complex)
+    conj_om.real, conj_om.imag = om_r, -om_i
+    g_x = np.real(conj_om * u[ix])
+    g_y = np.real(conj_om * u[iy])
+    du_x = om_r * du[ix].real + om_i * du[ix].imag
+    thr = -1e-10 * abs_om * scale_u
+    zero = au[ix] <= 1e-13 * scale_u
+    ok = np.zeros(len(om_r), dtype=bool)
+    cand = np.flatnonzero(~zero & ~(g_x < thr) & ~(g_y < thr))
+    found = 0
+    for k, w, a, b, t in zip(cand.tolist(), conj_om[cand], ix[cand].tolist(),
+                             iy[cand].tolist(), thr[cand].tolist()):
+        if not np.minimum.reduce((w * u[a:b + 1]).real) < t:
+            ok[k] = True
+            found += 1
+            if found == need:
+                break
+    return zero, ok, (abs_om, g_x, g_y, du_x)
 
 
 def _lemma31_ratios(xs, au, adu, h, c2, ix, iy, abs_omega, g_x, g_y, du_x):
     """(ratio, slack, scale, grid_slack) of the core inequality, vectorized
-    over triples whose _lemma31_terms are given."""
+    over triples whose _lemma31_hypothesis terms are given."""
     m = _window_extreme(au, ix, iy + 1, np.maximum)  # m >= |u(x)| > 0
     eps = 0.5 * h * _window_extreme(adu, ix, iy + 1, np.maximum) / m
     M = m * (1.0 + eps)
@@ -438,18 +491,22 @@ def check_lemma31(
     omega = complex(omega)
     if omega == 0:
         raise ValueError("omega must be nonzero")
-    xs = trace.xs
-    ix = _snap_index(xs, float(x))
-    iy = _snap_index(xs, float(y))
-    if ix > iy:
+    xs, u, du = trace.xs, trace.u, trace.du
+    ix, iy = _snap_indices(xs, np.array([x, y], dtype=float))[:, None]
+    if ix[0] > iy[0]:
         raise ValueError("need x <= y within the trace")
-    au = np.abs(trace.u)
-    terms = _lemma31_terms(trace.u, trace.du, au, float(np.max(au)), omega, ix, iy)
-    ratio, slack, scale, eps = map(float, _lemma31_ratios(
-        xs, au, np.abs(trace.du), _grid_spacing(xs), consts.c2, ix, iy, *terms
+    au = np.abs(u)
+    zero, ok, terms = _lemma31_hypothesis(u, du, au, float(np.max(au)), np.array([omega.real]),
+                                          np.array([omega.imag]), ix, iy, 1)
+    if zero[0]:
+        raise PreconditionFailed("u(x) = 0 at the requested point")
+    if not ok[0]:
+        raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
+    ratio, slack, scale, eps = (float(v[0]) for v in _lemma31_ratios(
+        xs, au, np.abs(du), _grid_spacing(xs), consts.c2, ix, iy, *terms
     ))
     notes = f"slack={slack:.6g}; scale={scale:.6g}; grid_slack={eps:.3e}"
-    return _outcome("lemma31", iy - ix + 1, ratio, xs[ix], tolerance, notes)
+    return _outcome("lemma31", iy[0] - ix[0] + 1, ratio, xs[ix[0]], tolerance, notes)
 
 
 def sample_lemma31(
@@ -462,7 +519,16 @@ def sample_lemma31(
 ) -> CheckOutcome:
     """Randomized sweep of the core inequality: n triples (omega, x, y) with
     the sign hypothesis satisfied (rejection sampling, omega biased toward
-    the phase of u(x) so acceptance is likely)."""
+    the phase of u(x) so acceptance is likely).
+
+    An attempt draws x = xs[ix] from the nodes where |u| > 1e-3 max|u|, a gap
+    in [0, max_gap) that snaps y = xs[iy] to the node nearest x + gap (the
+    next node if that is ix), and a phase in [-0.5, 0.5) that turns omega
+    away from u(x)/|u(x)|; x at the last node draws no phase and fails.  At
+    most 200 n attempts are made, in batches (see the module docstring).
+    Attempts are counted up to the n-th acceptance, but rng may have
+    advanced past it, by an amount that depends on the batch sizes.
+    """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     xs, u, du = trace.xs, trace.u, trace.du
@@ -472,32 +538,41 @@ def sample_lemma31(
     good = np.flatnonzero(au > 1e-3 * scale_u)
     if good.size < 2:
         raise NoEligiblePoints("trace has no usable points for sampling")
-    nodes = np.empty((n, 2), dtype=np.intp)
-    terms = np.empty((n, 4))
-    accepted = 0
-    attempts = 0
+    no_phase = len(good) - 1 if good[-1] == len(xs) - 1 else -1  # the pick of the last node
+    integers, random = rng.integers, rng.random
+    parts = []  # (ix, iy, *terms) of the accepted triples of each batch
+    accepted = attempts = 0
     limit = 200 * n
     while accepted < n and attempts < limit:
-        attempts += 1
-        ix = int(good[rng.integers(0, len(good))])
-        gap = float(rng.uniform(0.0, max_gap))
-        iy = _snap_index(xs, xs[ix] + gap)
-        if iy <= ix:
-            iy = min(ix + 1, len(xs) - 1)
-            if iy == ix:
-                continue
-        phase = float(rng.uniform(-0.5, 0.5))
-        omega = complex(u[ix] / au[ix] * complex(math.cos(phase), math.sin(phase)))
-        try:
-            terms[accepted] = _lemma31_terms(u, du, au, scale_u, omega, ix, iy)
-        except PreconditionFailed:
-            continue
-        nodes[accepted] = ix, iy
-        accepted += 1
+        rate = accepted / attempts if accepted else (0.05 if attempts else 1.0)
+        k = min(math.ceil((n - accepted) / rate) + 16, limit - attempts)
+        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), bit for bit
+        picks, gaps, turns = [], [], []
+        for _ in range(k):
+            j = int(integers(0, len(good)))
+            picks.append(j)
+            gaps.append(random())
+            if j != no_phase:
+                phase = -0.5 + random()
+                turns.append((math.cos(phase), math.sin(phase)))
+        picks = np.array(picks)
+        drawn = np.flatnonzero(picks != no_phase)  # the attempts that drew a phase
+        ix = good[picks[drawn]]
+        iy = _snap_indices(xs, xs[ix] + max_gap * np.array(gaps)[drawn])
+        iy = np.maximum(iy, ix + 1)  # y is at least the next node
+        c, s = np.array(turns).reshape(-1, 2).T
+        unit = u[ix] / au[ix]
+        om_r = unit.real * c - unit.imag * s  # omega = unit * (c + i s)
+        om_i = unit.real * s + unit.imag * c
+        _, ok, terms = _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, n - accepted)
+        hits = drawn[ok]
+        accepted += hits.size
+        attempts += int(hits[-1]) + 1 if accepted == n else k
+        parts.append((ix[ok], iy[ok], *(t[ok] for t in terms)))
     if accepted == 0:
         raise NoEligiblePoints("no sampled triple satisfied the hypothesis")
-    ix, iy = nodes[:accepted].T
-    ratios = _lemma31_ratios(xs, au, np.abs(du), h, consts.c2, ix, iy, *terms[:accepted].T)[0]
-    j = int(np.argmax(ratios))
+    ix, iy, *terms = (np.concatenate(col) for col in zip(*parts))
+    ratios = _lemma31_ratios(xs, au, np.abs(du), h, consts.c2, ix, iy, *terms)[0]
+    j = int(np.argmax(ratios))  # first of the ties
     notes = f"accepted={accepted}; attempts={attempts}"
     return _outcome("lemma31_sweep", accepted, ratios[j], xs[ix[j]], tolerance, notes)

@@ -34,7 +34,7 @@ from schro1d.verifier import (
     _grid_spacing,
     _interior_indices,
     _outcome,
-    _snap_index,
+    _snap_indices,
     _window_extreme,
 )
 
@@ -133,6 +133,38 @@ class TestDerivativeLp:
         assert d <= 1.0
 
 
+def _loop_admissibility_bound(xs, ws, h):
+    """The per-sample loop the custom bound replaced, kept as its oracle."""
+    best = 1.0
+    for i in range(len(xs)):
+        sel = np.abs(xs - xs[i]) <= h
+        best = max(best, float(ws[i] / np.min(ws[sel])))
+    return best
+
+
+@st.composite
+def _custom_weights(draw):
+    """Increasing abscissae (random, or a grid whose spacings make |x - y| = h
+    round either way), positive weights (random or monotone) and a radius,
+    often one of the differences itself."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        xs = np.unique(draw(arrays(np.float64, n, elements=st.floats(-50, 50))))
+    else:
+        start = draw(st.floats(-50, 50))
+        step = draw(st.sampled_from([0.1, 0.3, 1e-3, 0.7, 1.0 / 3.0]))
+        xs = np.unique(start + step * np.arange(n))
+    ws = draw(st.sampled_from([None, 1.0, -1.0]))
+    if ws is None:
+        ws = np.asarray(draw(st.lists(st.floats(1e-6, 1e6), min_size=len(xs), max_size=len(xs))))
+    else:  # monotone: the ends of each window set the bound
+        ws = np.exp(ws * (xs - xs[0]))
+    i, j = draw(st.integers(0, len(xs) - 1)), draw(st.integers(0, len(xs) - 1))
+    h = draw(st.sampled_from([abs(float(xs[j] - xs[i])), float(xs[j] - xs[i]) ** 2])
+             | st.floats(0.0, 120.0))
+    return xs, ws, h
+
+
 class TestWeighted:
     def test_unit_weight_reduces_to_integrated_bound(self, sin_trace, sin_consts):
         w = WeightSpec.exponential(0.0)
@@ -169,6 +201,32 @@ class TestWeighted:
     def test_custom_weight_rejects_nonpositive(self):
         with pytest.raises(InadmissibleWeight):
             WeightSpec.from_samples([0.0, 1.0], [1.0, -1.0])
+
+    @pytest.mark.parametrize("xs", [[1.0, 0.0], [0.0, 0.0, 1.0], [0.0, np.nan], [0.0, np.inf]])
+    def test_custom_weight_rejects_unsorted_abscissae(self, xs):
+        # np.interp(0.5, [1, 0], [2, 1]) returns 1.0, not an interpolated value
+        with pytest.raises(InadmissibleWeight):
+            WeightSpec.from_samples(xs, np.arange(1.0, len(xs) + 1.0))
+
+    @pytest.mark.parametrize("start, n, i, j, sign", [
+        (-1.8, 5, 3, 0, 1.0), (-4.6, 4, 1, 3, 1.0), (-1.8, 5, 3, 0, -1.0), (3.6, 5, 3, 1, -1.0),
+    ])
+    def test_custom_weight_bound_at_rounding_edges(self, start, n, i, j, sign):
+        # h is a difference of two nodes, and x -+ h rounds across a node at
+        # one end of some window, so a plain search for the ends is off by
+        # one node there; monotone weights make that end set the bound
+        xs = start + 0.7 * np.arange(n)
+        ws = np.exp(sign * (xs - xs[0]))
+        h = abs(float(xs[j] - xs[i]))
+        got = WeightSpec.from_samples(xs, ws).admissibility_bound(h)
+        assert got == _loop_admissibility_bound(xs, ws, h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_custom_weights())
+    def test_custom_weight_bound_equals_loop(self, case):
+        xs, ws, h = case
+        w = WeightSpec.from_samples(xs, ws)
+        assert w.admissibility_bound(h) == _loop_admissibility_bound(xs, ws, h)
 
 
 class TestDecay:
@@ -328,6 +386,15 @@ def _loop_persistence(trace, consts, tolerance=1e-6):
     return _outcome("persistence", eligible.size, worst, xs[worst_i], eff_tol, notes)
 
 
+def _snap_index(xs, x):
+    i = int(np.searchsorted(xs, x))
+    if i == 0:
+        return 0
+    if i >= len(xs):
+        return len(xs) - 1
+    return i if abs(xs[i] - x) < abs(xs[i - 1] - x) else i - 1
+
+
 def _loop_lemma31(trace, consts, omega, x, y, tolerance=1e-6):
     omega = complex(omega)
     xs = trace.xs
@@ -402,6 +469,27 @@ def _spike_lattice_trace():
     return tr, constants_for(c1_sup(V).supremum, 1.0)
 
 
+def _sampler_trace(name):
+    """Small traces for the sampler oracle: low acceptance (a rotating phase),
+    almost none (a fast rotation), none at all (a sign flip at every node),
+    and a short trace whose last node is a usable x (it draws no phase)."""
+    if name == "short":
+        xs = np.linspace(0.0, 1.0, 6)
+        return analytic_trace(xs, lambda x: 1.0 + x, np.ones_like, 0.0), constants_for(1.0, 0.0)
+    if name == "sign_flips":
+        xs = np.linspace(0.0, 5.0, 51)
+        return (analytic_trace(xs, lambda x: (-1.0) ** np.arange(len(x)), np.zeros_like, 0.0),
+                constants_for(1.0, 0.0))
+    k = {"rotating": 4.0, "fast_rotating": 40.0}[name]
+    xs = np.linspace(0.0, 10.0, 1001)
+    return (analytic_trace(xs, lambda x: np.exp(1j * k * x), lambda x: 1j * k * np.exp(1j * k * x),
+                           k * k), constants_for(0.0, k * k))
+
+
+_SAMPLER_TRACES = {name: _sampler_trace(name)
+                   for name in ("short", "sign_flips", "rotating", "fast_rotating")}
+
+
 @pytest.fixture(params=["sin", "harmonic", "random_step_complex", "spike_lattice", "constant"])
 def oracle_case(request, sin_trace, sin_consts, harmonic_trace):
     if request.param == "sin":
@@ -434,6 +522,50 @@ class TestLoopOracles:
         got = sample_lemma31(trace, consts, 400, np.random.default_rng(11)).to_dict()
         ref = _loop_sample_lemma31(trace, consts, 400, np.random.default_rng(11)).to_dict()
         assert got == ref
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(_SAMPLER_TRACES)), n=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1), max_gap=st.floats(1e-3, 3.0))
+    def test_sample_lemma31_equals_loop_random(self, name, n, seed, max_gap):
+        trace, consts = _SAMPLER_TRACES[name]
+        try:
+            ref = _loop_sample_lemma31(trace, consts, n, np.random.default_rng(seed), max_gap)
+        except ValueError:  # the loop accepted no triple in 200 n attempts
+            with pytest.raises(NoEligiblePoints):
+                sample_lemma31(trace, consts, n, np.random.default_rng(seed), max_gap)
+            return
+        got = sample_lemma31(trace, consts, n, np.random.default_rng(seed), max_gap)
+        assert got.to_dict() == ref.to_dict()
+
+    def test_sample_lemma31_first_of_ties(self):
+        # u constant and C2 so small that the penalty vanishes against u:
+        # every accepted triple's ratio is exactly 1, so the witness is the x
+        # of the first accepted triple
+        xs = np.linspace(0.0, 10.0, 2001)
+        tr = analytic_trace(xs, lambda x: np.full_like(x, 2.0), np.zeros_like, 0.0)
+        consts = constants_for(0.0, 1e-30)
+        got = sample_lemma31(tr, consts, 400, np.random.default_rng(11))
+        ref = _loop_sample_lemma31(tr, consts, 400, np.random.default_rng(11))
+        assert got.worst_ratio == 1.0
+        assert got.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.5), (0.0, 1e-3), (0.0, 2.9), (-0.5, 0.5)])
+    def test_uniform_is_affine_in_random(self, lo, hi):
+        # the sampler draws uniform(lo, hi) as lo + (hi - lo) * random()
+        a, b = np.random.default_rng(19), np.random.default_rng(19)
+        for _ in range(2000):
+            assert a.uniform(lo, hi) == lo + (hi - lo) * b.random()
+        many = a.uniform(lo, hi, 100_000)
+        assert np.array_equal(many, lo + (hi - lo) * b.random(100_000))
+
+    @settings(max_examples=100, deadline=None)
+    @given(xs=arrays(np.float64, st.integers(1, 40), elements=st.floats(-10, 10), unique=True),
+           extra=st.lists(st.floats(-20, 20), max_size=10))
+    def test_snap_indices_equal_scalar_snap(self, xs, extra):
+        xs = np.sort(xs)
+        # nodes, midpoints (ties go left), points outside, random points
+        x = np.concatenate([xs, (xs[:-1] + xs[1:]) / 2, [xs[0] - 1.0, xs[-1] + 1.0], extra])
+        assert _snap_indices(xs, x).tolist() == [_snap_index(xs, float(v)) for v in x]
 
     def test_lemma31_equals_loop(self, oracle_case):
         trace, consts = oracle_case
