@@ -184,18 +184,14 @@ def _closed_terms(q, dt):
     return c, sl
 
 
-def _propagator_terms(q, dt, series=None):
+def _propagator_terms(q, dt, series):
     """cosh(s*dt) and sinh(s*dt)/s for s = sqrt(q), elementwise in q and dt.
 
     Where `series` holds, the terms come from their Taylor series, which
-    avoids cancellation near q = 0.  By default one choice covers all of dt:
-    the series when |q| * max|dt|^2 < SERIES_THRESHOLD.
+    avoids cancellation near q = 0 (see `_use_series`).
     """
     dt = np.asarray(dt, dtype=float)
     q = np.broadcast_to(np.asarray(q, dtype=complex), dt.shape)
-    if series is None:
-        hmax = float(np.max(np.abs(dt))) if dt.size else 0.0
-        series = _use_series(q, hmax)
     if series.all():
         return _series_terms(q, dt)
     if not series.any():

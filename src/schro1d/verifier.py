@@ -11,6 +11,8 @@ Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
 through `_window_extreme`, a sparse-table range query that is exact, and
 window integrals are differences of one cumulative trapezoid (`cumtrapz`).
+Windows whose integral drowns in the rounding of that sum (deep tails) are
+summed again from one array of np.trapezoid's own terms.
 
 The randomized sweep of the core inequality (`sample_lemma31`) is a batched
 rejection sampler.  Per batch, a Python loop makes only the generator calls,
@@ -18,11 +20,17 @@ in the order the per-attempt loop made them: `integers` for x, `random` for
 the gap and, unless x is the last node, `random` for the phase (uniform(lo,
 hi) is lo + (hi - lo) * random(), bit for bit).  Then numpy snaps y, forms
 omega and tests the sign hypothesis (`_lemma31_hypothesis`, shared with
-`check_lemma31`): a negative endpoint value rejects a triple at once, and
-each remaining triple scans its window until the n-th acceptance.  Batch
-sizes follow the acceptance rate so far, so the generator may advance past
-the last counted attempt; the report counts attempts up to the n-th
-acceptance and is the same as for one attempt at a time.
+`check_lemma31`): a negative endpoint value rejects a triple at once.  When
+the remaining windows hold more nodes than sparse tables over u would read
+(about 2 len(u) log2 of the longest window), they are first certified in
+bulk: a lower bound on Re[conj(omega) u] over each window, from the window
+min or max of Re u and Im u, is compared with the threshold after a slack of
+2^-48 |omega| max|u| that covers every rounding of the scan
+(`_lemma31_certified`).  Certified windows are accepted unscanned; the
+others, or all of them below that size, scan their window until the n-th
+acceptance.  Batch sizes follow the acceptance rate so far, so the generator
+may advance past the last counted attempt; the report counts attempts up to
+the n-th acceptance and is the same as for one attempt at a time.
 """
 
 from __future__ import annotations
@@ -209,8 +217,13 @@ def _window_integrals(xs, fvals, centers_idx, half_width):
     # the global cumsum has absolute error ~ulp(total); recompute windows
     # whose value drowns in it (deep tails) directly on the slice
     suspicious = np.flatnonzero(out <= 1e-9 * max(cum[-1], 0.0))
-    for j in suspicious:
-        out[j] = np.trapezoid(fvals[i0[j]:i1[j] + 1], xs[i0[j]:i1[j] + 1])
+    if suspicious.size:
+        # np.trapezoid's own terms: summing a slice of them is, bit for bit,
+        # np.trapezoid(fvals[i0:i1 + 1], xs[i0:i1 + 1])
+        terms = np.diff(xs) * (fvals[1:] + fvals[:-1]) / 2.0
+        for j, a, b in zip(suspicious.tolist(), i0[suspicious].tolist(),
+                           i1[suspicious].tolist()):
+            out[j] = terms[a:b].sum()
     return out
 
 
@@ -373,6 +386,8 @@ def check_weighted(
         else:
             i0 = int(np.searchsorted(xs, lo, side="left"))
             i1 = int(np.searchsorted(xs, hi, side="right")) - 1
+            if i1 <= i0:  # the integral would be 0 or negative: a spurious pass
+                raise TraceTooShort(f"window ({lo},{hi}) holds fewer than two grid nodes")
         return float(cum[i1] - cum[i0])
 
     lhs = _seg(cum_du, a, b, snap_out=False)
@@ -435,7 +450,14 @@ def _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
     Re[conj(omega) u] through numpy's complex multiply (which may use FMA),
     Re[conj(omega) u'] and |omega| = hypot in real arithmetic.  A triple
     whose endpoint value is below the threshold fails without a scan (the
-    endpoints are part of the window); the others scan their window.
+    endpoints are part of the window).  When the remaining windows hold more
+    nodes in total than the sparse tables over u would read, about 2 len(u)
+    log2(longest window), they are first certified in bulk
+    (`_lemma31_certified`): a certified window passes its scan, so it is
+    accepted unscanned.  A single triple, or a few short windows, are
+    cheaper to scan.  The uncertified windows scan in batch order, and
+    scanning stops once the certified and scanned acceptances ahead of a
+    candidate reach need.
     """
     abs_om = np.hypot(om_r, om_i)
     conj_om = np.empty(len(om_r), dtype=complex)
@@ -447,15 +469,63 @@ def _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
     zero = au[ix] <= 1e-13 * scale_u
     ok = np.zeros(len(om_r), dtype=bool)
     cand = np.flatnonzero(~zero & ~(g_x < thr) & ~(g_y < thr))
+    lo, hi = ix[cand].tolist(), iy[cand].tolist()
+    ahead = [0] * len(cand)  # certified acceptances before each candidate
+    # the size rule in plain Python, and the longest window only when it can
+    # matter: most batches are small
+    nodes = sum(hi) - sum(lo) + len(lo)
+    longest = max(map(int.__sub__, hi, lo)) + 1 if nodes > 2 * len(u) else 1
+    tables = nodes > 2 * len(u) * longest.bit_length()
+    if tables:
+        certified = _lemma31_certified(u, om_r[cand], om_i[cand], thr[cand],
+                                       abs_om[cand] * scale_u, ix[cand], iy[cand])
+        ok[cand[certified]] = True
+        ahead = np.cumsum(certified)[~certified].tolist()
+        cand = cand[~certified]
+        lo, hi = ix[cand].tolist(), iy[cand].tolist()
     found = 0
-    for k, w, a, b, t in zip(cand.tolist(), conj_om[cand], ix[cand].tolist(),
-                             iy[cand].tolist(), thr[cand].tolist()):
+    for k, before, w, a, b, t in zip(cand.tolist(), ahead, conj_om[cand], lo, hi,
+                                     thr[cand].tolist()):
+        if before + found >= need:
+            break
         if not np.minimum.reduce((w * u[a:b + 1]).real) < t:
             ok[k] = True
             found += 1
-            if found == need:
-                break
+    if tables:  # unmark the certified acceptances past the need-th
+        ok[np.flatnonzero(ok)[need:]] = False
     return zero, ok, (abs_om, g_x, g_y, du_x)
+
+
+def _lemma31_certified(u, om_r, om_i, thr, scale, lo, hi):
+    """Marks the windows [lo, hi] (inclusive) whose scan of Re[conj(omega) u]
+    provably stays at or above thr, found without scanning them; scale is
+    |omega| max|u|.
+
+    The certificate.  At each node the scan computes v = Re[conj(omega) u]
+    from A = fl(om_r u_r) and B = fl(om_i u_i), as fl(A + B) or, with FMA, as
+    fl(om_r u_r + B) or fl(A + om_i u_i).  With r = 2^-53, and |om_r u_r|,
+    |om_i u_i| and |om_r u_r + om_i u_i| at most scale, every form gives
+    v >= A + B - 2 r scale.  fl(om x) is monotone in x, so A and B are at
+    least their minima over the window, which come from the window min or max
+    of u_r and u_i by the sign of om_r and om_i.  The bound L = fl(A_min +
+    B_min) and the test fl(L - s) >= thr each lose at most about 2 r scale
+    more, so a certified window has v >= thr + s - 6.1 r scale at every node,
+    and the slack s = 2^-48 scale = 32 r scale covers that five times over.
+    For a real trace B = 0 and L is the exact minimum of the scan.  Below the
+    normal range rounding errors are absolute, not relative, so nothing is
+    certified when scale is subnormal; a NaN bound certifies nothing either.
+    """
+    parts = [(om_r, u.real)]
+    if u.imag.any():  # on a real trace the imaginary products are all zero
+        parts.append((om_i, u.imag))
+    bound = 0.0
+    for om, part in parts:
+        grows = om >= 0  # fl(om x) grows with x: its window minimum is at min x
+        ext = np.empty(len(om))
+        ext[grows] = _window_extreme(part, lo[grows], hi[grows] + 1, np.minimum)
+        ext[~grows] = _window_extreme(part, lo[~grows], hi[~grows] + 1, np.maximum)
+        bound = bound + om * ext
+    return (bound - 2.0 ** -48 * scale >= thr) & (scale >= np.finfo(float).tiny)
 
 
 def _lemma31_ratios(xs, au, adu, h, c2, ix, iy, abs_omega, g_x, g_y, du_x):

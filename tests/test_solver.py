@@ -23,6 +23,7 @@ from schro1d.solver import (
     _exact_kernel,
     _propagator_terms,
     _traces,
+    _use_series,
     basis_traces,
     build_grid,
 )
@@ -180,7 +181,7 @@ def test_propagator_terms_branch_independent():
     for _ in range(50):
         q = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         dt = np.array([rng.uniform(-1, 1)])
-        c, sl = _propagator_terms(q, dt)
+        c, sl = _propagator_terms(q, dt, _use_series(q, float(np.max(np.abs(dt)))))
         s = -np.sqrt(complex(q))
         c2 = np.cosh(s * dt)
         sl2 = np.sinh(s * dt) / s if q != 0 else dt
@@ -192,7 +193,7 @@ def test_propagator_terms_branch_independent():
 def test_propagator_terms_series_matches_exact_at_threshold():
     q = 1e-9 + 1e-9j
     dt = np.array([0.5])
-    c_series, sl_series = _propagator_terms(q, dt)
+    c_series, sl_series = _propagator_terms(q, dt, _use_series(q, float(np.max(np.abs(dt)))))
     s = np.sqrt(complex(q))
     assert np.allclose(c_series, np.cosh(s * dt), rtol=1e-14)
     assert np.allclose(sl_series, np.sinh(s * dt) / s, rtol=1e-14)

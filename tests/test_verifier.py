@@ -26,6 +26,7 @@ from schro1d import (
     propagate_exact,
     sample_lemma31,
 )
+from schro1d import verifier
 from schro1d.errors import InadmissibleWeight
 from schro1d.potential import make_family
 from schro1d.verifier import (
@@ -34,9 +35,12 @@ from schro1d.verifier import (
     _grid_spacing,
     _interior_indices,
     _outcome,
+    _lemma31_hypothesis,
     _snap_indices,
     _window_extreme,
+    _window_integrals,
 )
+from schro1d.solver import cumtrapz
 
 
 class TestDerivativeBound:
@@ -114,6 +118,35 @@ class TestLocalLp:
     def test_rejects_bad_p(self, sin_trace, sin_consts):
         with pytest.raises(ValueError):
             check_local_lp(sin_trace, sin_consts, 0.5)
+
+    def test_window_integrals_equal_loop(self):
+        # e^{-x} over a long, uneven grid: most windows drown in the rounding
+        # of the global cumulative sum and are summed on their own, down into
+        # subnormal values, where 0.5 * s * d and d * s / 2 can differ
+        rng = np.random.default_rng(3)
+        xs = np.cumsum(rng.uniform(0.02, 0.06, 20001))
+        f = np.exp(-xs)
+        idx = np.arange(0, len(xs), 3)
+        got = _window_integrals(xs, f, idx, 1.1)
+        want, drowned = _loop_window_integrals(xs, f, idx, 1.1)
+        assert drowned > len(idx) // 2
+        assert got.tobytes() == want.tobytes()
+
+
+def _loop_window_integrals(xs, fvals, centers_idx, half_width):
+    """The window integrals with one np.trapezoid call per drowned window,
+    verbatim; also returns how many windows drowned."""
+    cum = cumtrapz(fvals, xs)
+    x = xs[centers_idx]
+    i0 = np.searchsorted(xs, x - half_width, side="right") - 1
+    i0 = np.clip(i0, 0, len(xs) - 1)
+    i1 = np.searchsorted(xs, x + half_width, side="left")
+    i1 = np.clip(i1, 0, len(xs) - 1)
+    out = cum[i1] - cum[i0]
+    suspicious = np.flatnonzero(out <= 1e-9 * max(cum[-1], 0.0))
+    for j in suspicious:
+        out[j] = np.trapezoid(fvals[i0[j]:i1[j] + 1], xs[i0[j]:i1[j] + 1])
+    return out, len(suspicious)
 
 
 class TestDerivativeLp:
@@ -197,6 +230,15 @@ class TestWeighted:
         out = check_weighted(sin_trace, sin_consts, 2.0,
                              WeightSpec.exponential(0.5), (2.0, 18.0))
         assert out.passed
+
+    @pytest.mark.parametrize("window", [(0.01, 0.05), (0.0, 0.05)])
+    def test_window_without_two_nodes_is_too_short(self, window):
+        # on a 0.1 grid these windows hold one node and none: the inward
+        # snap used to give an LHS of 0 or below, and so a spurious pass
+        tr = analytic_trace(np.linspace(-20.0, 20.0, 401), np.sin, np.cos, 1.0)
+        with pytest.raises(TraceTooShort):
+            check_weighted(tr, constants_for(0.0, 1.0), 2.0, WeightSpec.exponential(0.5),
+                           window)
 
     def test_custom_weight_rejects_nonpositive(self):
         with pytest.raises(InadmissibleWeight):
@@ -585,6 +627,182 @@ class TestLoopOracles:
             assert check_lemma31(trace, consts, omega, x, y).to_dict() == ref
             compared += 1
         assert compared >= 20
+
+
+def _loop_lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
+    """The hypothesis test with a scan of every candidate window, verbatim."""
+    abs_om = np.hypot(om_r, om_i)
+    conj_om = np.empty(len(om_r), dtype=complex)
+    conj_om.real, conj_om.imag = om_r, -om_i
+    g_x = np.real(conj_om * u[ix])
+    g_y = np.real(conj_om * u[iy])
+    du_x = om_r * du[ix].real + om_i * du[ix].imag
+    thr = -1e-10 * abs_om * scale_u
+    zero = au[ix] <= 1e-13 * scale_u
+    ok = np.zeros(len(om_r), dtype=bool)
+    cand = np.flatnonzero(~zero & ~(g_x < thr) & ~(g_y < thr))
+    found = 0
+    for k, w, a, b, t in zip(cand.tolist(), conj_om[cand], ix[cand].tolist(),
+                             iy[cand].tolist(), thr[cand].tolist()):
+        if not np.minimum.reduce((w * u[a:b + 1]).real) < t:
+            ok[k] = True
+            found += 1
+            if found == need:
+                break
+    return zero, ok, (abs_om, g_x, g_y, du_x)
+
+
+class _ScanCounter(np.ndarray):
+    """A view of u that counts the window scans, which are its slices."""
+
+    scans = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.scans += 1
+        return super().__getitem__(key)
+
+
+@pytest.fixture
+def table_arrays(monkeypatch):
+    """The arrays that sparse tables are built over while the test runs."""
+    seen = []
+    inner = verifier._window_extreme
+
+    def spy(a, lo, hi, op):
+        seen.append(a)
+        return inner(a, lo, hi, op)
+
+    monkeypatch.setattr(verifier, "_window_extreme", spy)
+    return seen
+
+
+def _certificate_case(n_padding):
+    """A real trace with hand-placed features, and windows over it: n_padding
+    plain windows up to 250 nodes long, with omega near +-1, and ten short
+    windows around features.  Eight of those must be scanned: an interior
+    sign change (rejected), and a minimum inside the slack at an interior
+    node, at the last node and at the first node (accepted), each once where
+    u > 0 (omega = 1) and once where u < 0 (omega = -1).  The other two have
+    a sign change just outside the window, and are certified.  Returns (u,
+    omega, windows, the positions of the eight in the window order)."""
+    n = 3000
+    x = 0.01 * np.arange(n)
+    u = np.concatenate([1.0 + 0.5 * np.sin(x[:1200]), -1.0 - 0.5 * np.sin(x[1200:2400]),
+                        np.ones(300), -np.ones(300)])
+    scale = float(np.max(np.abs(u)))
+    in_slack = -1e-10 * scale + 2.0 ** -49 * scale  # thr + half the slack
+    rng = np.random.default_rng(0)
+    windows, om = [], []
+    for sign, base in ((1.0, 2400), (-1.0, 2700)):
+        u[base + 10] = -0.3 * sign
+        u[[base + 30, base + 50, base + 60]] = sign * in_slack
+        u[[base + 79, base + 91]] = -0.3 * sign
+        for lo, hi, scan in ((5, 15, True), (25, 35, True), (40, 50, True), (60, 70, True),
+                             (80, 90, False)):
+            windows.append((base + lo, base + hi, scan))
+            om.append((sign, 0.0))
+    for k in range(n_padding):
+        sign, start = (1.0, 0) if k % 2 else (-1.0, 1200)
+        lo = start + int(rng.integers(0, 950))
+        phase = rng.uniform(-0.5, 0.5)
+        windows.append((lo, lo + int(rng.integers(100, 250)), False))
+        om.append((sign * math.cos(phase), sign * math.sin(phase)))
+    order = rng.permutation(len(windows))
+    windows = [windows[k] for k in order]
+    scanned = [pos for pos, w in enumerate(windows) if w[2]]
+    om = np.array([om[k] for k in order])
+    return u.astype(complex), om, np.array([w[:2] for w in windows]), scanned
+
+
+def _run_hypothesis(u, om, windows, need):
+    """(_lemma31_hypothesis, its loop oracle, the number of scans made)."""
+    counted = u.view(_ScanCounter)
+    du = np.roll(u, 1) * (0.5 - 0.25j)
+    au = np.abs(u)
+    args = (au, float(np.max(au)), om[:, 0].copy(), om[:, 1].copy(),
+            windows[:, 0].copy(), windows[:, 1].copy(), need)
+    got = _lemma31_hypothesis(counted, du, *args)
+    want = _loop_lemma31_hypothesis(u, du, *args)
+    return got, want, counted.scans
+
+
+def _assert_same_hypothesis(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    for a, b in zip(got[2], want[2]):
+        assert a.tobytes() == b.tobytes()
+
+
+def _stop(ok, need):
+    """Position of the need-th acceptance (the last one scanned at most)."""
+    acc = np.flatnonzero(ok)
+    return acc[need - 1] if len(acc) >= need else len(ok)
+
+
+class TestLemma31Certificate:
+    @pytest.mark.parametrize("need", [1, 60, 200, 10 ** 6])
+    def test_table_branch_scans_only_uncertified(self, table_arrays, need):
+        u, om, windows, scanned = _certificate_case(400)
+        got, want, scans = _run_hypothesis(u, om, windows, need)
+        _assert_same_hypothesis(got, want)
+        assert any(np.shares_memory(a, u) for a in table_arrays)  # tables over u
+        stop = _stop(want[1], need)
+        assert scans == sum(pos <= stop for pos in scanned)
+        if need == 10 ** 6:
+            assert scans == 8 and np.count_nonzero(~want[1]) == 2  # the two dips
+
+    @pytest.mark.parametrize("need", [1, 4, 10 ** 6])
+    def test_scan_branch_scans_every_candidate(self, table_arrays, need):
+        u, om, windows, _ = _certificate_case(4)  # 14 windows, 250 nodes at most
+        got, want, scans = _run_hypothesis(u, om, windows, need)
+        _assert_same_hypothesis(got, want)
+        assert not table_arrays
+        assert scans == min(_stop(want[1], need) + 1, len(windows))
+
+    @pytest.mark.parametrize("need", [1, 100, 10 ** 6])
+    def test_complex_trace(self, table_arrays, need):
+        # a phase swinging by 1.2 rad, and omega turned up to 1 rad away from
+        # it: some windows change sign inside, the others pass
+        n = 3000
+        x = 0.01 * np.arange(n)
+        u = (1.0 + 0.3 * np.sin(x)) * np.exp(1.2j * np.sin(2.0 * x))
+        rng = np.random.default_rng(1)
+        lo = rng.integers(0, n - 250, 800)
+        windows = np.stack([lo, lo + rng.integers(100, 250, 800)], axis=1)
+        turn = np.exp(1j * rng.uniform(-1.0, 1.0, 800)) * u[lo] / np.abs(u[lo])
+        om = np.stack([turn.real, turn.imag], axis=1)
+        got, want, scans = _run_hypothesis(u, om, windows, need)
+        _assert_same_hypothesis(got, want)
+        assert any(np.shares_memory(a, u) for a in table_arrays)
+        assert scans < _stop(want[1], need) + 1  # some windows certified
+        if need == 10 ** 6:  # interior sign changes occur, and each is scanned
+            abs_om, g_x, g_y, _ = want[2]
+            thr = -1e-10 * abs_om * np.max(np.abs(u))
+            interior = np.count_nonzero(~want[1] & (g_x >= thr) & (g_y >= thr))
+            assert 0 < interior <= scans
+
+    def test_subnormal_scale_certifies_nothing(self, table_arrays):
+        # relative rounding bounds fail below the normal range
+        u, om, windows, _ = _certificate_case(400)
+        u *= 1e-300 * 1e-10
+        got, want, scans = _run_hypothesis(u, om, windows, 10 ** 6)
+        _assert_same_hypothesis(got, want)
+        assert any(np.shares_memory(a, u) for a in table_arrays)
+        zero, ok, (abs_om, g_x, g_y, _) = want
+        thr = -1e-10 * abs_om * np.max(np.abs(u))
+        assert scans == np.count_nonzero(~zero & (g_x >= thr) & (g_y >= thr)) > 300
+
+    @pytest.mark.parametrize("name, n, tables", [
+        ("spike_lattice", 400, True), ("random_step_complex", 400, True),
+        ("spike_lattice", 3, False), ("random_step_complex", 3, False),
+    ])
+    def test_sample_lemma31_equals_loop(self, table_arrays, name, n, tables):
+        trace, consts = _spike_lattice_trace() if name == "spike_lattice" else _random_step_trace()
+        got = sample_lemma31(trace, consts, n, np.random.default_rng(23)).to_dict()
+        ref = _loop_sample_lemma31(trace, consts, n, np.random.default_rng(23)).to_dict()
+        assert got == ref
+        assert any(np.shares_memory(a, trace.u) for a in table_arrays) == tables
 
 
 @st.composite
