@@ -21,9 +21,9 @@ the gap and, unless x is the last node, `random` for the phase (uniform(lo,
 hi) is lo + (hi - lo) * random(), bit for bit).  Then numpy snaps y, forms
 omega and tests the sign hypothesis (`_lemma31_hypothesis`, shared with
 `check_lemma31`): a negative endpoint value rejects a triple at once.  When
-the remaining windows hold more nodes than sparse tables over u would read
-(about 2 len(u) log2 of the longest window), they are first certified in
-bulk: a lower bound on Re[conj(omega) u] over each window, from the window
+the remaining windows hold more nodes than 2 len(u) log2 of the longest
+window (a rough count of the reads of a min and a max table over Re u), they
+are first certified in bulk: a lower bound on Re[conj(omega) u] over each window, from the window
 min or max of Re u and Im u, is compared with the threshold after a slack of
 2^-48 |omega| max|u| that covers every rounding of the scan
 (`_lemma31_certified`).  Certified windows are accepted unscanned; the
@@ -451,11 +451,14 @@ def _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
     Re[conj(omega) u'] and |omega| = hypot in real arithmetic.  A triple
     whose endpoint value is below the threshold fails without a scan (the
     endpoints are part of the window).  When the remaining windows hold more
-    nodes in total than the sparse tables over u would read, about 2 len(u)
-    log2(longest window), they are first certified in bulk
-    (`_lemma31_certified`): a certified window passes its scan, so it is
-    accepted unscanned.  A single triple, or a few short windows, are
-    cheaper to scan.  The uncertified windows scan in batch order, and
+    nodes in total than 2 len(u) bit_length(longest window), they are first
+    certified in bulk (`_lemma31_certified`): a certified window passes its
+    scan, so it is accepted unscanned.  The size rule is a rough cost
+    estimate, not an exact comparison: it counts the reads of one min and one
+    max table over Re u, not the two more tables over Im u that a complex
+    trace needs, and not the fixed cost of each scan (a few microseconds), so
+    a batch of many short windows may scan where certifying would be cheaper.
+    A single triple, or a few short windows, are cheaper to scan.  The uncertified windows scan in batch order, and
     scanning stops once the certified and scanned acceptances ahead of a
     candidate reach need.
     """
@@ -471,8 +474,9 @@ def _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
     cand = np.flatnonzero(~zero & ~(g_x < thr) & ~(g_y < thr))
     lo, hi = ix[cand].tolist(), iy[cand].tolist()
     ahead = [0] * len(cand)  # certified acceptances before each candidate
-    # the size rule in plain Python, and the longest window only when it can
-    # matter: most batches are small
+    # the size rule (a rough estimate: Re u tables only, no per-scan cost) in
+    # plain Python, and the longest window only when it can matter: most
+    # batches are small
     nodes = sum(hi) - sum(lo) + len(lo)
     longest = max(map(int.__sub__, hi, lo)) + 1 if nodes > 2 * len(u) else 1
     tables = nodes > 2 * len(u) * longest.bit_length()

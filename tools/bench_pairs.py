@@ -7,9 +7,9 @@ Run from the root of the checkout:
 
 Each revision is exported with `git archive` into its own temporary directory,
 so both sides run the same benchmark code from their own tree, as committed.
-`git stash create` names a commit of uncommitted work without touching the
-working tree.  For every workload and seed, `perfbench/run.py` runs --pairs
-times on each side, the side that goes first alternating from pair to pair.
+For every workload of BENCHMARK.json and seeds 1 and 6, `perfbench/run.py`
+runs 10 times on each side for the benchmark's run_seconds, the side that
+goes first alternating from pair to pair.
 
 For each end-to-end metric of BENCHMARK.json the file records both sides'
 values, medians and quartiles, the pairs the change won (ties count for
@@ -38,6 +38,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 6)
+PAIRS = 10  # a gain needs at least 9 wins in 10 pairs
 
 
 def git(*args):
@@ -89,7 +91,7 @@ def summary(parent, change, better, bound):
         "change_median": q_change[1], "change_quartiles": [q_change[0], q_change[2]],
         "change_wins": wins, "pairs": len(parent),
         "median_gain": gain, "parent_iqr": iqr,
-        "gain_resolved": wins >= 0.9 * len(parent) and gain > iqr,
+        "gain_resolved": wins >= 9 and gain > iqr,
         "relative_worsening": worse, "bound": bound,
         "within_bound": worse <= bound,
         "unresolved": iqr > bound * abs(q_parent[1]) and not separated,
@@ -101,39 +103,30 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--out", required=True, help="path of the BENCH_<pr>.json to write")
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 6])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("quartiles need at least 2 pairs")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     report = {"machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                           "numpy": np.__version__, "platform": platform.platform()},
-              "run_seconds": seconds, "pairs": args.pairs, "results": []}
+              "run_seconds": seconds, "pairs": PAIRS, "results": []}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
             trees[side] = os.path.join(tmp, side)
             report[side] = export(rev, trees[side])
-        for workload in workloads:
-            for seed in args.seeds:
+        for workload in [w["name"] for w in bench["workloads"]]:
+            for seed in SEEDS:
                 values = {"parent": [], "change": []}
                 digests = {"parent": set(), "change": set()}
                 correct = True
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                         metrics, sha, ok = run_once(trees[side], workload, seed, seconds)
                         values[side].append(metrics)
                         digests[side].update(sha)
                         correct &= ok
-                    print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}", file=sys.stderr)
+                    print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}", file=sys.stderr)
                 row = {"workload": workload, "seed": seed, "correct": correct,
                        "output_sha256": {side: sorted(d) for side, d in digests.items()},
                        "same_output": digests["parent"] == digests["change"],
