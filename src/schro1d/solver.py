@@ -24,10 +24,13 @@ where the work is sequential:
    to the nodes np.linspace would give;
 2. blocks: every cell is cut into evaluation blocks of length at most
    1/|Re sqrt(q)|, all cells together, one block per round;
-3. scan: a loop over the block anchors only carries the data columns with
-   the blocks' closed-form step matrices, until an anchor passes the
-   overflow guard;
-4. fill: every node is evaluated from the anchor of its block, a chunk of
+3. scan: the data columns are carried to every block anchor with the
+   blocks' closed-form step matrices, in groups: products over the groups
+   carry the data from group start to group start, and every group is then
+   stepped block by block from its start, all groups at once (see
+   `_anchor_scan`);
+4. fill: every node up to the first anchor that is not finite or is over
+   the overflow guard is evaluated from the anchor of its block, a chunk of
    nodes per pass.  Series or closed form is chosen once per block.
 """
 
@@ -44,7 +47,7 @@ from .potential import PiecewisePotential
 
 OVERFLOW_GUARD = 1e150
 SERIES_THRESHOLD = 1e-8
-_SCAN_CHUNK = 256  # blocks scanned between two overflow checks
+GROUP_GROWTH = 2.0  # bound on sum |Re sqrt(q)| h over one group of the anchor scan
 _FILL_CHUNK = 2048  # nodes filled per pass, to bound temporaries
 
 
@@ -261,41 +264,71 @@ def _block_anchors(xs, edge_idx, qs):
         anchors.append(j0)
 
 
+def _steps(m, rows):
+    """Fill rows[:, 1:] group by group, for every group at once: row k + 1 of
+    group G is block matrix m[G, k] applied to row k, as (c u + sl du,
+    q sl u + c du) with the products in that order."""
+    p = np.empty((len(rows), 2, 2, rows.shape[-1]), dtype=complex)
+    p0, p1 = p[:, 0], p[:, 1]
+    for k in range(rows.shape[1] - 1):
+        np.multiply(m[:, k], rows[:, k], p)
+        np.add(p0, p1, rows[:, k + 1, :, 0])
+
+
 def _anchor_scan(q, h, series, u, du):
-    """Data columns at every block end, carried block by block from (u, du)
-    by the step matrices [[c, sl], [q sl, c]] over the block lengths h.
+    """Data columns at every block end, carried from (u, du) by the step
+    matrices [[c, sl], [q sl, c]] over the block lengths h.
+
+    The blocks are cut into g groups of b, the last one padded with identity
+    blocks.  The products of the groups' matrices carry the data from group
+    start to group start; inside every group the rows are then stepped block
+    by block from the group's start row.  So only the group start rows are
+    reassociated: the rows of the first group, and every other row given its
+    group's start row, are the block-by-block arithmetic.  A group may grow
+    by at most e^GROUP_GROWTH (b |Re sqrt(q)| h <= GROUP_GROWTH for every
+    block), which bounds the cancellation that a product over a group brings
+    to a decaying solution.  Below that cap b = isqrt(nblk // 2), which
+    minimizes the loop passes: b for the products, b - 1 inside the groups
+    and nblk / b for the carry.
 
     Returns the rows (data at xs[0], then at each block end) and the index of
-    the first row over the overflow guard (the number of blocks if none).
+    the first row that is not finite or is over the overflow guard (the
+    number of blocks if none).
     """
     nblk, ncol = len(q), len(u)
     c, sl = _propagator_terms(q, h, series)
-    qsl = q * sl
+    b = max(1, math.isqrt(nblk // 2))
+    grow = float(np.max(np.abs(np.sqrt(q).real) * h))
+    if grow * b > GROUP_GROWTH:
+        b = max(1, int(GROUP_GROWTH / grow))
+    g = nblk // b + 1  # the last group holds the last row
     # m[k, j, i] is entry (i, j) of block k's matrix, so that p0 + p1
     # is (c u + sl du, q sl u + c du), the products in that order
-    m = np.stack([c, qsl, sl, c], axis=1).reshape(nblk, 2, 2, 1)
-    rows = np.empty((nblk + 1, 2, 1, ncol), dtype=complex)
-    flat = rows.reshape(nblk + 1, 2, ncol)
-    flat[0] = u, du
-    p = np.empty((2, 2, ncol), dtype=complex)
-    p0, p1 = p
+    m = np.zeros((g * b, 2, 2, 1), dtype=complex)
+    m[:nblk] = np.stack([c, q * sl, sl, c], axis=1).reshape(nblk, 2, 2, 1)
+    m[nblk:, 0, 0] = m[nblk:, 1, 1] = 1.0
+    m = m.reshape(g, b, 2, 2, 1)
+    rows = np.empty((g * b, 2, 1, ncol), dtype=complex)
+    grouped = rows.reshape(g, b, 2, 1, ncol)
+    rows[0, :, 0] = u, du
     # The scan stays in numpy ufuncs on purpose: numpy's complex multiply
     # uses FMA where the CPU has it, Python's complex `*` does not, and the
-    # two disagree in the last bit on a large share of products.  Keeping
-    # every product in numpy keeps the traces bit-identical to evaluating
-    # each block as a whole.  Rows are checked against the guard once per
-    # chunk; the rows a chunk computes past the first one over the guard
-    # are discarded, so their overflow to inf or nan is silenced.
+    # two disagree in the last bit on a large share of products.  Rows past
+    # the first one over the guard are discarded, so their overflow to inf
+    # or nan is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(0, nblk + 1, _SCAN_CHUNK):
-            r1 = min(r + _SCAN_CHUNK, nblk)
-            for mk, row, nxt in zip(m[r:r1], rows[r:r1], flat[r + 1:r1 + 1]):
-                np.multiply(mk, row, p)
-                np.add(p0, p1, nxt)
-            bad = np.flatnonzero(np.abs(flat[r:r1 + 1]).max(axis=(1, 2)) > OVERFLOW_GUARD)
-            if bad.size:
-                return flat, r + int(bad[0])
-    return flat, nblk
+        # the products of groups 0 .. g-2 are their steps of two data columns
+        # started at the identity: prod[G, b, i, 0, j] is entry (i, j), which
+        # carry lays out as m
+        prod = np.zeros((g - 1, b + 1, 2, 1, 2), dtype=complex)
+        prod[:, 0, 0, 0, 0] = prod[:, 0, 1, 0, 1] = 1.0
+        _steps(m[:-1], prod)
+        carry = prod[:, b, :, 0, :].transpose(0, 2, 1)[..., None]
+        _steps(carry[None], grouped[None, :, 0])  # group start to group start
+        _steps(m, grouped)
+        flat = rows.reshape(g * b, 2, ncol)[:nblk + 1]
+        bad = np.flatnonzero(~(np.abs(flat).max(axis=(1, 2)) <= OVERFLOW_GUARD))
+    return flat, int(bad[0]) if bad.size else nblk
 
 
 def _exact_kernel(xs, edge_idx, qs, u, du):

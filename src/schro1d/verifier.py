@@ -22,10 +22,12 @@ hi) is lo + (hi - lo) * random(), bit for bit).  Then numpy snaps y, forms
 omega and tests the sign hypothesis (`_lemma31_hypothesis`, shared with
 `check_lemma31`): a negative endpoint value rejects a triple at once.  When
 the remaining windows hold more nodes than 2 len(u) log2 of the longest
-window (a rough count of the reads of a min and a max table over Re u), they
-are first certified in bulk: a lower bound on Re[conj(omega) u] over each window, from the window
-min or max of Re u and Im u, is compared with the threshold after a slack of
-2^-48 |omega| max|u| that covers every rounding of the scan
+window (a rough count of the reads of a min and a max table over Re u), with
+each window counted SCAN_NODES nodes longer and the tables CERTIFY_NODES
+more for their fixed costs, they are first certified in bulk: a lower bound
+on Re[conj(omega) u] over each window, from the window min or max of Re u
+and Im u, is compared with the threshold after a slack of 2^-48 |omega|
+max|u| that covers every rounding of the scan
 (`_lemma31_certified`).  Certified windows are accepted unscanned; the
 others, or all of them below that size, scan their window until the n-th
 acceptance.  Batch sizes follow the acceptance rate so far, so the generator
@@ -51,6 +53,11 @@ from .solver import SolutionTrace, cumtrapz
 
 DEFAULT_TOL = 1e-6
 ZERO_BAND = 1e-3  # relative threshold below which u(x) counts as a zero
+# fixed costs of the lemma31 sign test, in nodes scanned at about 1.4 ns a
+# node: about 4 us to scan one window, about 240 us to certify a batch
+# (numpy 2.4, 2 vCPU x86-64)
+SCAN_NODES = 3000
+CERTIFY_NODES = 175_000
 
 
 @dataclass
@@ -451,16 +458,16 @@ def _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
     Re[conj(omega) u'] and |omega| = hypot in real arithmetic.  A triple
     whose endpoint value is below the threshold fails without a scan (the
     endpoints are part of the window).  When the remaining windows hold more
-    nodes in total than 2 len(u) bit_length(longest window), they are first
-    certified in bulk (`_lemma31_certified`): a certified window passes its
-    scan, so it is accepted unscanned.  The size rule is a rough cost
-    estimate, not an exact comparison: it counts the reads of one min and one
-    max table over Re u, not the two more tables over Im u that a complex
-    trace needs, and not the fixed cost of each scan (a few microseconds), so
-    a batch of many short windows may scan where certifying would be cheaper.
-    A single triple, or a few short windows, are cheaper to scan.  The uncertified windows scan in batch order, and
-    scanning stops once the certified and scanned acceptances ahead of a
-    candidate reach need.
+    nodes in total, each counted SCAN_NODES longer for the fixed cost of its
+    scan, than 2 len(u) bit_length(longest window) + CERTIFY_NODES, they are
+    first certified in bulk (`_lemma31_certified`): a certified window passes
+    its scan, so it is accepted unscanned.  The size rule is a rough cost
+    estimate in nodes scanned, not an exact comparison: it counts the reads
+    of one min and one max table over Re u, not the two more tables over
+    Im u that a complex trace needs.  A single triple, or a few short
+    windows, are cheaper to scan.  The uncertified windows scan in batch
+    order, and scanning stops once the certified and scanned acceptances
+    ahead of a candidate reach need.
     """
     abs_om = np.hypot(om_r, om_i)
     conj_om = np.empty(len(om_r), dtype=complex)
@@ -474,12 +481,13 @@ def _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
     cand = np.flatnonzero(~zero & ~(g_x < thr) & ~(g_y < thr))
     lo, hi = ix[cand].tolist(), iy[cand].tolist()
     ahead = [0] * len(cand)  # certified acceptances before each candidate
-    # the size rule (a rough estimate: Re u tables only, no per-scan cost) in
+    # the size rule in nodes scanned (a rough estimate: Re u tables only) in
     # plain Python, and the longest window only when it can matter: most
-    # batches are small
-    nodes = sum(hi) - sum(lo) + len(lo)
-    longest = max(map(int.__sub__, hi, lo)) + 1 if nodes > 2 * len(u) else 1
-    tables = nodes > 2 * len(u) * longest.bit_length()
+    # batches are small.  scan is the scans' cost less the fixed cost of
+    # certifying.
+    scan = sum(hi) - sum(lo) + (1 + SCAN_NODES) * len(lo) - CERTIFY_NODES
+    longest = max(map(int.__sub__, hi, lo)) + 1 if scan > 2 * len(u) else 1
+    tables = scan > 2 * len(u) * longest.bit_length()
     if tables:
         certified = _lemma31_certified(u, om_r[cand], om_i[cand], thr[cand],
                                        abs_om[cand] * scale_u, ix[cand], iy[cand])

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -15,7 +16,8 @@ from schro1d import (
     transfer_matrix,
     wronskian,
 )
-from schro1d import solver
+from schro1d import harness, solver, verifier
+from schro1d.constants import Energy
 from schro1d.potential import make_family
 from schro1d.solver import (
     OVERFLOW_GUARD,
@@ -37,9 +39,15 @@ class TestExactPropagator:
         assert np.max(np.abs(tr.du - np.cos(tr.xs))) <= 1e-12
 
     def test_free_particle_decaying_exponential(self, free_potential):
-        tr = propagate_exact(free_potential, -1.0, InitialData(0.0, 1.0, -1.0),
-                             5.0, 0.01)
-        assert np.max(np.abs(tr.u - np.exp(-tr.xs))) <= 1e-10
+        # e^{-x} lies on the decaying direction, so any product taken over a
+        # long stretch amplifies its rounding by the growing mode e^{x}: the
+        # anchor scan's growth cap on its groups keeps the long spans accurate
+        for span in (5.0, 12.0, 40.0, 400.0):
+            tr = propagate_exact(free_potential, -1.0, InitialData(0.0, 1.0, -1.0),
+                                 span, 0.01)
+            exact = np.exp(-tr.xs)
+            assert np.max(np.abs(tr.u - exact) / exact) <= 1e-12
+            assert np.max(np.abs(tr.du + exact) / exact) <= 1e-12
 
     def test_square_well_matches_closed_form_and_rk(self, square_well):
         tr = propagate_exact(square_well, 0.0, InitialData(0.0, 1.0, 0.0), 3.0, 0.01)
@@ -210,9 +218,14 @@ def test_trace_csv_roundtrip(tmp_path, sin_trace):
 
 
 # Reference implementation: the per-cell grid build and the per-block kernel
-# that the whole-array passes replaced, kept verbatim as oracles.  The new
-# kernel performs the same floating-point operations on the same operands,
-# so grids and traces must agree bit for bit.
+# that the whole-array passes replaced, kept verbatim as oracles.  The grids
+# must agree bit for bit.  The new kernel's anchor scan carries the data from
+# group start to group start with products of the groups' block matrices, so
+# only the group start rows are reassociated: every node before the second
+# group, and every trace whose groups are single blocks, must agree bit for
+# bit; elsewhere u and u' must agree within REL_TOL of the trace's magnitude.
+REL_TOL = 1e-12
+REPORT_TOL = 1e-10  # relative, on every float of a report
 
 
 def _old_propagator_terms(q: complex, dt: np.ndarray):
@@ -300,6 +313,45 @@ def _outcome(monkeypatch, kernel, grid, V, E, x0, x_end, u0, du0, step):
             return err.x, err.magnitude
 
 
+def _group_size(q, h):
+    """Blocks per group of the anchor scan over blocks (q, h): at most
+    isqrt(nblk // 2), and at most GROUP_GROWTH / max |Re sqrt(q)| h, but 1 at
+    least."""
+    b = math.isqrt(len(q) // 2)
+    grow = float(np.max(np.abs(np.sqrt(q).real) * h))
+    if grow > 0:
+        b = math.floor(min(b, solver.GROUP_GROWTH / grow))
+    return max(1, b)
+
+
+def _exact_nodes(V, E, x0, x_end, step):
+    """How many nodes, counted from x0, keep the per-block arithmetic: those
+    before the second group's first anchor, or all of them when every group
+    of the anchor scan is a single block."""
+    if x_end < x0:
+        V, x0, x_end = V.reflected(), -x0, -x_end
+    xs, edge_idx = build_grid(V, x0, x_end, step)
+    mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
+    qs = V.value_at(mids) - Energy.of(E).as_complex
+    row_node = np.append(np.sort(solver._block_anchors(xs, edge_idx, qs)), len(xs) - 1)
+    q = qs[np.searchsorted(edge_idx, row_node[:-1], side="right") - 1]
+    b = _group_size(q, np.diff(xs[row_node]))
+    return len(xs) if b == 1 else int(row_node[b])
+
+
+def _assert_close_traces(new, old, exact):
+    """new and old traces agree bit for bit on the `exact` nodes (a slice),
+    and within REL_TOL of the old trace's magnitude everywhere."""
+    assert len(new) == len(old)
+    for t, ref in zip(new, old):
+        assert np.array_equal(t.xs, ref.xs)
+        assert np.array_equal(t.u[exact], ref.u[exact])
+        assert np.array_equal(t.du[exact], ref.du[exact])
+        tol = REL_TOL * ref.magnitude_scale()
+        assert np.max(np.abs(t.u - ref.u)) <= tol
+        assert np.max(np.abs(t.du - ref.du)) <= tol
+
+
 def _assert_same_traces(monkeypatch, V, E, x0, x_end, u0, du0, step):
     a, b = sorted((x0, x_end))
     xs, edge_idx = build_grid(V, a, b, step)
@@ -310,13 +362,20 @@ def _assert_same_traces(monkeypatch, V, E, x0, x_end, u0, du0, step):
     new = _outcome(monkeypatch, _exact_kernel, build_grid, *args)
     old = _outcome(monkeypatch, _old_exact_kernel, _old_build_grid, *args)
     if isinstance(old, tuple):
-        assert new == old
+        assert new[0] == old[0]
+        assert new[1] == pytest.approx(old[1], rel=REL_TOL, abs=0.0)
         return
-    assert len(new) == len(old) == len(u0)
-    for t, ref in zip(new, old):
-        assert np.array_equal(t.xs, ref.xs)
-        assert np.array_equal(t.u, ref.u)
-        assert np.array_equal(t.du, ref.du)
+    assert len(new) == len(u0)
+    k = _exact_nodes(*args[:4], step)
+    _assert_close_traces(new, old, slice(0, k) if x_end > x0 else slice(len(xs) - k, None))
+
+
+def _block_step(mk, row):
+    """Block matrix mk (laid out as the anchor scan lays it out) applied to
+    the data row, by the per-block expression of the block-by-block scan."""
+    p = np.empty((2, 2, row.shape[-1]), dtype=complex)
+    np.multiply(mk, row.reshape(2, 1, -1), p)
+    return p[0] + p[1]
 
 
 _RANDOM_STEP = make_family("random_step", {"cells": 20, "low": -3, "high": 3, "seed": 8})
@@ -360,10 +419,34 @@ class TestKernelOracle:
         t1, t2 = basis_traces(_RANDOM_STEP, 0.5 + 0.5j, 0.0, 6.0, 1e-2)
         old = _outcome(monkeypatch, _old_exact_kernel, _old_build_grid, _RANDOM_STEP,
                        0.5 + 0.5j, 0.0, 6.0, [1.0, 0.0], [0.0, 1.0], 1e-2)
-        for t, ref in zip((t1, t2), old):
-            assert np.array_equal(t.xs, ref.xs)
-            assert np.array_equal(t.u, ref.u)
-            assert np.array_equal(t.du, ref.du)
+        k = _exact_nodes(_RANDOM_STEP, 0.5 + 0.5j, 0.0, 6.0, 1e-2)
+        _assert_close_traces((t1, t2), old, slice(0, k))
+
+    @pytest.mark.parametrize("nblk", [1, 2, 3, 8, 50, 51, 5000, 5001])
+    @pytest.mark.parametrize("growing", [False, True])
+    def test_rows_inside_groups_are_block_steps(self, nblk, growing):
+        # nblk = 8, 50, 5000 fill their groups exactly (b = 2, 5, 50 when
+        # oscillating); one more block opens the last group
+        rng = np.random.default_rng(nblk)
+        h = rng.uniform(1e-3, 0.05, nblk)
+        q = -rng.uniform(1.0, 60.0, nblk) + 1e-3j * rng.uniform(-1.0, 1.0, nblk)
+        if growing:  # one block with |Re sqrt(q)| h = 1: the growth cap sets b = 2
+            q[-1], h[-1] = 400.0, 0.05
+        series = _use_series(q, h)
+        u, du = np.array([1.0, 0.5j]), np.array([0.0, -1.0])
+        rows, stop = solver._anchor_scan(q, h, series, u, du)
+        assert stop == nblk and rows.shape == (nblk + 1, 2, 2)
+        assert np.array_equal(rows[0], [u, du])
+        c, sl = _propagator_terms(q, h, series)
+        m = np.stack([c, q * sl, sl, c], axis=1).reshape(nblk, 2, 2, 1)
+        b = _group_size(q, h)
+        for k in range(nblk):
+            step = _block_step(m[k], rows[k])
+            if b == 1 or (k + 1) % b:  # not a group start: the per-block step
+                assert np.array_equal(rows[k + 1], step)
+            else:  # a group start, carried by the product over its group
+                scale = np.max(np.abs(rows[:k + 2]))
+                assert np.max(np.abs(rows[k + 1] - step)) <= REL_TOL * scale
 
     @pytest.mark.parametrize("x0, du0, x_end", [(0.0, 10.0, 40.0), (40.0, -10.0, 0.0)])
     def test_overflow_parity(self, monkeypatch, x0, du0, x_end):
@@ -376,7 +459,8 @@ class TestKernelOracle:
                 propagate_exact(V, -100.0, InitialData(x0, 1.0, du0), x_end, 0.01)
             old = _outcome(monkeypatch, _old_exact_kernel, _old_build_grid, V, -100.0,
                            x0, x_end, [1.0], [du0], 0.01)
-        assert (exc.value.x, exc.value.magnitude) == old
+        assert exc.value.x == old[0]
+        assert exc.value.magnitude == pytest.approx(old[1], rel=REL_TOL, abs=0.0)
 
     @given(seed=st.integers(0, 2 ** 31 - 1), cells=st.integers(1, 12),
            step=st.floats(1e-3, 0.6), energy=st.complex_numbers(max_magnitude=40.0),
@@ -389,3 +473,73 @@ class TestKernelOracle:
         x0, x_end = (b, a - 0.3) if backward else (a - 0.3, b)
         with pytest.MonkeyPatch.context() as mp:
             _assert_same_traces(mp, V, energy, x0, x_end, [1.0, 0.5j], [0.0, -1.0], step)
+
+    def test_reports_within_tolerance(self, monkeypatch):
+        # A seeded sweep with a 5000-block spike lattice, and the default
+        # suite.  A witness may move only to a node whose ratio ties with the
+        # old witness's within REPORT_TOL: the flat profiles of e^{-x}
+        # (exp-decay's derivative_lp_p2 varies by 1e-11 over its plateau).
+        doc = harness.load_suite_config(harness.default_suite_path())
+        suites = [harness.sweep_scenarios(n_scenarios=3, seed=1),
+                  [harness.parse_scenario(o) for o in doc["scenarios"]]]
+        for scenarios in suites:
+            def report():
+                return json.loads(harness.run_scenarios(scenarios).to_json(False))
+
+            spy = _ArgmaxSpy()
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "np", spy)
+                new = report()
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_exact_kernel", _old_exact_kernel)
+                old = report()
+            by_id = {s.id: s for s in scenarios}
+            for e_new, e_old in zip(new["scenarios"], old["scenarios"]):
+                for o_new, o_old in zip(e_new["outcomes"], e_old["outcomes"]):
+                    if o_new["witness_x"] != o_old["witness_x"]:
+                        xs = harness.scenario_trace(by_id[e_new["id"]]).xs
+                        assert spy.near_tie(xs, o_new, o_old["witness_x"]), o_new
+                        o_new["witness_x"] = o_old["witness_x"]
+            _assert_reports_close(new, old)
+
+
+class _ArgmaxSpy:
+    """numpy as the verifier sees it, keeping every array it takes an argmax
+    of: the ratio profiles of the checks."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmax(self, a, *args, **kwargs):
+        self.seen.append(np.asarray(a))
+        return np.argmax(a, *args, **kwargs)
+
+    def near_tie(self, xs, outcome, x_old):
+        """Whether the outcome's ratio profile, over consecutive nodes of xs,
+        is within REPORT_TOL of its worst ratio at x_old too."""
+        for ratios in self.seen:
+            if len(ratios) == outcome["points_checked"] and \
+                    ratios.max() == outcome["worst_ratio"]:
+                i_new, i_old = np.searchsorted(xs, [outcome["witness_x"], x_old])
+                at_old = ratios[int(np.argmax(ratios)) + i_old - i_new]
+                return bool(at_old >= ratios.max() * (1.0 - REPORT_TOL))
+        return False
+
+
+def _assert_reports_close(new, old, path=""):
+    """Every field of two reports the same, but floats within REPORT_TOL."""
+    if isinstance(old, dict):
+        assert new.keys() == old.keys(), path
+        for key in old:
+            _assert_reports_close(new[key], old[key], f"{path}/{key}")
+    elif isinstance(old, list):
+        assert len(new) == len(old), path
+        for i, (a, b) in enumerate(zip(new, old)):
+            _assert_reports_close(a, b, f"{path}[{i}]")
+    elif isinstance(old, float):
+        assert new == pytest.approx(old, rel=REPORT_TOL, abs=0.0), path
+    else:
+        assert new == old, path
