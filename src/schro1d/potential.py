@@ -38,17 +38,19 @@ class PiecewisePotential:
     values: tuple
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+        bp = tuple(map(float, self.breakpoints))
+        vals = tuple(map(float, self.values))
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints (one cell)")
         if len(vals) != len(bp) - 1:
             raise ValueError("values must have one entry per cell")
-        if not all(math.isfinite(b) for b in bp):
+        # whole-array checks on temporaries; bp_array and value_array stay lazy
+        bp_arr = np.array(bp)
+        if not np.isfinite(bp_arr).all():
             raise ValueError("breakpoints must be finite")
-        if not all(math.isfinite(v) for v in vals):
+        if not np.isfinite(np.array(vals)).all():
             raise ValueError("values must be finite")
-        if any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
+        if not (np.diff(bp_arr) > 0).all():
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)

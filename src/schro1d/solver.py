@@ -27,11 +27,14 @@ where the work is sequential:
 3. scan: the data columns are carried to every block anchor with the
    blocks' closed-form step matrices, in groups: products over the groups
    carry the data from group start to group start, and every group is then
-   stepped block by block from its start, all groups at once (see
-   `_anchor_scan`);
+   stepped block by block from its start, all groups at once.  The group
+   axis is the innermost one, so each step is two ufunc calls whose inner
+   loop runs over all groups (see `_anchor_scan`);
 4. fill: every node up to the first anchor that is not finite or is over
    the overflow guard is evaluated from the anchor of its block, a chunk of
-   nodes per pass.  Series or closed form is chosen once per block.
+   nodes per pass.  Series or closed form is chosen once per block.  A
+   chunk whose nodes are all anchors is copied from the scan rows, which
+   are the values the fill would give there.
 """
 
 from __future__ import annotations
@@ -238,17 +241,19 @@ def _check_overflow(xs, us, dus, i0, i1):
         raise OverflowAtX(float(xs[i0 + bad[0]]), float(mag[bad[0]]))
 
 
-def _block_anchors(xs, edge_idx, qs):
+def _block_anchors(xs, edge_idx, qs, growth=None):
     """First node of every evaluation block, segment by segment.
 
     Evaluating far from a block's anchor cancels catastrophically for
     decaying solutions, so each cell is cut into blocks of length at most
-    1/|Re sqrt(q)|: a block ends at the last node within that length of its
-    anchor, but spans at least one step.  Every segment is cut at once, one
-    block per round, until all of them are used up.
+    1/|Re sqrt(q)| (`growth`, computed from qs when not given): a block ends
+    at the last node within that length of its anchor, but spans at least
+    one step.  Every segment is cut at once, one block per round, until all
+    of them are used up.
     """
     i0, i1 = edge_idx[:-1], edge_idx[1:]
-    growth = np.abs(np.sqrt(qs).real)
+    if growth is None:
+        growth = np.abs(np.sqrt(qs).real)
     block = xs[i1] - xs[i0]
     wide = growth * block > 1.0
     block[wide] = 1.0 / growth[wide]
@@ -265,17 +270,17 @@ def _block_anchors(xs, edge_idx, qs):
 
 
 def _steps(m, rows):
-    """Fill rows[:, 1:] group by group, for every group at once: row k + 1 of
-    group G is block matrix m[G, k] applied to row k, as (c u + sl du,
-    q sl u + c du) with the products in that order."""
-    p = np.empty((len(rows), 2, 2, rows.shape[-1]), dtype=complex)
-    p0, p1 = p[:, 0], p[:, 1]
-    for k in range(rows.shape[1] - 1):
-        np.multiply(m[:, k], rows[:, k], p)
-        np.add(p0, p1, rows[:, k + 1, :, 0])
+    """Fill rows[1:] for every group at once: row k + 1 of group G is block
+    matrix m[k, ..., G] applied to row k, as (c u + sl du, q sl u + c du)
+    with the products in that order.  The group axis comes last, so each
+    step is two ufunc calls whose inner loop runs over all groups."""
+    p = np.empty((2,) + rows[0, :, 0].shape, dtype=complex)
+    for k in range(len(rows) - 1):
+        np.multiply(m[k], rows[k], p)
+        np.add(p[0], p[1], rows[k + 1, :, 0])
 
 
-def _anchor_scan(q, h, series, u, du):
+def _anchor_scan(q, h, series, u, du, growth=None):
     """Data columns at every block end, carried from (u, du) by the step
     matrices [[c, sl], [q sl, c]] over the block lengths h.
 
@@ -286,31 +291,41 @@ def _anchor_scan(q, h, series, u, du):
     reassociated: the rows of the first group, and every other row given its
     group's start row, are the block-by-block arithmetic.  A group may grow
     by at most e^GROUP_GROWTH (b |Re sqrt(q)| h <= GROUP_GROWTH for every
-    block), which bounds the cancellation that a product over a group brings
-    to a decaying solution.  Below that cap b = isqrt(nblk // 2), which
-    minimizes the loop passes: b for the products, b - 1 inside the groups
-    and nblk / b for the carry.
+    block; `growth` is |Re sqrt(q)|, computed from q when not given), which
+    bounds the cancellation that a product over a group brings to a decaying
+    solution.  Below that cap b = isqrt(nblk // 2), which minimizes the loop
+    passes: b for the products, b - 1 inside the groups and nblk / b for the
+    carry.
+
+    Block k of group G is block G b + k, laid out with the step axis first
+    and the group axis last: m[k, j, i, 0, G] is entry (i, j) of its matrix
+    and rows[k, i, 0, col, G] is the data at its start.  The layout changes
+    neither the products nor the order of the adds, so it changes no bit of
+    any row, group starts included.  The carry runs on contiguous copies of
+    the group products and the group start rows.
 
     Returns the rows (data at xs[0], then at each block end) and the index of
     the first row that is not finite or is over the overflow guard (the
     number of blocks if none).
     """
     nblk, ncol = len(q), len(u)
-    c, sl = _propagator_terms(q, h, series)
+    if growth is None:
+        growth = np.abs(np.sqrt(q).real)
     b = max(1, math.isqrt(nblk // 2))
-    grow = float(np.max(np.abs(np.sqrt(q).real) * h))
+    grow = float(np.max(growth * h))
     if grow * b > GROUP_GROWTH:
         b = max(1, int(GROUP_GROWTH / grow))
     g = nblk // b + 1  # the last group holds the last row
-    # m[k, j, i] is entry (i, j) of block k's matrix, so that p0 + p1
-    # is (c u + sl du, q sl u + c du), the products in that order
-    m = np.zeros((g * b, 2, 2, 1), dtype=complex)
-    m[:nblk] = np.stack([c, q * sl, sl, c], axis=1).reshape(nblk, 2, 2, 1)
-    m[nblk:, 0, 0] = m[nblk:, 1, 1] = 1.0
-    m = m.reshape(g, b, 2, 2, 1)
-    rows = np.empty((g * b, 2, 1, ncol), dtype=complex)
-    grouped = rows.reshape(g, b, 2, 1, ncol)
-    rows[0, :, 0] = u, du
+    pad = np.zeros(g * b - nblk)  # identity blocks: c = 1, sl = q = 0
+    c, sl = (np.append(x, pad) for x in _propagator_terms(q, h, series))
+    c[nblk:] = 1.0
+    # entry (i, j) at m[:, j, i], so that p[0] + p[1] in _steps is
+    # (c u + sl du, q sl u + c du)
+    m = np.empty((b, 2, 2, 1, g), dtype=complex)
+    m[:, 0, 0, 0] = m[:, 1, 1, 0] = c.reshape(g, b).T
+    m[:, 0, 1, 0] = (np.append(q, pad) * sl).reshape(g, b).T
+    m[:, 1, 0, 0] = sl.reshape(g, b).T
+    rows = np.empty((b, 2, 1, ncol, g), dtype=complex)
     # The scan stays in numpy ufuncs on purpose: numpy's complex multiply
     # uses FMA where the CPU has it, Python's complex `*` does not, and the
     # two disagree in the last bit on a large share of products.  Rows past
@@ -318,17 +333,31 @@ def _anchor_scan(q, h, series, u, du):
     # or nan is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         # the products of groups 0 .. g-2 are their steps of two data columns
-        # started at the identity: prod[G, b, i, 0, j] is entry (i, j), which
-        # carry lays out as m
-        prod = np.zeros((g - 1, b + 1, 2, 1, 2), dtype=complex)
-        prod[:, 0, 0, 0, 0] = prod[:, 0, 1, 0, 1] = 1.0
-        _steps(m[:-1], prod)
-        carry = prod[:, b, :, 0, :].transpose(0, 2, 1)[..., None]
-        _steps(carry[None], grouped[None, :, 0])  # group start to group start
-        _steps(m, grouped)
-        flat = rows.reshape(g * b, 2, ncol)[:nblk + 1]
-        bad = np.flatnonzero(~(np.abs(flat).max(axis=(1, 2)) <= OVERFLOW_GUARD))
-    return flat, int(bad[0]) if bad.size else nblk
+        # started at the identity: prod[b, i, 0, j, G] is entry (i, j)
+        prod = np.zeros((b + 1, 2, 1, 2, g - 1), dtype=complex)
+        prod[0, 0, 0, 0] = prod[0, 1, 0, 1] = 1.0
+        _steps(m[..., :-1], prod)
+        # group start to group start, one group per step, on contiguous copies
+        carry = np.ascontiguousarray(prod[b, :, 0].transpose(2, 1, 0))[..., None, None]
+        starts = np.empty((g, 2, 1, ncol, 1), dtype=complex)
+        starts[0, :, 0, :, 0] = u, du
+        _steps(carry, starts)
+        rows[0] = starts[..., 0].transpose(1, 2, 3, 0)
+        _steps(m, rows)
+        mag = np.abs(rows).max(axis=(1, 2, 3)).T.reshape(-1)[:nblk + 1]
+        bad = np.flatnonzero(~(mag <= OVERFLOW_GUARD))
+    flat = np.ascontiguousarray(rows.transpose(4, 0, 1, 2, 3)).reshape(g * b, 2, ncol)
+    return flat[:nblk + 1], int(bad[0]) if bad.size else nblk
+
+
+_NEGATIVE_ZERO = np.array(-0.0).view(np.int64)
+
+
+def _has_negative_zero(a):
+    """Whether a complex array has a component -0.0.  The fill at an anchor
+    (dt = 0, so c = 1 and sl = 0 exactly) returns every other component of
+    the anchor's row unchanged, but may turn -0.0 into +0.0."""
+    return bool((a.view(np.int64) == _NEGATIVE_ZERO).any())
 
 
 def _exact_kernel(xs, edge_idx, qs, u, du):
@@ -336,27 +365,37 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
 
     A sequential scan carries the data from block anchor to block anchor;
     every node is then filled, a chunk of nodes at a time, from the anchor
-    of its block: the block with the last anchor at or before the node.
+    of its block: the block with the last anchor at or before the node.  A
+    chunk whose nodes are all anchors is copied from the scan rows, which
+    gives the fill's bytes unless a row holds a -0.0 (see
+    `_has_negative_zero`); such a chunk is filled.
     """
     n, ncol = len(xs), len(u)
+    growth = np.abs(np.sqrt(qs).real)  # per segment
     is_anchor = np.zeros(n, dtype=bool)
-    is_anchor[_block_anchors(xs, edge_idx, qs)] = True
+    is_anchor[_block_anchors(xs, edge_idx, qs, growth)] = True
     row_node = np.append(np.flatnonzero(is_anchor), n - 1)  # node of each scan row
     owner = np.cumsum(is_anchor[:-1]) - 1  # block of nodes 0..n-2
     xa = xs[row_node[:-1]]  # abscissa of each block anchor
-    q = qs[np.searchsorted(edge_idx, row_node[:-1], side="right") - 1]
+    seg = np.searchsorted(edge_idx, row_node[:-1], side="right") - 1
+    q = qs[seg]
     h = xs[row_node[1:]] - xa
     series = _use_series(q, h)  # one choice per block, never per node
-    rows, stop = _anchor_scan(q, h, series, u, du)
+    rows, stop = _anchor_scan(q, h, series, u, du, growth[seg])
     last = row_node[stop]
     us = np.empty((ncol, n), dtype=complex)
     dus = np.empty_like(us)
     for i in range(0, last, _FILL_CHUNK):
         own = owner[i:min(i + _FILL_CHUNK, last)]
         j = i + len(own)
+        if is_anchor[i:j].all():  # rows own[0] .. own[-1], one per node
+            anchor_rows = rows[own[0]:own[0] + j - i]
+            if not _has_negative_zero(anchor_rows):
+                us[:, i:j], dus[:, i:j] = anchor_rows.transpose(1, 2, 0)
+                continue
+        ua, dua = rows[own].transpose(1, 2, 0)  # data at each node's anchor
         qn = q[own]
         c, sl = _propagator_terms(qn, xs[i:j] - xa[own], series[own])
-        ua, dua = rows[own].transpose(1, 2, 0)  # data at each node's anchor
         np.multiply(c, ua, out=us[:, i:j])
         us[:, i:j] += sl * dua
         np.multiply(qn * sl, ua, out=dus[:, i:j])

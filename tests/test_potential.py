@@ -44,6 +44,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PiecewisePotential((0.0, 1.0), (np.nan,))
 
+    @pytest.mark.parametrize("bp, vals, message", [
+        ((0.0, np.inf), (1.0,), "breakpoints must be finite"),
+        ((np.nan, 1.0, 2.0), (1.0, 2.0), "breakpoints must be finite"),
+        ((0.0, 1.0, 2.0), (1.0, np.nan), "values must be finite"),
+        ((0.0, 1.0, 1.0, 2.0), (1.0, 2.0, 3.0), "breakpoints must be strictly increasing"),
+    ])
+    def test_rejection_messages(self, bp, vals, message):
+        with pytest.raises(ValueError, match=message):
+            PiecewisePotential(bp, vals)
+
+    def test_long_lattice_transforms_match_per_element_construction(self):
+        V = make_family("spike_lattice", {"span": 5.0})
+        assert len(V.values) == 5000
+        expected = (
+            (V.reflected(), [-b for b in V.breakpoints[::-1]], V.values[::-1]),
+            (V.translated(0.25), [b + 0.25 for b in V.breakpoints], V.values),
+        )
+        for W, bp, vals in expected:
+            built = PiecewisePotential(tuple(bp), tuple(vals))
+            assert W.breakpoints == built.breakpoints == tuple(bp)
+            assert W.values == built.values == tuple(vals)
+            assert all(type(x) is float for x in W.breakpoints + W.values)
+            assert W == built and hash(W) == hash(built)
+
     def test_arrays_are_read_only(self):
         V = PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0))
         assert V.bp_array is V.bp_array

@@ -380,6 +380,11 @@ def _block_step(mk, row):
 
 _RANDOM_STEP = make_family("random_step", {"cells": 20, "low": -3, "high": 3, "seed": 8})
 _FREE = PiecewisePotential((0.0, 1.0), (0.0,))
+# 3,000 one-step cells, then a free cell of length 5: at step 1e-2 the first
+# fill chunk holds only block anchors and the second one mixes both kinds
+_LATTICE_THEN_FREE = PiecewisePotential(
+    tuple((np.arange(3001) * 1e-3).tolist()) + (8.0,),
+    tuple(np.random.default_rng(3).uniform(-40.0, 40.0, 3000).tolist()) + (0.0,))
 
 # (V, E, x0, x_end, u0, du0, max_step)
 _ORACLE_CASES = {
@@ -402,6 +407,11 @@ _ORACLE_CASES = {
     "backward": (_RANDOM_STEP, 1.5 - 0.2j, _RANDOM_STEP.support[1], -0.5,
                  [1.0], [0.25j], 1e-2),
     "basis_columns_backward": (_RANDOM_STEP, -1.0, 6.0, 0.0, [1.0, 0.0], [0.0, 1.0], 1e-2),
+    "anchor_chunk_then_mixed": (_LATTICE_THEN_FREE, 1.0, 0.0, 8.0, [1.0], [0.0], 1e-2),
+    "mixed_chunk_then_anchors": (_LATTICE_THEN_FREE, 1.0 + 0.5j, 8.0, 0.0,
+                                 [1.0], [0.5j], 1e-2),
+    "anchor_chunk_basis_columns": (_LATTICE_THEN_FREE, 1.0, 0.0, 8.0,
+                                   [1.0, 0.0], [0.0, 1.0], 1e-2),
 }
 
 
@@ -459,6 +469,44 @@ class TestKernelOracle:
                 propagate_exact(V, -100.0, InitialData(x0, 1.0, du0), x_end, 0.01)
             old = _outcome(monkeypatch, _old_exact_kernel, _old_build_grid, V, -100.0,
                            x0, x_end, [1.0], [du0], 0.01)
+        assert exc.value.x == old[0]
+        assert exc.value.magnitude == pytest.approx(old[1], rel=REL_TOL, abs=0.0)
+
+    @pytest.mark.parametrize("x0, x_end", [(0.0, 8.0), (8.0, 0.0), (3.0, 0.0)])
+    def test_anchor_chunk_copies_are_fill_bytes(self, monkeypatch, x0, x_end):
+        # An all-anchor chunk copied from the scan rows has the bytes the fill
+        # at dt = 0 gives, signed zeros included: backward, the basis data
+        # (1, -0), (-0, -1) start an all-anchor chunk, which keeps the fill.
+        copied, has_negative_zero = [], solver._has_negative_zero
+
+        def spy(a):
+            copied.append(not has_negative_zero(a))
+            return not copied[-1]
+
+        args = (_exact_kernel, "exact_cell", _LATTICE_THEN_FREE, 1.0, x0, x_end,
+                *np.eye(2, dtype=complex), 1e-2)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_has_negative_zero", spy)
+            new = _traces(*args)
+        assert any(copied)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_has_negative_zero", lambda a: True)  # fill every chunk
+            filled = _traces(*args)
+        for t, ref in zip(new, filled):
+            assert t.u.tobytes() == ref.u.tobytes()
+            assert t.du.tobytes() == ref.du.tobytes()
+
+    def test_overflow_parity_in_anchor_chunk(self, monkeypatch):
+        # 5,000 one-step cells: the first node over the guard lies in the
+        # second fill chunk, which holds only block anchors
+        V = PiecewisePotential(tuple((np.arange(5001) * 1e-3).tolist()), (1e4,) * 5000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowAtX) as exc:
+                propagate_exact(V, 0.0, InitialData(0.0, 1.0, 0.0), 5.0, 1e-2)
+            old = _outcome(monkeypatch, _old_exact_kernel, _old_build_grid, V, 0.0,
+                           0.0, 5.0, [1.0], [0.0], 1e-2)
+        assert solver._FILL_CHUNK < round(exc.value.x / 1e-3) < 2 * solver._FILL_CHUNK
         assert exc.value.x == old[0]
         assert exc.value.magnitude == pytest.approx(old[1], rel=REL_TOL, abs=0.0)
 
