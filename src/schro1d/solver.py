@@ -368,7 +368,9 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
     of its block: the block with the last anchor at or before the node.  A
     chunk whose nodes are all anchors is copied from the scan rows, which
     gives the fill's bytes unless a row holds a -0.0 (see
-    `_has_negative_zero`); such a chunk is filled.
+    `_has_negative_zero`); such a chunk is filled.  The scan has tested the
+    rows before the first bad one against the overflow guard, so only the
+    filled chunks, in x order, and the last row are tested here.
     """
     n, ncol = len(xs), len(u)
     growth = np.abs(np.sqrt(qs).real)  # per segment
@@ -400,8 +402,9 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
         us[:, i:j] += sl * dua
         np.multiply(qn * sl, ua, out=dus[:, i:j])
         dus[:, i:j] += c * dua
+        _check_overflow(xs, us, dus, i, j - 1)
     us[:, last], dus[:, last] = rows[stop]
-    _check_overflow(xs, us, dus, 0, last)
+    _check_overflow(xs, us, dus, last, last)
     return us, dus
 
 

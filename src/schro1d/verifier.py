@@ -15,12 +15,14 @@ Windows whose integral drowns in the rounding of that sum (deep tails) are
 summed again from one array of np.trapezoid's own terms.
 
 The randomized sweep of the core inequality (`sample_lemma31`) is a batched
-rejection sampler.  Per batch, a Python loop makes only the generator calls,
-in the order the per-attempt loop made them: `integers` for x, `random` for
-the gap and, unless x is the last node, `random` for the phase (uniform(lo,
-hi) is lo + (hi - lo) * random(), bit for bit).  Then numpy snaps y, forms
-omega and tests the sign hypothesis (`_lemma31_hypothesis`, shared with
-`check_lemma31`): a negative endpoint value rejects a triple at once.  When
+rejection sampler.  Per batch, `_draw_attempts` gives the values of the
+generator calls that the per-attempt loop made, in its order: `integers` for
+x, `random` for the gap and, unless x is the last node, `random` for the
+phase (uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit).  For
+PCG64 it rebuilds them in bulk from raw words, and leaves the generator in
+the state those calls leave.  Then numpy snaps y, forms omega and tests the
+sign hypothesis (`_lemma31_hypothesis`, shared with `check_lemma31`): a
+negative endpoint value rejects a triple at once.  When
 the remaining windows hold more nodes than 2 len(u) log2 of the longest
 window (a rough count of the reads of a min and a max table over Re u), with
 each window counted SCAN_NODES nodes longer and the tables CERTIFY_NODES
@@ -591,6 +593,79 @@ def check_lemma31(
     return _outcome("lemma31", iy[0] - ix[0] + 1, ratio, xs[ix[0]], tolerance, notes)
 
 
+_LOW32 = np.uint64(0xFFFF_FFFF)
+
+
+def _draw_attempts(rng, n, no_phase, k):
+    """The draws of k sampler attempts: (picks, gaps, phases), phases nan
+    where no phase is drawn.  They are the values of k rounds of
+    j = rng.integers(0, n), rng.random() and, unless j == no_phase,
+    -0.5 + rng.random() (uniform(lo, hi) is lo + (hi - lo) * random(), bit for
+    bit), and rng is left in the state those calls leave, cache fields
+    included.  n must be at least 2.
+
+    With a PCG64 bit generator and n < 2^32 the draws are rebuilt from raw
+    words.  numpy's `integers(0, n)` there is Lemire's bounded draw (ACM
+    TOMACS 29, 2019) on a 32-bit half-word: m = u32 n, rejected while the low
+    32 bits of m are below (2^32 - n) % n, else m >> 32.  The half-word is the
+    low half of a fresh word when the cache is empty, and the cached high half
+    otherwise; `random()` is (w >> 11) 2^-53 of one word.  A run reads words
+    for its attempts as if each took that common path; at the first attempt
+    that rejects or picks no_phase, the generator is rewound to the words
+    used before it and that attempt is drawn with the scalar calls.  Other
+    bit generators take the scalar calls for every attempt.
+    """
+    picks = np.empty(k, dtype=np.intp)
+    gaps = np.empty(k)
+    phases = np.full(k, np.nan)
+    bg = rng.bit_generator
+    bulk = type(bg) is np.random.PCG64 and n < 2 ** 32
+    threshold = np.uint64((2 ** 32 - n) % n)
+    done = 0
+    while done < k:
+        if bulk:
+            entry = bg.state
+            cached = entry["has_uint32"]
+            # a pick of no_phase has probability 1/n: a run much longer than
+            # n attempts would mostly be drawn again
+            m = min(k - done, 16 + 2 * n)
+            i = np.arange(m)
+            at = 2 * i + (i + 1 - cached) // 2  # words before each attempt
+            fresh = (i + cached) % 2 == 0  # the attempts that take a fresh word
+            words = bg.random_raw(2 * m + (m + 1 - cached) // 2)
+            ints = words[at[fresh]]
+            halves = np.empty(cached + 2 * len(ints), dtype=np.uint64)
+            halves[:cached] = entry["uinteger"]
+            halves[cached::2] = ints & _LOW32
+            halves[cached + 1::2] = ints >> 32
+            prod = halves[:m] * np.uint64(n)
+            pick = (prod >> 32).astype(np.intp)
+            stop = np.flatnonzero(((prod & _LOW32) < threshold) | (pick == no_phase))
+            r = int(stop[0]) if stop.size else m
+            gap = at[:r] + fresh[:r]  # the gap's word; the phase's is next
+            picks[done:done + r] = pick[:r]
+            gaps[done:done + r] = (words[gap] >> 11) * 2.0 ** -53
+            phases[done:done + r] = -0.5 + (words[gap + 1] >> 11) * 2.0 ** -53
+            f = (r + 1 - cached) // 2  # fresh words taken by the r attempts
+            if r < m:
+                bg.state = entry
+                bg.advance(2 * r + f)
+            state = bg.state
+            state["has_uint32"] = cached + 2 * f - r
+            state["uinteger"] = int(ints[f - 1] >> 32) if f else entry["uinteger"]
+            bg.state = state
+            done += r
+            if done == k:
+                break
+        j = int(rng.integers(0, n))
+        picks[done] = j
+        gaps[done] = rng.random()
+        if j != no_phase:
+            phases[done] = -0.5 + rng.random()
+        done += 1
+    return picks, gaps, phases
+
+
 def sample_lemma31(
     trace: SolutionTrace,
     consts: EstimateConstants,
@@ -607,9 +682,10 @@ def sample_lemma31(
     in [0, max_gap) that snaps y = xs[iy] to the node nearest x + gap (the
     next node if that is ix), and a phase in [-0.5, 0.5) that turns omega
     away from u(x)/|u(x)|; x at the last node draws no phase and fails.  At
-    most 200 n attempts are made, in batches (see the module docstring).
-    Attempts are counted up to the n-th acceptance, but rng may have
-    advanced past it, by an amount that depends on the batch sizes.
+    most 200 n attempts are made, in batches (see the module docstring); a
+    batch's draws come from `_draw_attempts`, in bulk for PCG64.  Attempts
+    are counted up to the n-th acceptance, but rng may have advanced past
+    it, by an amount that depends on the batch sizes.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
@@ -621,28 +697,20 @@ def sample_lemma31(
     if good.size < 2:
         raise NoEligiblePoints("trace has no usable points for sampling")
     no_phase = len(good) - 1 if good[-1] == len(xs) - 1 else -1  # the pick of the last node
-    integers, random = rng.integers, rng.random
     parts = []  # (ix, iy, *terms) of the accepted triples of each batch
     accepted = attempts = 0
     limit = 200 * n
     while accepted < n and attempts < limit:
         rate = accepted / attempts if accepted else (0.05 if attempts else 1.0)
         k = min(math.ceil((n - accepted) / rate) + 16, limit - attempts)
-        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), bit for bit
-        picks, gaps, turns = [], [], []
-        for _ in range(k):
-            j = int(integers(0, len(good)))
-            picks.append(j)
-            gaps.append(random())
-            if j != no_phase:
-                phase = -0.5 + random()
-                turns.append((math.cos(phase), math.sin(phase)))
-        picks = np.array(picks)
+        picks, gaps, phases = _draw_attempts(rng, len(good), no_phase, k)
         drawn = np.flatnonzero(picks != no_phase)  # the attempts that drew a phase
         ix = good[picks[drawn]]
-        iy = _snap_indices(xs, xs[ix] + max_gap * np.array(gaps)[drawn])
+        iy = _snap_indices(xs, xs[ix] + max_gap * gaps[drawn])
         iy = np.maximum(iy, ix + 1)  # y is at least the next node
-        c, s = np.array(turns).reshape(-1, 2).T
+        phase = phases[drawn].tolist()
+        c = np.array([math.cos(t) for t in phase])
+        s = np.array([math.sin(t) for t in phase])
         unit = u[ix] / au[ix]
         om_r = unit.real * c - unit.imag * s  # omega = unit * (c + i s)
         om_i = unit.real * s + unit.imag * c

@@ -4,6 +4,7 @@ Each test prints one pass/fail summary line so the acceptance status can be
 read off a verbose test run directly.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,8 +14,11 @@ import pytest
 from schro1d import (
     InitialData,
     c1_sup,
+    WeightSpec,
     check_decay,
     check_derivative_bound,
+    check_derivative_lp,
+    check_weighted,
     constants_for,
     default_suite_path,
     make_family,
@@ -23,6 +27,7 @@ from schro1d import (
     prufer_decompose,
     random_sweep,
     run_suite,
+    sample_lemma31,
     simon_stolz_curve,
     sweep_scenarios,
     transfer_matrix,
@@ -250,3 +255,28 @@ def test_acceptance_08_determinism():
         ok,
         f"bytes={len(j1)}, identical={j1 == j2}, suite_ok={r1.all_ok}",
     )
+
+
+def test_acceptance_09_negative_controls(sin_trace, sin_consts):
+    # A check whose ratio goes as C^-p must fail, at the predicted ratio, once
+    # C is shrunk so that r (C/C')^p = 1.05; the sampled core inequality must
+    # fail without its C2 penalty.
+    checks = {
+        "derivative_bound": (lambda k: check_derivative_bound(sin_trace, k), 1.0),
+        "derivative_lp_p1": (lambda k: check_derivative_lp(sin_trace, k, 1.0), 1.0),
+        "derivative_lp_p2": (lambda k: check_derivative_lp(sin_trace, k, 2.0), 2.0),
+        "weighted_p2": (lambda k: check_weighted(sin_trace, k, 2.0, WeightSpec.exponential(0.5),
+                                                 (2.0, 18.0)), 2.0),
+    }
+    ok, details = True, []
+    for name, (check, p) in checks.items():
+        r = check(sin_consts).worst_ratio
+        shrunk = dataclasses.replace(sin_consts, c_bound=sin_consts.c_bound * (r / 1.05) ** (1 / p))
+        out = check(shrunk)
+        ok &= r <= 1.0 and not out.passed and out.worst_ratio == pytest.approx(1.05, rel=1e-12)
+        details.append(f"{name}={out.worst_ratio:.12g}")
+    no_penalty = dataclasses.replace(sin_consts, c2=0.0)
+    lemma = sample_lemma31(sin_trace, no_penalty, 400, np.random.default_rng(11))
+    ok &= not lemma.passed
+    details.append(f"lemma31_sweep_c2_0={lemma.worst_ratio:.4f}")
+    _report("negative-controls", ok, ", ".join(details))

@@ -32,6 +32,7 @@ from schro1d.potential import make_family
 from schro1d.verifier import (
     ZERO_BAND,
     CheckOutcome,
+    _draw_attempts,
     _grid_spacing,
     _interior_indices,
     _outcome,
@@ -579,6 +580,13 @@ class TestLoopOracles:
         got = sample_lemma31(trace, consts, n, np.random.default_rng(seed), max_gap)
         assert got.to_dict() == ref.to_dict()
 
+    def test_sample_lemma31_equals_loop_mt19937(self, oracle_case):
+        # a bit generator other than PCG64 takes the scalar calls
+        trace, consts = oracle_case
+        got = sample_lemma31(trace, consts, 400, np.random.Generator(np.random.MT19937(11)))
+        ref = _loop_sample_lemma31(trace, consts, 400, np.random.Generator(np.random.MT19937(11)))
+        assert got.to_dict() == ref.to_dict()
+
     def test_sample_lemma31_first_of_ties(self):
         # u constant and C2 so small that the penalty vanishes against u:
         # every accepted triple's ratio is exactly 1, so the witness is the x
@@ -803,6 +811,65 @@ class TestLemma31Certificate:
         ref = _loop_sample_lemma31(trace, consts, n, np.random.default_rng(23)).to_dict()
         assert got == ref
         assert any(np.shares_memory(a, trace.u) for a in table_arrays) == tables
+
+
+def _scalar_attempts(rng, n, no_phase, k):
+    """The draws of k sampler attempts, one generator call at a time."""
+    picks, gaps, phases = [], [], []
+    for _ in range(k):
+        picks.append(int(rng.integers(0, n)))
+        gaps.append(rng.random())
+        phases.append(-0.5 + rng.random() if picks[-1] != no_phase else math.nan)
+    return np.array(picks, dtype=np.intp), np.array(gaps), np.array(phases)
+
+
+def _same_state(a, b):
+    """Whether two bit generator states are equal, arrays and int types too."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestDrawAttempts:
+    # 2**31 + 1 rejects about half of its 32-bit draws; 2**32 - 1 takes
+    # products up to 2**64 - 2**33 + 1
+    @settings(max_examples=150, deadline=None)
+    @given(bit_generator=st.sampled_from([np.random.PCG64] * 3 + [np.random.MT19937,
+                                                                   np.random.Philox]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([2, 3, 40001, 2 ** 31 + 1, 2 ** 32 - 1]),
+           no_phase=st.sampled_from([-1, 0, 1, "last"]),
+           earlier=st.integers(0, 3), ks=st.lists(st.integers(1, 300), min_size=1, max_size=3))
+    def test_equals_scalar_calls(self, bit_generator, seed, n, no_phase, earlier, ks):
+        no_phase = n - 1 if no_phase == "last" else no_phase
+        got, want = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        for rng in got, want:  # an odd number fills the uint32 cache
+            for _ in range(earlier):
+                rng.integers(0, 7)
+        for k in ks:
+            drawn = _draw_attempts(got, n, no_phase, k)
+            expected = _scalar_attempts(want, n, no_phase, k)
+            for a, b in zip(drawn, expected):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b, equal_nan=True)
+            assert _same_state(got.bit_generator.state, want.bit_generator.state)
+
+    @pytest.mark.parametrize("n, no_phase", [(2, 1), (3, 0), (2 ** 31 + 1, -1)])
+    @pytest.mark.parametrize("earlier", [0, 1])
+    def test_exceptions_are_taken(self, n, no_phase, earlier):
+        # no_phase picks, or rejections, come every few attempts
+        got, want = np.random.default_rng(3), np.random.default_rng(3)
+        for rng in got, want:
+            for _ in range(earlier):
+                rng.integers(0, 7)
+        drawn = _draw_attempts(got, n, no_phase, 200)
+        expected = _scalar_attempts(want, n, no_phase, 200)
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(drawn, expected))
+        assert _same_state(got.bit_generator.state, want.bit_generator.state)
+        if no_phase >= 0:
+            assert np.count_nonzero(drawn[0] == no_phase) > 10
 
 
 @st.composite
