@@ -80,6 +80,9 @@ def _summarize(report):
     for entry in report.entries:
         status = "ok" if entry["ok"] else "FAIL"
         lines.append(f"[{status}] {entry['id']} ({entry['expected']})")
+        if "error" in entry:
+            err = entry["error"]
+            lines.append(f"    error {err['type']}: x={err['x']}, magnitude={err['magnitude']}")
         for out in entry["outcomes"]:
             mark = "pass" if out["pass"] else "FAIL"
             lines.append(

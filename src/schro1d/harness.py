@@ -23,6 +23,7 @@ from .errors import (
     DegenerateConstants,
     NoEligiblePoints,
     PreconditionFailed,
+    Schro1dError,
     TraceTooShort,
 )
 from .potential import PiecewisePotential, c1_sup, make_family
@@ -185,10 +186,26 @@ def _run_check(spec, trace, consts, scn):
 
 
 def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
-    profile = c1_sup(scn.potential)
-    consts = constants_for(profile.supremum, scn.energy, c2_floor)
-    consts.validate()
-    trace = scenario_trace(scn)
+    """One report entry.  A solver error raised while computing the constants
+    or the trace (any Schro1dError but a ConfigError, or a DegenerateConstants,
+    whose escape is the suite-wide C2 floor) makes an entry with ok false, the
+    error and no outcomes, so the rest of the suite still runs; an error is
+    never an expected failure."""
+    entry = {"id": scn.id, "expected": scn.expected, "constants": None,
+             "described_interval": list(scn.potential.support)}
+    try:
+        profile = c1_sup(scn.potential)
+        consts = constants_for(profile.supremum, scn.energy, c2_floor)
+        consts.validate()
+        entry["constants"] = {**consts.to_dict(), "c1_argmax": profile.argmax}
+        trace = scenario_trace(scn)
+    except (ConfigError, DegenerateConstants):
+        raise
+    except Schro1dError as err:
+        error = {"type": type(err).__name__, "x": getattr(err, "x", None),
+                 "magnitude": getattr(err, "magnitude", None)}
+        return {**entry, "outcomes": [], "skipped": [], "all_checks_pass": False,
+                "ok": False, "error": error}
     outcomes = []
     skipped = []
     for spec in scn.checks:
@@ -199,10 +216,7 @@ def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
     all_pass = all(o.passed for o in outcomes)
     ok = all_pass if scn.expected == "pass" else not all_pass
     return {
-        "id": scn.id,
-        "expected": scn.expected,
-        "constants": {**consts.to_dict(), "c1_argmax": profile.argmax},
-        "described_interval": list(scn.potential.support),
+        **entry,
         "outcomes": [o.to_dict() for o in outcomes],
         "skipped": skipped,
         "all_checks_pass": all_pass,

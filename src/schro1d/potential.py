@@ -94,11 +94,23 @@ class PiecewisePotential:
         return PiecewisePotential(tuple(b + t for b in self.breakpoints), self.values)
 
     def reflected(self):
-        """V(-x): cells mirrored about the origin."""
-        return PiecewisePotential(
-            tuple(-b for b in reversed(self.breakpoints)),
-            tuple(reversed(self.values)),
-        )
+        """V(-x): cells mirrored about the origin.
+
+        Built from the cached arrays, -bp_array[::-1] and value_array[::-1],
+        which become the new potential's arrays; its tuples come from them.
+        It is not validated again: negation and reversal are exact, so the
+        breakpoints stay finite and strictly increasing, and the tuples, ==
+        and hash are those the validating constructor gives.
+        """
+        bp = -self.bp_array[::-1]
+        vals = self.value_array[::-1].copy()
+        bp.setflags(write=False)
+        vals.setflags(write=False)
+        new = object.__new__(PiecewisePotential)
+        # the fields, and the cached_property values, in the instance dict
+        new.__dict__.update(breakpoints=tuple(bp.tolist()), values=tuple(vals.tolist()),
+                            bp_array=bp, value_array=vals)
+        return new
 
     def to_dict(self):
         return {"breakpoints": list(self.breakpoints), "values": list(self.values)}

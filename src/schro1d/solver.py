@@ -10,12 +10,15 @@ so propagation is exact up to rounding for piecewise-constant potentials.
 The entries are even functions of s, hence independent of the branch of the
 square root; near q = 0 they are evaluated by series to avoid cancellation.
 A classical fixed-step RK4 integrator (with steps split at cell boundaries)
-serves as an independent cross-check.
+serves as an independent cross-check; within a cell its node k is S^k times
+the cell's start data, for the RK4 step matrix S, and the powers of S are
+built by doubling.
 
 Both propagators run forward only, over a batch of initial-data columns.
 Backward propagation runs forward on the reflected potential V(-x), from -x0
-with data (u0, -u0'), and reflects the traces back; the two basis solutions
-behind transfer matrices are propagated as one batched pass.
+with data (u0, -u0'), and reflects the traces back.  A transfer matrix runs
+the two basis solutions as the two columns of one kernel pass and reads the
+kernel's last node; it builds no trace.
 
 The exact propagator works in whole-array passes, with Python loops only
 where the work is sequential:
@@ -150,6 +153,8 @@ class TransferMatrix:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex).reshape(2, 2)
+        if not np.isfinite(self.entries).all():
+            raise ValueError("transfer matrix entries must be finite")
         if abs(self.det_residual()) > 1e-8:
             raise ValueError(
                 f"transfer matrix determinant off unity: residual {self.det_residual():.3e}"
@@ -408,52 +413,82 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
     return us, dus
 
 
+def _step_powers(alpha, beta, qbeta, n):
+    """Entries (0,0), (0,1), (1,0), (1,1) of S^1 .. S^n for the step matrix
+    S = [[alpha, beta], [qbeta, alpha]], by doubling: S^(m+k) = S^m S^k for
+    every k <= m at once, as explicit elementwise 2x2 products."""
+    p = np.empty((4, n), dtype=complex)
+    p[:, 0] = alpha, beta, qbeta, alpha
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        a, b, c, d = p[:, m - 1]  # S^m
+        ka, kb, kc, kd = p[:, :k]
+        p[0, m:m + k] = a * ka + b * kc
+        p[1, m:m + k] = a * kb + b * kd
+        p[2, m:m + k] = c * ka + d * kc
+        p[3, m:m + k] = c * kb + d * kd
+        m += k
+    return p
+
+
 def _rk_kernel(xs, edge_idx, qs, u, du):
-    """Fixed-step RK4 flow of the data columns (u, du) at xs[0] along xs."""
+    """Fixed-step RK4 flow of the data columns (u, du) at xs[0] along xs.
+
+    On the linear system RK4 collapses to one constant 2x2 step matrix S per
+    cell, so node k of a cell is S^k times the data at the cell's start; the
+    last node carries the data into the next cell.  It uses no blocks and no
+    anchors, which keeps it independent of the exact kernel.
+    """
     us = np.empty((len(u), len(xs)), dtype=complex)
     dus = np.empty_like(us)
     us[:, 0], dus[:, 0] = u, du
-    u, du = u.tolist(), du.tolist()
     for i0, i1, q in zip(edge_idx, edge_idx[1:], qs.tolist()):
         h = (xs[i1] - xs[i0]) / (i1 - i0)
-        # RK4 on the linear system collapses to one constant 2x2 step matrix
         alpha = 1.0 + q * h * h / 2.0 + q * q * h ** 4 / 24.0
         beta = h + q * h ** 3 / 6.0
-        qbeta = q * beta
-        for col in range(len(u)):
-            a, b = u[col], du[col]
-            for i in range(i0 + 1, i1 + 1):
-                a, b = alpha * a + beta * b, qbeta * a + alpha * b
-                us[col, i] = a
-                dus[col, i] = b
-            u[col], du[col] = a, b
+        p = _step_powers(alpha, beta, q * beta, i1 - i0)
+        u, du = us[:, i0, None], dus[:, i0, None]
+        us[:, i0 + 1:i1 + 1] = p[0] * u + p[1] * du
+        dus[:, i0 + 1:i1 + 1] = p[2] * u + p[3] * du
         _check_overflow(xs, us, dus, i0, i1)
     return us, dus
 
 
-def _traces(kernel, method, V, E, x0, x_end, u0, du0, step):
-    """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end.
+def _kernel_columns(kernel, V, energy, x0, x_end, u0, du0, step):
+    """Run `kernel` on the data columns (u0[k], du0[k]) at x0 toward x_end.
 
-    The kernels only run forward: for x_end < x0 the columns run forward on
-    the reflected potential, from -x0 with data (u0, -du0), and the traces
-    are reflected back.
+    Returns the grid, the columns (us, dus) and whether the run was
+    reflected.  The kernels only run forward: for x_end < x0 they run on the
+    reflected potential, from -x0 with data (u0, -du0), so the grid holds -x
+    and dus holds -u'(-x).  An OverflowAtX carries x in the caller's
+    coordinates either way.
     """
-    energy = Energy.of(E)
     x_end = float(x_end)
     if x_end == x0:
         raise ValueError("x_end must differ from init.x0")
-    if x_end < x0:
-        try:
-            traces = _traces(kernel, method, V.reflected(), energy, -x0, -x_end,
-                             u0, -du0, step)
-        except OverflowAtX as err:
-            raise OverflowAtX(-err.x, err.magnitude) from None
-        return [t.reflected() for t in traces]
+    reflected = x_end < x0
+    if reflected:
+        V, x0, x_end, du0 = V.reflected(), -x0, -x_end, -du0
     xs, edge_idx = build_grid(V, x0, x_end, step)
     mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
     qs = V.value_at(mids) - energy.as_complex
-    us, dus = kernel(xs, edge_idx, qs, u0, du0)
-    return [SolutionTrace(xs, u, du, energy, method, float(step)) for u, du in zip(us, dus)]
+    try:
+        us, dus = kernel(xs, edge_idx, qs, u0, du0)
+    except OverflowAtX as err:
+        if not reflected:
+            raise
+        raise OverflowAtX(-err.x, err.magnitude) from None
+    return xs, us, dus, reflected
+
+
+def _traces(kernel, method, V, E, x0, x_end, u0, du0, step):
+    """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end;
+    traces of a reflected run are reflected back."""
+    energy = Energy.of(E)
+    xs, us, dus, reflected = _kernel_columns(kernel, V, energy, x0, x_end, u0, du0, step)
+    traces = [SolutionTrace(xs, u, du, energy, method, float(step)) for u, du in zip(us, dus)]
+    return [t.reflected() for t in traces] if reflected else traces
 
 
 def propagate_exact(
@@ -503,7 +538,14 @@ def basis_traces(V: PiecewisePotential, E, x_from: float, x_to: float, max_step:
 def transfer_matrix(
     V: PiecewisePotential, E, x: float, y: float, max_step: float
 ) -> TransferMatrix:
-    """T(E, x, y): maps Cauchy data at y to Cauchy data at x."""
+    """T(E, x, y): maps Cauchy data at y to Cauchy data at x.
+
+    The basis data (1, 0) and (0, 1) at y run toward x as the two columns of
+    one kernel pass (on the reflected potential when x < y), and T is read
+    from the kernel's last node, which is x; no trace is built.  The kernel
+    still fills and guards every node, so an overflow raises the OverflowAtX
+    that `basis_traces` would.
+    """
     energy = Energy.of(E)
     x = float(x)
     y = float(y)
@@ -511,11 +553,11 @@ def transfer_matrix(
         raise ValueError("endpoints must be finite")
     if x == y:
         return TransferMatrix(np.eye(2, dtype=complex), y, x, energy)
-    t1, t2 = basis_traces(V, energy, y, x, max_step)
-    idx = -1 if x > y else 0
-    entries = np.array(
-        [[t1.u[idx], t2.u[idx]], [t1.du[idx], t2.du[idx]]], dtype=complex
-    )
+    u0, du0 = np.eye(2, dtype=complex)
+    _, us, dus, reflected = _kernel_columns(_exact_kernel, V, energy, y, x, u0, du0,
+                                            max_step)
+    # the kernel's last node is x; a reflected run holds -u'(x) there
+    entries = np.array([us[:, -1], -dus[:, -1] if reflected else dus[:, -1]])
     return TransferMatrix(entries, y, x, energy)
 
 

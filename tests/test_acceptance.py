@@ -18,6 +18,8 @@ from schro1d import (
     check_decay,
     check_derivative_bound,
     check_derivative_lp,
+    check_local_lp,
+    check_persistence,
     check_weighted,
     constants_for,
     default_suite_path,
@@ -280,3 +282,39 @@ def test_acceptance_09_negative_controls(sin_trace, sin_consts):
     ok &= not lemma.passed
     details.append(f"lemma31_sweep_c2_0={lemma.worst_ratio:.4f}")
     _report("negative-controls", ok, ", ".join(details))
+
+
+def test_acceptance_10_negative_controls_windowed():
+    # persistence and local_lp, whose windows delta also sets, on the floored
+    # bump u = 0.01 + exp(-(x-10)^2 / (2 sigma^2)): delta >> sigma, so at x = 10
+    # local_lp's ratio is (1.01)^p delta / (2^p int_{10-delta}^{10+delta} u^p),
+    # and u drops to 0.01 within delta, so persistence's ratio is 0.5 * 1.01 / 0.01.
+    # The trace is not a solution: the controls show that the checks can
+    # fail, not anything about the paper.
+    sigma = 0.02
+    xs = np.linspace(0.0, 20.0, 20001)
+
+    def bump(x):
+        return np.exp(-(x - 10.0) ** 2 / (2.0 * sigma ** 2))
+
+    trace = analytic_trace(xs, lambda x: 0.01 + bump(x),
+                           lambda x: -(x - 10.0) / sigma ** 2 * bump(x), 1.0)
+    consts = constants_for(0.0, 1.0)
+    d = consts.delta
+    gauss = sigma * math.sqrt(2.0 * math.pi) * math.erf(d / (sigma * math.sqrt(2.0)))
+    integrals = {  # of u^p over [10 - delta, 10 + delta]
+        1: 0.01 * 2.0 * d + gauss,
+        2: 1e-4 * 2.0 * d + 0.02 * gauss + sigma * math.sqrt(math.pi) * math.erf(d / sigma),
+    }
+    ok, details = True, []
+    for p, integral in integrals.items():
+        out = check_local_lp(trace, consts, p)
+        predicted = 1.01 ** p * d / (2.0 ** p * integral)
+        ok &= (not out.passed and out.witness_x == 10.0
+               and out.worst_ratio == pytest.approx(predicted, rel=1e-3))
+        details.append(f"local_lp_p{p}={out.worst_ratio:.4f} (closed form {predicted:.4f})")
+    out = check_persistence(trace, consts)
+    ok &= (not out.passed and out.witness_x == 10.0
+           and out.worst_ratio == pytest.approx(0.5 * 1.01 / 0.01, rel=1e-9))
+    details.append(f"persistence={out.worst_ratio:.6f} (predicted 50.5)")
+    _report("negative-controls-windowed", ok, ", ".join(details))

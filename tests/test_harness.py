@@ -63,6 +63,24 @@ class TestParsing:
             parse_scenario(bad)
 
 
+# a healthy free scenario, and one whose growing solution e^x passes the
+# overflow guard near x = 346
+HEALTHY_FREE = {
+    "id": "free-healthy",
+    "potential": {"breakpoints": [0.0, 10.0], "values": [0.0]},
+    "energy": 1.0,
+    "span": [0.0, 10.0],
+    "checks": [{"name": "derivative_bound"}, {"name": "persistence"}],
+}
+OVERFLOWING_FREE = {
+    "id": "free-overflow",
+    "potential": {"breakpoints": [0.0, 400.0], "values": [0.0]},
+    "energy": -1.0,
+    "span": [0.0, 400.0],
+    "checks": [{"name": "derivative_bound"}],
+}
+
+
 class TestSuiteExecution:
     def test_empty_suite_is_vacuously_ok(self):
         report = run_suite({"scenarios": []})
@@ -119,6 +137,21 @@ class TestSuiteExecution:
         report = run_suite(doc, c2_floor=1.0)
         assert report.all_ok
         assert report.entries[0]["constants"]["c2"] == 1.0
+
+    @pytest.mark.parametrize("expected", ["pass", "expected_fail"])
+    def test_solver_error_isolated_to_its_entry(self, expected):
+        doc = {"scenarios": [HEALTHY_FREE, dict(OVERFLOWING_FREE, expected=expected)]}
+        report = run_suite(doc)
+        assert not report.all_ok
+        healthy, failed = report.entries
+        assert healthy == run_suite({"scenarios": [HEALTHY_FREE]}).entries[0]
+        assert "error" not in healthy and healthy["ok"]
+        error = failed.pop("error")
+        assert error["type"] == "OverflowAtX"
+        assert 346.0 < error["x"] < 346.2 and error["magnitude"] > 1e150
+        assert failed["ok"] is False and failed["all_checks_pass"] is False
+        assert failed["outcomes"] == [] and failed["skipped"] == []
+        assert failed["constants"]["c2"] == 1.0
 
     def test_unknown_check_rejected(self):
         doc = {"scenarios": [dict(SQUARE_WELL_SCENARIO, checks=[{"name": "bogus"}])]}
@@ -207,6 +240,16 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert main(["verify", "--config", str(cfg)]) == 1
         assert "FAILED" in capsys.readouterr().out
+
+    def test_verify_writes_report_past_solver_error(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"scenarios": [HEALTHY_FREE, OVERFLOWING_FREE]}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error OverflowAtX: x=346.09" in capsys.readouterr().out
+        healthy, failed = json.loads(out.read_text())["scenarios"]
+        assert healthy["ok"] and healthy["outcomes"]
+        assert failed["error"]["type"] == "OverflowAtX"
 
     def test_verify_bad_config_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -79,6 +79,29 @@ class TestConstruction:
         assert V == PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0))
         assert hash(V) == hash(PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0)))
 
+    @given(V=potentials(), through_zero=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_reflected_equals_validated_construction(self, V, through_zero):
+        # reflected() skips the validating constructor; a breakpoint at 0.0
+        # reflects to -0.0, whose sign the arrays must keep
+        if through_zero:
+            V = V.translated(-V.breakpoints[len(V.breakpoints) // 2])
+        W = V.reflected()
+        built = PiecewisePotential(tuple(-b for b in reversed(V.breakpoints)),
+                                   tuple(reversed(V.values)))
+        assert W.breakpoints == built.breakpoints and W.values == built.values
+        assert all(type(x) is float for x in W.breakpoints + W.values)
+        assert W == built and hash(W) == hash(built)
+        for arr, ref in ((W.bp_array, built.bp_array), (W.value_array, built.value_array)):
+            assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5.0
+        for tup, ref in ((W.breakpoints, built.bp_array), (W.values, built.value_array)):
+            assert np.array(tup).tobytes() == ref.tobytes()  # signs of zero too
+        if through_zero:
+            assert (W.bp_array == 0.0).any() and np.signbit(W.bp_array[W.bp_array == 0.0]).all()
+        assert W.reflected() == V
+
     def test_value_at_zero_extension(self):
         V = THREE_CELL
         assert V.value_at(-0.5) == 0.0

@@ -114,6 +114,13 @@ class TestRkCrossValidation:
             assert np.max(np.abs(ex.du - rk.du)) / scale <= 1e-6
 
 
+def _basis_trace_entries(V, E, x, y, step):
+    """T(E, x, y) read from the basis traces: the node at x of each trace."""
+    t1, t2 = basis_traces(V, E, y, x, step)
+    i = -1 if x > y else 0
+    return np.array([[t1.u[i], t2.u[i]], [t1.du[i], t2.du[i]]], dtype=complex)
+
+
 class TestTransferMatrix:
     def test_free_case_is_rotation(self, free_potential):
         for x in (0.7, 2.0, 9.3):
@@ -125,6 +132,11 @@ class TestTransferMatrix:
     def test_equal_endpoints_give_identity(self, square_well):
         T = transfer_matrix(square_well, 5.0 + 1j, 1.3, 1.3, 0.01)
         assert np.array_equal(T.entries, np.eye(2))
+
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                solver.TransferMatrix([[1.0, bad], [0.0, 1.0]], 0.0, 1.0, Energy(1.0, 0.0))
 
     def test_determinant_conservation_complex_energy(self, square_well):
         T = transfer_matrix(square_well, 2j, 2.0, 0.0, 0.01)
@@ -141,6 +153,43 @@ class TestTransferMatrix:
             assert np.array_equal(batched.xs, single.xs)
             assert np.array_equal(batched.u, single.u)
             assert np.array_equal(batched.du, single.du)
+
+    @pytest.mark.parametrize("E", [1.0, 2.0 - 0.7j])
+    @pytest.mark.parametrize("x, y", [(5.0, 0.0), (0.0, 5.0)])
+    def test_entries_are_basis_trace_bytes_on_spike_lattice(self, E, x, y):
+        V = make_family("spike_lattice", {"g": 3.0, "span": 5.0, "cell": 1e-3})
+        assert len(V.values) == 5000
+        T = transfer_matrix(V, E, x, y, 1e-3)
+        assert T.entries.tobytes() == _basis_trace_entries(V, E, x, y, 1e-3).tobytes()
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), cells=st.integers(1, 12),
+           step=st.floats(1e-3, 0.3), energy=st.one_of(st.floats(-20.0, 20.0),
+                                                      st.complex_numbers(max_magnitude=20.0)),
+           backward=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_entries_are_basis_trace_bytes(self, seed, cells, step, energy, backward):
+        V = make_family("random_step", {"cells": cells, "low": -10, "high": 10,
+                                        "seed": seed})
+        a, b = V.support
+        x, y = (a - 0.3, b) if backward else (b, a - 0.3)
+        try:
+            old = _basis_trace_entries(V, energy, x, y, step)
+        except OverflowAtX as err:
+            with pytest.raises(OverflowAtX) as exc:
+                transfer_matrix(V, energy, x, y, step)
+            assert (exc.value.x, exc.value.magnitude) == (err.x, err.magnitude)
+            return
+        assert transfer_matrix(V, energy, x, y, step).entries.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("x, y", [(40.0, 0.0), (0.0, 40.0)])
+    def test_overflow_is_the_basis_traces_overflow(self, x, y):
+        V = PiecewisePotential((0.0, 40.0), (0.0,))
+        with pytest.raises(OverflowAtX) as old:
+            basis_traces(V, -100.0, y, x, 0.01)
+        with pytest.raises(OverflowAtX) as new:
+            transfer_matrix(V, -100.0, x, y, 0.01)
+        assert new.value.x == old.value.x and 0.0 < new.value.x < 40.0
+        assert new.value.magnitude == old.value.magnitude
 
     def test_composition(self, square_well):
         E = 1.5 + 0.5j
