@@ -373,9 +373,12 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
     of its block: the block with the last anchor at or before the node.  A
     chunk whose nodes are all anchors is copied from the scan rows, which
     gives the fill's bytes unless a row holds a -0.0 (see
-    `_has_negative_zero`); such a chunk is filled.  The scan has tested the
+    `_has_negative_zero`); such a chunk is filled, but for a -0.0 in its
+    first row alone, which only that node's fill needs: a reflected run
+    starts from (u0, -du0), so a zero entry of du0 (the basis data of a
+    backward transfer matrix) is a -0.0 of row 0.  The scan has tested the
     rows before the first bad one against the overflow guard, so only the
-    filled chunks, in x order, and the last row are tested here.
+    filled nodes, in x order, and the last row are tested here.
     """
     n, ncol = len(xs), len(u)
     growth = np.abs(np.sqrt(qs).real)  # per segment
@@ -397,8 +400,12 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
         j = i + len(own)
         if is_anchor[i:j].all():  # rows own[0] .. own[-1], one per node
             anchor_rows = rows[own[0]:own[0] + j - i]
-            if not _has_negative_zero(anchor_rows):
-                us[:, i:j], dus[:, i:j] = anchor_rows.transpose(1, 2, 0)
+            for k in (0, 1):  # copy every row, or every row but the first
+                if not _has_negative_zero(anchor_rows[k:]):
+                    us[:, i + k:j], dus[:, i + k:j] = anchor_rows[k:].transpose(1, 2, 0)
+                    own, j = own[:k], i + k  # the nodes left to fill
+                    break
+            if j == i:
                 continue
         ua, dua = rows[own].transpose(1, 2, 0)  # data at each node's anchor
         qn = q[own]
