@@ -178,11 +178,7 @@ CHECKS = {
 
 
 def _run_check(spec, trace, consts, scn):
-    name = spec.get("name")
-    tol = float(spec.get("tolerance", 1e-6))
-    if not isinstance(name, str) or name not in CHECKS:
-        raise ConfigError(f"unknown check {name!r}", f"{scn.id}.checks")
-    return CHECKS[name](spec, trace, consts, scn, tol)
+    return CHECKS[spec["name"]](spec, trace, consts, scn, float(spec.get("tolerance", 1e-6)))
 
 
 def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
@@ -190,7 +186,12 @@ def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
     or the trace (any Schro1dError but a ConfigError, or a DegenerateConstants,
     whose escape is the suite-wide C2 floor) makes an entry with ok false, the
     error and no outcomes, so the rest of the suite still runs; an error is
-    never an expected failure."""
+    never an expected failure.  Check names are validated first, so a
+    malformed check raises its ConfigError even where the trace fails."""
+    for spec in scn.checks:
+        name = spec.get("name")
+        if not isinstance(name, str) or name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}", f"{scn.id}.checks")
     entry = {"id": scn.id, "expected": scn.expected, "constants": None,
              "described_interval": list(scn.potential.support)}
     try:

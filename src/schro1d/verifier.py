@@ -2,10 +2,12 @@
 
 Each check evaluates one inequality pointwise on a trace and reports the worst
 LHS/RHS ratio together with the witness abscissa.  Window maxima and window
-integrals are taken over grid nodes; the documented grid-slack correction
-inflates window maxima by a Lipschitz term (derived from the |u'| samples) so
-that under-sampling can only make the check more conservative, never produce
-a false pass.
+integrals are taken over grid nodes.  A window maximum of |u| over nodes is
+never above the true supremum, so the RHS of the derivative bound and of the
+core inequality is the grid max at the checked nodes: given the trace's
+values, these checks can fail spuriously there but not pass.  Nothing is
+claimed between nodes, nor for the window minima of persistence and the
+window integrals (outward-snapped trapezoid sums), which are not one-sided.
 
 Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
@@ -15,21 +17,18 @@ Windows whose integral drowns in the rounding of that sum (deep tails) are
 summed again from one array of np.trapezoid's own terms.
 
 The randomized sweep of the core inequality (`sample_lemma31`) is a batched
-rejection sampler.  Per batch, `_draw_attempts` gives the values of the
-generator calls that the per-attempt loop made, in its order: `integers` for
-x, `random` for the gap and, unless x is the last node, `random` for the
-phase (uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit).  For
-PCG64 it rebuilds them in bulk from raw words, and leaves the generator in
-the state those calls leave.  Then numpy snaps y, forms omega and tests the
-sign hypothesis (`_lemma31_hypothesis`, shared with `check_lemma31`): a
-negative endpoint value rejects a triple at once.  When
-the remaining windows hold more nodes than 2 len(u) log2 of the longest
-window (a rough count of the reads of a min and a max table over Re u), with
-each window counted SCAN_NODES nodes longer and the tables CERTIFY_NODES
-more for their fixed costs, they are first certified in bulk: a lower bound
-on Re[conj(omega) u] over each window, from the window min or max of Re u
-and Im u, is compared with the threshold after a slack of 2^-48 |omega|
-max|u| that covers every rounding of the scan
+rejection sampler.  Every attempt takes three doubles from the generator (the
+pick of x, the gap to y and the phase of omega), so a batch of k attempts
+draws rng.random((k, 3)) and the stream does not depend on the batch sizes.
+Then numpy snaps y, forms omega and tests the sign hypothesis
+(`_lemma31_hypothesis`, shared with `check_lemma31`): a negative endpoint
+value rejects a triple at once.  When the remaining windows hold more nodes
+than 2 len(u) log2 of the longest window (a rough count of the reads of a min
+and a max table over Re u), with each window counted SCAN_NODES nodes longer
+and the tables CERTIFY_NODES more for their fixed costs, they are first
+certified in bulk: a lower bound on Re[conj(omega) u] over each window, from
+the window min or max of Re u and Im u, is compared with the threshold after
+a slack of 2^-48 |omega| max|u| that covers every rounding of the scan
 (`_lemma31_certified`).  Certified windows are accepted unscanned; the
 others, or all of them below that size, scan their window until the n-th
 acceptance.  Batch sizes follow the acceptance rate so far, so the generator
@@ -118,10 +117,6 @@ def analytic_trace(xs, u_fn, du_fn, energy) -> SolutionTrace:
     )
 
 
-def _grid_spacing(xs):
-    return float(np.max(np.diff(xs)))
-
-
 def _window_extreme(a, lo, hi, op):
     """op-reduction of a[lo[j]:hi[j]] for every query j, op being np.maximum
     or np.minimum; every window must be nonempty.
@@ -171,19 +166,13 @@ def check_derivative_bound(
     idx = _interior_indices(xs, K)
     if idx.size == 0:
         raise TraceTooShort(f"no grid point is {K}-interior to the trace")
-    h = _grid_spacing(xs)
     lo = np.searchsorted(xs, xs[idx] - K, side="left")
     hi = np.searchsorted(xs, xs[idx] + K, side="right")
     m = _window_extreme(au, lo, hi, np.maximum)
-    m_du = _window_extreme(adu, lo, hi, np.maximum)
-    pos = m > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = np.where(pos, 0.5 * h * m_du / m, 0.0)
-        ratios = np.where(pos, adu[idx] / (C * m * (1.0 + eps)), np.inf)
+        ratios = np.where(m > 0, adu[idx] / (C * m), np.inf)
     j = int(np.argmax(ratios))  # first of the ties
-    worst, worst_i, worst_eps = ratios[j], idx[j], eps[j]
-    notes = f"grid_slack_at_worst={worst_eps:.3e}"
-    return _outcome("derivative_bound", idx.size, worst, xs[worst_i], tolerance, notes)
+    return _outcome("derivative_bound", idx.size, ratios[j], xs[idx[j]], tolerance)
 
 
 def check_persistence(
@@ -542,18 +531,16 @@ def _lemma31_certified(u, om_r, om_i, thr, scale, lo, hi):
     return (bound - 2.0 ** -48 * scale >= thr) & (scale >= np.finfo(float).tiny)
 
 
-def _lemma31_ratios(xs, au, adu, h, c2, ix, iy, abs_omega, g_x, g_y, du_x):
-    """(ratio, slack, scale, grid_slack) of the core inequality, vectorized
-    over triples whose _lemma31_hypothesis terms are given."""
-    m = _window_extreme(au, ix, iy + 1, np.maximum)  # m >= |u(x)| > 0
-    eps = 0.5 * h * _window_extreme(adu, ix, iy + 1, np.maximum) / m
-    M = m * (1.0 + eps)
+def _lemma31_ratios(xs, au, c2, ix, iy, abs_omega, g_x, g_y, du_x):
+    """(ratio, slack, scale) of the core inequality, vectorized over triples
+    whose _lemma31_hypothesis terms are given."""
+    M = _window_extreme(au, ix, iy + 1, np.maximum)  # M >= |u(x)| > 0
     dx = xs[iy] - xs[ix]
     penalty = c2 * dx * (dx + 1.0) * abs_omega * M
     rhs = g_x + dx * du_x - penalty
     scale = abs_omega * M * np.maximum(dx * (dx + 1.0), 1e-12)
     slack = g_y - rhs
-    return 1.0 - slack / scale, slack, scale, eps
+    return 1.0 - slack / scale, slack, scale
 
 
 def check_lemma31(
@@ -569,8 +556,9 @@ def check_lemma31(
       Re[conj(w) u(y)] >= Re[conj(w) u(x)] + (y-x) Re[conj(w) u'(x)]
                           - C2 (y-x)(y-x+1) |w| max_{[x,y]} |u|.
 
-    x, y are snapped to grid nodes; the window max of |u| is inflated by the
-    grid-slack term so that sampling error cannot cause a spurious pass.
+    x, y are snapped to grid nodes, and max |u| is the max over the nodes of
+    [x, y], never above the true max: the check is conservative at these
+    nodes, given the trace's values.
     """
     omega = complex(omega)
     if omega == 0:
@@ -586,84 +574,10 @@ def check_lemma31(
         raise PreconditionFailed("u(x) = 0 at the requested point")
     if not ok[0]:
         raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
-    ratio, slack, scale, eps = (float(v[0]) for v in _lemma31_ratios(
-        xs, au, np.abs(du), _grid_spacing(xs), consts.c2, ix, iy, *terms
-    ))
-    notes = f"slack={slack:.6g}; scale={scale:.6g}; grid_slack={eps:.3e}"
+    ratio, slack, scale = (float(v[0]) for v in _lemma31_ratios(
+        xs, au, consts.c2, ix, iy, *terms))
+    notes = f"slack={slack:.6g}; scale={scale:.6g}"
     return _outcome("lemma31", iy[0] - ix[0] + 1, ratio, xs[ix[0]], tolerance, notes)
-
-
-_LOW32 = np.uint64(0xFFFF_FFFF)
-
-
-def _draw_attempts(rng, n, no_phase, k):
-    """The draws of k sampler attempts: (picks, gaps, phases), phases nan
-    where no phase is drawn.  They are the values of k rounds of
-    j = rng.integers(0, n), rng.random() and, unless j == no_phase,
-    -0.5 + rng.random() (uniform(lo, hi) is lo + (hi - lo) * random(), bit for
-    bit), and rng is left in the state those calls leave, cache fields
-    included.  n must be at least 2.
-
-    With a PCG64 bit generator and n < 2^32 the draws are rebuilt from raw
-    words.  numpy's `integers(0, n)` there is Lemire's bounded draw (ACM
-    TOMACS 29, 2019) on a 32-bit half-word: m = u32 n, rejected while the low
-    32 bits of m are below (2^32 - n) % n, else m >> 32.  The half-word is the
-    low half of a fresh word when the cache is empty, and the cached high half
-    otherwise; `random()` is (w >> 11) 2^-53 of one word.  A run reads words
-    for its attempts as if each took that common path; at the first attempt
-    that rejects or picks no_phase, the generator is rewound to the words
-    used before it and that attempt is drawn with the scalar calls.  Other
-    bit generators take the scalar calls for every attempt.
-    """
-    picks = np.empty(k, dtype=np.intp)
-    gaps = np.empty(k)
-    phases = np.full(k, np.nan)
-    bg = rng.bit_generator
-    bulk = type(bg) is np.random.PCG64 and n < 2 ** 32
-    threshold = np.uint64((2 ** 32 - n) % n)
-    done = 0
-    while done < k:
-        if bulk:
-            entry = bg.state
-            cached = entry["has_uint32"]
-            # a pick of no_phase has probability 1/n: a run much longer than
-            # n attempts would mostly be drawn again
-            m = min(k - done, 16 + 2 * n)
-            i = np.arange(m)
-            at = 2 * i + (i + 1 - cached) // 2  # words before each attempt
-            fresh = (i + cached) % 2 == 0  # the attempts that take a fresh word
-            words = bg.random_raw(2 * m + (m + 1 - cached) // 2)
-            ints = words[at[fresh]]
-            halves = np.empty(cached + 2 * len(ints), dtype=np.uint64)
-            halves[:cached] = entry["uinteger"]
-            halves[cached::2] = ints & _LOW32
-            halves[cached + 1::2] = ints >> 32
-            prod = halves[:m] * np.uint64(n)
-            pick = (prod >> 32).astype(np.intp)
-            stop = np.flatnonzero(((prod & _LOW32) < threshold) | (pick == no_phase))
-            r = int(stop[0]) if stop.size else m
-            gap = at[:r] + fresh[:r]  # the gap's word; the phase's is next
-            picks[done:done + r] = pick[:r]
-            gaps[done:done + r] = (words[gap] >> 11) * 2.0 ** -53
-            phases[done:done + r] = -0.5 + (words[gap + 1] >> 11) * 2.0 ** -53
-            f = (r + 1 - cached) // 2  # fresh words taken by the r attempts
-            if r < m:
-                bg.state = entry
-                bg.advance(2 * r + f)
-            state = bg.state
-            state["has_uint32"] = cached + 2 * f - r
-            state["uinteger"] = int(ints[f - 1] >> 32) if f else entry["uinteger"]
-            bg.state = state
-            done += r
-            if done == k:
-                break
-        j = int(rng.integers(0, n))
-        picks[done] = j
-        gaps[done] = rng.random()
-        if j != no_phase:
-            phases[done] = -0.5 + rng.random()
-        done += 1
-    return picks, gaps, phases
 
 
 def sample_lemma31(
@@ -678,51 +592,51 @@ def sample_lemma31(
     the sign hypothesis satisfied (rejection sampling, omega biased toward
     the phase of u(x) so acceptance is likely).
 
-    An attempt draws x = xs[ix] from the nodes where |u| > 1e-3 max|u|, a gap
-    in [0, max_gap) that snaps y = xs[iy] to the node nearest x + gap (the
-    next node if that is ix), and a phase in [-0.5, 0.5) that turns omega
-    away from u(x)/|u(x)|; x at the last node draws no phase and fails.  At
-    most 200 n attempts are made, in batches (see the module docstring); a
-    batch's draws come from `_draw_attempts`, in bulk for PCG64.  Attempts
-    are counted up to the n-th acceptance, but rng may have advanced past
-    it, by an amount that depends on the batch sizes.
+    Each attempt takes three doubles r = rng.random(3), in order.  x = xs[ix]
+    is the node good[min(floor(r0 len(good)), len(good) - 1)] of the nodes
+    good where |u| > 1e-3 max|u|; the gap max_gap r1 snaps y = xs[iy] to the
+    node nearest x + gap (the next node if that is ix); the phase r2 - 0.5
+    turns omega away from u(x)/|u(x)|.  x at the last node has no next node
+    and fails.  At most 200 n attempts are made, in batches that draw
+    rng.random((k, 3)), one row per attempt: the same doubles as k calls of
+    rng.random(3).  Attempts are counted up to the n-th acceptance, but rng
+    may have advanced past it, by an amount that depends on the batch sizes.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     xs, u, du = trace.xs, trace.u, trace.du
     au = np.abs(u)
     scale_u = float(np.max(au))
-    h = _grid_spacing(xs)
     good = np.flatnonzero(au > 1e-3 * scale_u)
     if good.size < 2:
         raise NoEligiblePoints("trace has no usable points for sampling")
-    no_phase = len(good) - 1 if good[-1] == len(xs) - 1 else -1  # the pick of the last node
     parts = []  # (ix, iy, *terms) of the accepted triples of each batch
     accepted = attempts = 0
     limit = 200 * n
     while accepted < n and attempts < limit:
         rate = accepted / attempts if accepted else (0.05 if attempts else 1.0)
         k = min(math.ceil((n - accepted) / rate) + 16, limit - attempts)
-        picks, gaps, phases = _draw_attempts(rng, len(good), no_phase, k)
-        drawn = np.flatnonzero(picks != no_phase)  # the attempts that drew a phase
-        ix = good[picks[drawn]]
-        iy = _snap_indices(xs, xs[ix] + max_gap * gaps[drawn])
+        draws = rng.random((k, 3))
+        ix = good[np.minimum((draws[:, 0] * len(good)).astype(np.intp), len(good) - 1)]
+        tried = np.flatnonzero(ix != len(xs) - 1)  # the attempts whose x has a next node
+        ix = ix[tried]
+        iy = _snap_indices(xs, xs[ix] + max_gap * draws[tried, 1])
         iy = np.maximum(iy, ix + 1)  # y is at least the next node
-        phase = phases[drawn].tolist()
+        phase = (draws[tried, 2] - 0.5).tolist()
         c = np.array([math.cos(t) for t in phase])
         s = np.array([math.sin(t) for t in phase])
         unit = u[ix] / au[ix]
         om_r = unit.real * c - unit.imag * s  # omega = unit * (c + i s)
         om_i = unit.real * s + unit.imag * c
         _, ok, terms = _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, n - accepted)
-        hits = drawn[ok]
+        hits = tried[ok]
         accepted += hits.size
         attempts += int(hits[-1]) + 1 if accepted == n else k
         parts.append((ix[ok], iy[ok], *(t[ok] for t in terms)))
     if accepted == 0:
         raise NoEligiblePoints("no sampled triple satisfied the hypothesis")
     ix, iy, *terms = (np.concatenate(col) for col in zip(*parts))
-    ratios = _lemma31_ratios(xs, au, np.abs(du), h, consts.c2, ix, iy, *terms)[0]
+    ratios = _lemma31_ratios(xs, au, consts.c2, ix, iy, *terms)[0]
     j = int(np.argmax(ratios))  # first of the ties
     notes = f"accepted={accepted}; attempts={attempts}"
     return _outcome("lemma31_sweep", accepted, ratios[j], xs[ix[j]], tolerance, notes)

@@ -158,6 +158,13 @@ class TestSuiteExecution:
         with pytest.raises(ConfigError, match="bogus"):
             run_suite(doc)
 
+    def test_unknown_check_rejected_before_the_trace(self):
+        # the trace of this scenario overflows, which would end it in an
+        # error entry: the malformed check must still be a ConfigError
+        doc = {"scenarios": [dict(OVERFLOWING_FREE, checks=[{"name": "bogus"}])]}
+        with pytest.raises(ConfigError, match="bogus"):
+            run_suite(doc)
+
     def test_skippable_checks_reported_not_fatal(self):
         # K-interior empty on a short span: the check is skipped, suite still ok
         doc = {

@@ -32,8 +32,6 @@ from schro1d.potential import make_family
 from schro1d.verifier import (
     ZERO_BAND,
     CheckOutcome,
-    _draw_attempts,
-    _grid_spacing,
     _interior_indices,
     _outcome,
     _lemma31_hypothesis,
@@ -59,6 +57,17 @@ class TestDerivativeBound:
         # analytic worst ratio: max |x| e^{1/2 - x} / 3 = e^{-1/2}/3 at x = 1
         assert out.worst_ratio == pytest.approx(math.exp(-0.5) / 3.0, rel=0.01)
         assert abs(abs(out.witness_x) - 1.0) <= 0.05
+
+    @pytest.mark.parametrize("h", [0.001, 0.2, 0.5])
+    def test_coarse_grid_cannot_pass_a_violation(self, sin_consts, h):
+        # u = sin x with u' = 3.3 cos x breaks the bound (C = 3, K = 1): the
+        # true worst ratio is 3.3 / (3 sin 1) = 1.307 at the zeros of u.  A
+        # window max over nodes is at most the true sup, so no grid passes it
+        xs = np.linspace(0.0, 40.0, round(40.0 / h) + 1)
+        trace = analytic_trace(xs, np.sin, lambda x: 3.3 * np.cos(x), 1.0)
+        out = check_derivative_bound(trace, sin_consts)
+        assert not out.passed
+        assert 1.29 < out.worst_ratio < 1.31
 
     def test_trace_too_short(self, sin_consts, free_potential):
         tr = propagate_exact(free_potential, 1.0, InitialData(0.0, 0.0, 1.0), 0.5, 0.01)
@@ -379,7 +388,7 @@ class TestOutcomeInvariants:
 
 
 # Reference implementations: the per-point loops the window layer replaced,
-# kept verbatim as oracles.  Max and min are exact, so the vectorized checks
+# kept as oracles.  Max and min are exact, so the vectorized checks
 # must reproduce them bit for bit.
 
 
@@ -390,20 +399,16 @@ def _loop_derivative_bound(trace, consts, tolerance=1e-6):
     K = consts.k_radius
     C = consts.c_bound
     idx = _interior_indices(xs, K)
-    h = _grid_spacing(xs)
     lo = np.searchsorted(xs, xs[idx] - K, side="left")
     hi = np.searchsorted(xs, xs[idx] + K, side="right")
     worst = -np.inf
     worst_i = idx[0]
-    worst_eps = 0.0
     for j, i in enumerate(idx):
         m = float(np.max(au[lo[j]:hi[j]]))
-        eps = 0.5 * h * float(np.max(adu[lo[j]:hi[j]])) / m if m > 0 else 0.0
-        ratio = adu[i] / (C * m * (1.0 + eps)) if m > 0 else np.inf
+        ratio = adu[i] / (C * m) if m > 0 else np.inf
         if ratio > worst:
-            worst, worst_i, worst_eps = ratio, i, eps
-    notes = f"grid_slack_at_worst={worst_eps:.3e}"
-    return _outcome("derivative_bound", idx.size, worst, xs[worst_i], tolerance, notes)
+            worst, worst_i = ratio, i
+    return _outcome("derivative_bound", idx.size, worst, xs[worst_i], tolerance)
 
 
 def _loop_persistence(trace, consts, tolerance=1e-6):
@@ -451,10 +456,7 @@ def _loop_lemma31(trace, consts, omega, x, y, tolerance=1e-6):
     if np.min(g[ix:iy + 1]) < -1e-10 * abs(omega) * scale_u:
         raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
     dx = float(xs[iy] - xs[ix])
-    h = _grid_spacing(xs)
-    m = float(np.max(au[ix:iy + 1]))
-    eps = 0.5 * h * float(np.max(np.abs(trace.du[ix:iy + 1]))) / m if m > 0 else 0.0
-    M = m * (1.0 + eps)
+    M = float(np.max(au[ix:iy + 1]))
     lhs = float(g[iy])
     drift = dx * float(np.real(np.conj(omega) * trace.du[ix]))
     penalty = consts.c2 * dx * (dx + 1.0) * abs(omega) * M
@@ -462,7 +464,7 @@ def _loop_lemma31(trace, consts, omega, x, y, tolerance=1e-6):
     scale = abs(omega) * M * max(dx * (dx + 1.0), 1e-12)
     slack = lhs - rhs
     ratio = 1.0 - slack / scale
-    notes = f"slack={slack:.6g}; scale={scale:.6g}; grid_slack={eps:.3e}"
+    notes = f"slack={slack:.6g}; scale={scale:.6g}"
     return _outcome("lemma31", iy - ix + 1, ratio, xs[ix], tolerance, notes)
 
 
@@ -478,14 +480,14 @@ def _loop_sample_lemma31(trace, consts, n, rng, max_gap=1.5, tolerance=1e-6):
     limit = 200 * n
     while accepted < n and attempts < limit:
         attempts += 1
-        ix = int(rng.choice(good))
-        gap = float(rng.uniform(0.0, max_gap))
-        iy = _snap_index(xs, xs[ix] + gap)
+        r0, r1, r2 = rng.random(3).tolist()  # the pick, the gap and the phase
+        ix = int(good[min(math.floor(r0 * len(good)), len(good) - 1)])
+        iy = _snap_index(xs, xs[ix] + max_gap * r1)
         if iy <= ix:
             iy = min(ix + 1, len(xs) - 1)
             if iy == ix:
                 continue
-        phase = float(rng.uniform(-0.5, 0.5))
+        phase = r2 - 0.5
         omega = trace.u[ix] / au[ix] * complex(math.cos(phase), math.sin(phase))
         try:
             out = _loop_lemma31(trace, consts, omega, xs[ix], xs[iy], tolerance)
@@ -580,13 +582,6 @@ class TestLoopOracles:
         got = sample_lemma31(trace, consts, n, np.random.default_rng(seed), max_gap)
         assert got.to_dict() == ref.to_dict()
 
-    def test_sample_lemma31_equals_loop_mt19937(self, oracle_case):
-        # a bit generator other than PCG64 takes the scalar calls
-        trace, consts = oracle_case
-        got = sample_lemma31(trace, consts, 400, np.random.Generator(np.random.MT19937(11)))
-        ref = _loop_sample_lemma31(trace, consts, 400, np.random.Generator(np.random.MT19937(11)))
-        assert got.to_dict() == ref.to_dict()
-
     def test_sample_lemma31_first_of_ties(self):
         # u constant and C2 so small that the penalty vanishes against u:
         # every accepted triple's ratio is exactly 1, so the witness is the x
@@ -598,15 +593,6 @@ class TestLoopOracles:
         ref = _loop_sample_lemma31(tr, consts, 400, np.random.default_rng(11))
         assert got.worst_ratio == 1.0
         assert got.to_dict() == ref.to_dict()
-
-    @pytest.mark.parametrize("lo, hi", [(0.0, 1.5), (0.0, 1e-3), (0.0, 2.9), (-0.5, 0.5)])
-    def test_uniform_is_affine_in_random(self, lo, hi):
-        # the sampler draws uniform(lo, hi) as lo + (hi - lo) * random()
-        a, b = np.random.default_rng(19), np.random.default_rng(19)
-        for _ in range(2000):
-            assert a.uniform(lo, hi) == lo + (hi - lo) * b.random()
-        many = a.uniform(lo, hi, 100_000)
-        assert np.array_equal(many, lo + (hi - lo) * b.random(100_000))
 
     @settings(max_examples=100, deadline=None)
     @given(xs=arrays(np.float64, st.integers(1, 40), elements=st.floats(-10, 10), unique=True),
@@ -811,65 +797,6 @@ class TestLemma31Certificate:
         ref = _loop_sample_lemma31(trace, consts, n, np.random.default_rng(23)).to_dict()
         assert got == ref
         assert any(np.shares_memory(a, trace.u) for a in table_arrays) == tables
-
-
-def _scalar_attempts(rng, n, no_phase, k):
-    """The draws of k sampler attempts, one generator call at a time."""
-    picks, gaps, phases = [], [], []
-    for _ in range(k):
-        picks.append(int(rng.integers(0, n)))
-        gaps.append(rng.random())
-        phases.append(-0.5 + rng.random() if picks[-1] != no_phase else math.nan)
-    return np.array(picks, dtype=np.intp), np.array(gaps), np.array(phases)
-
-
-def _same_state(a, b):
-    """Whether two bit generator states are equal, arrays and int types too."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
-    if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and np.array_equal(a, b)
-    return type(a) is type(b) and a == b
-
-
-class TestDrawAttempts:
-    # 2**31 + 1 rejects about half of its 32-bit draws; 2**32 - 1 takes
-    # products up to 2**64 - 2**33 + 1
-    @settings(max_examples=150, deadline=None)
-    @given(bit_generator=st.sampled_from([np.random.PCG64] * 3 + [np.random.MT19937,
-                                                                   np.random.Philox]),
-           seed=st.integers(0, 2 ** 32 - 1),
-           n=st.sampled_from([2, 3, 40001, 2 ** 31 + 1, 2 ** 32 - 1]),
-           no_phase=st.sampled_from([-1, 0, 1, "last"]),
-           earlier=st.integers(0, 3), ks=st.lists(st.integers(1, 300), min_size=1, max_size=3))
-    def test_equals_scalar_calls(self, bit_generator, seed, n, no_phase, earlier, ks):
-        no_phase = n - 1 if no_phase == "last" else no_phase
-        got, want = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-        for rng in got, want:  # an odd number fills the uint32 cache
-            for _ in range(earlier):
-                rng.integers(0, 7)
-        for k in ks:
-            drawn = _draw_attempts(got, n, no_phase, k)
-            expected = _scalar_attempts(want, n, no_phase, k)
-            for a, b in zip(drawn, expected):
-                assert a.dtype == b.dtype
-                assert np.array_equal(a, b, equal_nan=True)
-            assert _same_state(got.bit_generator.state, want.bit_generator.state)
-
-    @pytest.mark.parametrize("n, no_phase", [(2, 1), (3, 0), (2 ** 31 + 1, -1)])
-    @pytest.mark.parametrize("earlier", [0, 1])
-    def test_exceptions_are_taken(self, n, no_phase, earlier):
-        # no_phase picks, or rejections, come every few attempts
-        got, want = np.random.default_rng(3), np.random.default_rng(3)
-        for rng in got, want:
-            for _ in range(earlier):
-                rng.integers(0, 7)
-        drawn = _draw_attempts(got, n, no_phase, 200)
-        expected = _scalar_attempts(want, n, no_phase, 200)
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(drawn, expected))
-        assert _same_state(got.bit_generator.state, want.bit_generator.state)
-        if no_phase >= 0:
-            assert np.count_nonzero(drawn[0] == no_phase) > 10
 
 
 @st.composite
