@@ -134,51 +134,67 @@ def scenario_trace(scn: Scenario) -> SolutionTrace:
     return propagate_exact(scn.potential, scn.energy, scn.init, scn.span[1], scn.max_step)
 
 
-def _p(spec):
-    return float(spec.get("p", 2))
-
-
-def _weight_and_window(spec, consts, scn):
-    wobj = spec.get("weight", {"kind": "exponential", "rate": 0.0})
-    kind = wobj.get("kind")
-    if kind == "exponential":
-        w = WeightSpec.exponential(wobj.get("rate", 0.0))
-    elif kind == "polynomial":
-        w = WeightSpec.polynomial(wobj.get("exponent", 0.0))
-    else:
-        raise ConfigError(f"unknown weight kind {kind!r}", f"{scn.id}.checks.weight")
+def _weighted(trace, consts, scn, p, weight, window, tol):
     half = consts.k_radius + consts.delta
-    return w, spec.get("window") or [scn.span[0] + half, scn.span[1] - half]
+    return check_weighted(trace, consts, p, weight,
+                          window or [scn.span[0] + half, scn.span[1] - half], tol)
 
 
-def _lemma31_args(spec, scn):
-    rng = np.random.default_rng(int(spec.get("seed", scn.seed)))
-    return int(spec.get("samples", 100)), rng, float(spec.get("max_gap", 1.5))
-
-
-# check name -> runner(spec, trace, consts, scn, tol): the check function and
-# the parsing of its parameters from the spec.  Runners look the function up
-# by its module-level name when they run, so a wrapper installed on this
-# module sees every call.
+# check name -> (the spec fields it reads, runner(trace, consts, scn, *fields,
+# tolerance)).  Runners look the check up by its module-level name when they
+# run, so a wrapper installed on this module sees every call.  The lemma31
+# generator is made when its runner runs, so a scenario run twice draws the
+# same.
 CHECKS = {
-    "derivative_bound": lambda spec, tr, c, scn, tol: check_derivative_bound(tr, c, tol),
-    "persistence": lambda spec, tr, c, scn, tol: check_persistence(tr, c, tol),
-    "local_lp": lambda spec, tr, c, scn, tol: check_local_lp(tr, c, _p(spec), tol),
-    "derivative_lp": lambda spec, tr, c, scn, tol: check_derivative_lp(tr, c, _p(spec), tol),
-    "weighted": lambda spec, tr, c, scn, tol: check_weighted(
-        tr, c, _p(spec), *_weight_and_window(spec, c, scn), tol
-    ),
-    "decay": lambda spec, tr, c, scn, tol: check_decay(
-        tr, float(spec.get("tail_fraction", 0.2)), float(spec.get("drop_factor", 10.0)), tol
-    ),
-    "lemma31": lambda spec, tr, c, scn, tol: sample_lemma31(
-        tr, c, *_lemma31_args(spec, scn), tol
-    ),
+    "derivative_bound": ((), lambda tr, c, scn, tol: check_derivative_bound(tr, c, tol)),
+    "persistence": ((), lambda tr, c, scn, tol: check_persistence(tr, c, tol)),
+    "local_lp": (("p",), lambda tr, c, scn, p, tol: check_local_lp(tr, c, p, tol)),
+    "derivative_lp": (("p",), lambda tr, c, scn, p, tol: check_derivative_lp(tr, c, p, tol)),
+    "weighted": (("p", "weight", "window"), _weighted),
+    "decay": (("tail_fraction", "drop_factor"),
+              lambda tr, c, scn, tail, drop, tol: check_decay(tr, tail, drop, tol)),
+    "lemma31": (("samples", "seed", "max_gap"),
+                lambda tr, c, scn, n, seed, gap, tol: sample_lemma31(
+                    tr, c, n, np.random.default_rng(scn.seed if seed is None else seed),
+                    gap, tol)),
+}
+
+# spec field -> (default, conversion, test of the converted value)
+_FIELDS = {
+    "p": (2, float, lambda p: 1.0 <= p < math.inf),
+    "weight": ({"kind": "exponential"}, lambda w: WeightSpec(**w),
+               lambda w: w.kind in ("exponential", "polynomial")
+               and math.isfinite(w.rate) and math.isfinite(w.exponent)),
+    "window": (None, lambda w: w and [float(v) for v in w],
+               lambda w: not w or len(w) == 2 and -math.inf < w[0] < w[1] < math.inf),
+    "tail_fraction": (0.2, float, lambda t: 0.0 < t < 0.5),
+    "drop_factor": (10.0, float, lambda d: d > 1.0),
+    "samples": (100, int, lambda n: n >= 1),
+    "seed": (None, lambda s: s if s is None else int(s), lambda s: s is None or s >= 0),
+    "max_gap": (1.5, float, lambda g: 0.0 <= g < math.inf),
+    "tolerance": (1e-6, float, lambda t: 0.0 <= t < math.inf),
 }
 
 
-def _run_check(spec, trace, consts, scn):
-    return CHECKS[spec["name"]](spec, trace, consts, scn, float(spec.get("tolerance", 1e-6)))
+def _parse_check(spec, scn, path):
+    """runner(trace, consts) of one check spec.  Every field the check reads
+    is converted and tested here: a bad one is a ConfigError at its path."""
+    name = spec.get("name") if isinstance(spec, dict) else None
+    if not isinstance(name, str) or name not in CHECKS:
+        raise ConfigError(f"unknown check {name!r}", path)
+    keys, run = CHECKS[name]
+    args = []
+    for key in (*keys, "tolerance"):
+        default, kind, ok = _FIELDS[key]
+        raw = spec.get(key, default)
+        try:
+            args.append(kind(raw))
+            valid = ok(args[-1])
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"bad {key} {raw!r}", f"{path}.{key}")
+    return lambda trace, consts: run(trace, consts, scn, *args)
 
 
 def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
@@ -186,12 +202,10 @@ def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
     or the trace (any Schro1dError but a ConfigError, or a DegenerateConstants,
     whose escape is the suite-wide C2 floor) makes an entry with ok false, the
     error and no outcomes, so the rest of the suite still runs; an error is
-    never an expected failure.  Check names are validated first, so a
+    never an expected failure.  Every check spec is parsed first, so a
     malformed check raises its ConfigError even where the trace fails."""
-    for spec in scn.checks:
-        name = spec.get("name")
-        if not isinstance(name, str) or name not in CHECKS:
-            raise ConfigError(f"unknown check {name!r}", f"{scn.id}.checks")
+    runners = [_parse_check(spec, scn, f"{scn.id}.checks[{i}]")
+               for i, spec in enumerate(scn.checks)]
     entry = {"id": scn.id, "expected": scn.expected, "constants": None,
              "described_interval": list(scn.potential.support)}
     try:
@@ -209,11 +223,11 @@ def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
                 "ok": False, "error": error}
     outcomes = []
     skipped = []
-    for spec in scn.checks:
+    for spec, run in zip(scn.checks, runners):
         try:
-            outcomes.append(_run_check(spec, trace, consts, scn))
+            outcomes.append(run(trace, consts))
         except SKIPPABLE as err:
-            skipped.append({"name": spec.get("name", "?"), "reason": str(err)})
+            skipped.append({"name": spec["name"], "reason": str(err)})
     all_pass = all(o.passed for o in outcomes)
     ok = all_pass if scn.expected == "pass" else not all_pass
     return {

@@ -43,7 +43,8 @@ where the work is sequential:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,11 @@ class InitialData:
 
 @dataclass
 class SolutionTrace:
-    """Grid samples of one solution: xs strictly increasing, u and u' at xs."""
+    """Grid samples of one solution: xs strictly increasing, u and u' at xs.
+
+    |u|, |u'| and the running integral of |u|^p for each p are computed on
+    first use and kept for every check: mutate no trace after its first check.
+    """
 
     xs: np.ndarray
     u: np.ndarray
@@ -88,6 +93,7 @@ class SolutionTrace:
     energy: Energy
     method: str
     max_step: float
+    _cum_abs_u: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -103,6 +109,20 @@ class SolutionTrace:
             and np.all(np.isfinite(self.du))
         ):
             raise ValueError("trace contains non-finite samples")
+
+    @cached_property
+    def abs_u(self) -> np.ndarray:
+        return np.abs(self.u)
+
+    @cached_property
+    def abs_du(self) -> np.ndarray:
+        return np.abs(self.du)
+
+    def cum_abs_u(self, p: float) -> np.ndarray:
+        """cumtrapz(|u|^p, xs), kept per p."""
+        if p not in self._cum_abs_u:
+            self._cum_abs_u[p] = cumtrapz(self.abs_u ** p, self.xs)
+        return self._cum_abs_u[p]
 
     @property
     def span(self):

@@ -9,10 +9,14 @@ values, these checks can fail spuriously there but not pass.  Nothing is
 claimed between nodes, nor for the window minima of persistence and the
 window integrals (outward-snapped trapezoid sums), which are not one-sided.
 
+Every check reads |u|, |u'| and the cumulative integral of |u|^p for each p
+from its trace (`SolutionTrace.abs_u`, `abs_du`, `cum_abs_u`), which keeps
+them; only `check_weighted` integrates weighted terms of its own.
+
 Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
 through `_window_extreme`, a sparse-table range query that is exact, and
-window integrals are differences of one cumulative trapezoid (`cumtrapz`).
+window integrals of |u|^p are differences of the trace's cumulative integral.
 Windows whose integral drowns in the rounding of that sum (deep tails) are
 summed again from one array of np.trapezoid's own terms.
 
@@ -158,9 +162,7 @@ def check_derivative_bound(
     trace: SolutionTrace, consts: EstimateConstants, tolerance: float = DEFAULT_TOL
 ) -> CheckOutcome:
     """|u'(x)| <= C * max_{|y-x| <= K} |u(y)| at every K-interior grid point."""
-    xs = trace.xs
-    au = np.abs(trace.u)
-    adu = np.abs(trace.du)
+    xs, au = trace.xs, trace.abs_u
     K = consts.k_radius
     C = consts.c_bound
     idx = _interior_indices(xs, K)
@@ -170,7 +172,7 @@ def check_derivative_bound(
     hi = np.searchsorted(xs, xs[idx] + K, side="right")
     m = _window_extreme(au, lo, hi, np.maximum)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(m > 0, adu[idx] / (C * m), np.inf)
+        ratios = np.where(m > 0, trace.abs_du[idx] / (C * m), np.inf)
     j = int(np.argmax(ratios))  # first of the ties
     return _outcome("derivative_bound", idx.size, ratios[j], xs[idx[j]], tolerance)
 
@@ -180,8 +182,7 @@ def check_persistence(
 ) -> CheckOutcome:
     """|u(y)| > |u(x)|/2 on [x, x+delta) where |u(x)| is away from zero and
     Re[conj(u) u'](x) >= 0.  Reported ratio is (1/2) / min |u(y)|/|u(x)|."""
-    xs = trace.xs
-    au = np.abs(trace.u)
+    xs, au = trace.xs, trace.abs_u
     delta = consts.delta
     radial = np.real(np.conj(trace.u) * trace.du)
     floor = ZERO_BAND * float(np.max(au))
@@ -202,10 +203,11 @@ def check_persistence(
     return _outcome("persistence", eligible.size, worst, xs[worst_i], eff_tol, notes)
 
 
-def _window_integrals(xs, fvals, centers_idx, half_width):
-    """Trapezoid integrals of fvals over [x-h, x+h], windows snapped outward
+def _window_integrals(trace, p, centers_idx, half_width):
+    """Trapezoid integrals of |u|^p over [x-h, x+h], windows snapped outward
     to grid nodes (enlarging the domain; conservative for upper bounds)."""
-    cum = cumtrapz(fvals, xs)
+    xs = trace.xs
+    cum = trace.cum_abs_u(p)
     x = xs[centers_idx]
     i0 = np.searchsorted(xs, x - half_width, side="right") - 1
     i0 = np.clip(i0, 0, len(xs) - 1)
@@ -217,12 +219,29 @@ def _window_integrals(xs, fvals, centers_idx, half_width):
     suspicious = np.flatnonzero(out <= 1e-9 * max(cum[-1], 0.0))
     if suspicious.size:
         # np.trapezoid's own terms: summing a slice of them is, bit for bit,
-        # np.trapezoid(fvals[i0:i1 + 1], xs[i0:i1 + 1])
+        # np.trapezoid(|u|^p[i0:i1 + 1], xs[i0:i1 + 1])
+        fvals = trace.abs_u ** p
         terms = np.diff(xs) * (fvals[1:] + fvals[:-1]) / 2.0
         for j, a, b in zip(suspicious.tolist(), i0[suspicious].tolist(),
                            i1[suspicious].tolist()):
             out[j] = terms[a:b].sum()
     return out
+
+
+def _lp_check(name, trace, consts, p, modulus, half, c, tolerance):
+    """modulus(x)^p <= (2^p c^p/delta) * integral over |y-x| <= half of |u|^p
+    at every half-interior grid point."""
+    if not (1.0 <= p < np.inf):
+        raise ValueError("p must lie in [1, inf)")
+    xs = trace.xs
+    idx = _interior_indices(xs, half)
+    if idx.size == 0:
+        raise TraceTooShort(f"no grid point is {half}-interior to the trace")
+    rhs = (2.0 ** p * c ** p / consts.delta) * _window_integrals(trace, p, idx, half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(rhs > 0, modulus[idx] ** p / rhs, np.inf)
+    j = int(np.argmax(ratios))
+    return _outcome(f"{name}_p{p:g}", idx.size, ratios[j], xs[idx[j]], tolerance)
 
 
 def check_local_lp(
@@ -232,20 +251,8 @@ def check_local_lp(
     tolerance: float = DEFAULT_TOL,
 ) -> CheckOutcome:
     """|u(x)|^p <= (2^p/delta) * integral_{x-delta}^{x+delta} |u|^p."""
-    if not (1.0 <= p < np.inf):
-        raise ValueError("p must lie in [1, inf)")
-    xs = trace.xs
-    au = np.abs(trace.u)
-    delta = consts.delta
-    idx = _interior_indices(xs, delta)
-    if idx.size == 0:
-        raise TraceTooShort(f"no grid point is {delta}-interior to the trace")
-    integ = _window_integrals(xs, au ** p, idx, delta)
-    rhs = (2.0 ** p / delta) * integ
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rhs > 0, au[idx] ** p / rhs, np.inf)
-    j = int(np.argmax(ratios))
-    return _outcome(f"local_lp_p{p:g}", idx.size, ratios[j], xs[idx[j]], tolerance)
+    # c = 1 leaves the constant 2^p/delta bit for bit
+    return _lp_check("local_lp", trace, consts, p, trace.abs_u, consts.delta, 1.0, tolerance)
 
 
 def check_derivative_lp(
@@ -255,21 +262,8 @@ def check_derivative_lp(
     tolerance: float = DEFAULT_TOL,
 ) -> CheckOutcome:
     """|u'(x)|^p <= (2^p C^p/delta) * integral over |y-x| <= K+delta of |u|^p."""
-    if not (1.0 <= p < np.inf):
-        raise ValueError("p must lie in [1, inf)")
-    xs = trace.xs
-    au = np.abs(trace.u)
-    adu = np.abs(trace.du)
-    half = consts.k_radius + consts.delta
-    idx = _interior_indices(xs, half)
-    if idx.size == 0:
-        raise TraceTooShort(f"no grid point is {half}-interior to the trace")
-    integ = _window_integrals(xs, au ** p, idx, half)
-    rhs = (2.0 ** p * consts.c_bound ** p / consts.delta) * integ
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rhs > 0, adu[idx] ** p / rhs, np.inf)
-    j = int(np.argmax(ratios))
-    return _outcome(f"derivative_lp_p{p:g}", idx.size, ratios[j], xs[idx[j]], tolerance)
+    return _lp_check("derivative_lp", trace, consts, p, trace.abs_du,
+                     consts.k_radius + consts.delta, consts.c_bound, tolerance)
 
 
 @dataclass
@@ -372,10 +366,8 @@ def check_weighted(
     if xs[0] > a - half + 1e-9 or xs[-1] < b + half - 1e-9:
         raise TraceTooShort("trace does not cover the enlarged window")
     w = weight.values(xs)
-    au_p_w = np.abs(trace.u) ** p * w
-    adu_p_w = np.abs(trace.du) ** p * w
-    cum_u = cumtrapz(au_p_w, xs)
-    cum_du = cumtrapz(adu_p_w, xs)
+    cum_u = cumtrapz(trace.abs_u ** p * w, xs)
+    cum_du = cumtrapz(trace.abs_du ** p * w, xs)
 
     def _seg(cum, lo, hi, snap_out):
         if snap_out:
@@ -412,7 +404,7 @@ def check_decay(
         raise ValueError("drop_factor must exceed 1")
     xs = trace.xs
     span = xs[-1] - xs[0]
-    mag = np.maximum(np.abs(trace.u), np.abs(trace.du))
+    mag = np.maximum(trace.abs_u, trace.abs_du)
     head = mag[xs <= xs[0] + tail_fraction * span]
     tail_sel = xs >= xs[-1] - tail_fraction * span
     tail = mag[tail_sel]
@@ -563,11 +555,10 @@ def check_lemma31(
     omega = complex(omega)
     if omega == 0:
         raise ValueError("omega must be nonzero")
-    xs, u, du = trace.xs, trace.u, trace.du
+    xs, u, du, au = trace.xs, trace.u, trace.du, trace.abs_u
     ix, iy = _snap_indices(xs, np.array([x, y], dtype=float))[:, None]
     if ix[0] > iy[0]:
         raise ValueError("need x <= y within the trace")
-    au = np.abs(u)
     zero, ok, terms = _lemma31_hypothesis(u, du, au, float(np.max(au)), np.array([omega.real]),
                                           np.array([omega.imag]), ix, iy, 1)
     if zero[0]:
@@ -604,8 +595,7 @@ def sample_lemma31(
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    xs, u, du = trace.xs, trace.u, trace.du
-    au = np.abs(u)
+    xs, u, du, au = trace.xs, trace.u, trace.du, trace.abs_u
     scale_u = float(np.max(au))
     good = np.flatnonzero(au > 1e-3 * scale_u)
     if good.size < 2:

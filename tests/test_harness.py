@@ -12,6 +12,7 @@ from schro1d import (
     run_scenarios,
     run_suite,
 )
+from schro1d.harness import run_scenario
 from schro1d.cli import main
 
 
@@ -158,12 +159,32 @@ class TestSuiteExecution:
         with pytest.raises(ConfigError, match="bogus"):
             run_suite(doc)
 
-    def test_unknown_check_rejected_before_the_trace(self):
+    @pytest.mark.parametrize("check, field", [
+        ({"name": "bogus"}, "bogus"),
+        ({"name": "weighted", "weight": {"kind": "bogus"}}, "weight"),
+        ({"name": "local_lp", "p": "abc"}, "p"),
+        ({"name": "derivative_lp", "p": 0.5}, "p"),
+        ({"name": "decay", "tail_fraction": 0.7}, "tail_fraction"),
+        ({"name": "lemma31", "samples": 0}, "samples"),
+        ({"name": "persistence", "tolerance": "x"}, "tolerance"),
+    ], ids=["name", "weight", "p-text", "p-below-1", "tail_fraction", "samples", "tolerance"])
+    def test_unknown_check_rejected_before_the_trace(self, check, field):
         # the trace of this scenario overflows, which would end it in an
         # error entry: the malformed check must still be a ConfigError
-        doc = {"scenarios": [dict(OVERFLOWING_FREE, checks=[{"name": "bogus"}])]}
-        with pytest.raises(ConfigError, match="bogus"):
+        doc = {"scenarios": [dict(OVERFLOWING_FREE, checks=[check])]}
+        with pytest.raises(ConfigError, match=field):
             run_suite(doc)
+
+    def test_scenario_runs_twice_alike(self):
+        # the lemma31 generator is seeded when its check runs, not when the
+        # spec is parsed, so a second run draws what the first drew
+        checks = [{"name": "lemma31", "samples": 40, "seed": 3},
+                  {"name": "weighted", "p": 1, "weight": {"kind": "polynomial", "exponent": 2}},
+                  {"name": "lemma31", "samples": 40}]
+        scn = parse_scenario(dict(SQUARE_WELL_SCENARIO, span=[0.0, 3.0], checks=checks))
+        first = run_scenario(scn)
+        assert len(first["outcomes"]) == 3
+        assert run_scenario(scn) == first
 
     def test_skippable_checks_reported_not_fatal(self):
         # K-interior empty on a short span: the check is skipped, suite still ok

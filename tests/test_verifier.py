@@ -11,6 +11,7 @@ from schro1d import (
     InitialData,
     NoEligiblePoints,
     PreconditionFailed,
+    SolutionTrace,
     TraceTooShort,
     WeightSpec,
     analytic_trace,
@@ -137,7 +138,8 @@ class TestLocalLp:
         xs = np.cumsum(rng.uniform(0.02, 0.06, 20001))
         f = np.exp(-xs)
         idx = np.arange(0, len(xs), 3)
-        got = _window_integrals(xs, f, idx, 1.1)
+        trace = analytic_trace(xs, lambda x: f, lambda x: -f, 1.0)
+        got = _window_integrals(trace, 1.0, idx, 1.1)
         want, drowned = _loop_window_integrals(xs, f, idx, 1.1)
         assert drowned > len(idx) // 2
         assert got.tobytes() == want.tobytes()
@@ -379,6 +381,37 @@ class TestOutcomeInvariants:
                                  20.0, step)
             ratios.append(check_derivative_bound(tr, sin_consts).worst_ratio)
         assert abs(ratios[1] - ratios[2]) <= 5e-3
+
+    @pytest.mark.parametrize("case", ["random_step_complex", "decaying"])
+    def test_shared_arrays_do_not_leak_between_checks(self, case):
+        # the checks read |u|, |u'| and the per-p integrals that the trace
+        # keeps: on a trace that earlier checks have read, each must report
+        # what it reports on a fresh copy.  The decaying trace drowns most
+        # of its windows, so the integrals are summed again from |u|^p
+        if case == "decaying":
+            xs = np.linspace(0.0, 40.0, 8001)
+            trace = analytic_trace(xs, lambda x: np.exp((1j - 1) * x) * (2 + np.sin(5 * x)),
+                                   lambda x: np.exp((1j - 1) * x) * ((1j - 1) * (2 + np.sin(5 * x))
+                                                                     + 5 * np.cos(5 * x)), 1.0)
+            consts = constants_for(0.0, 1.0)
+        else:
+            trace, consts = _random_step_trace()
+        copies = [SolutionTrace(trace.xs.copy(), trace.u.copy(), trace.du.copy(),
+                                trace.energy, trace.method, trace.max_step) for _ in range(8)]
+        half = consts.k_radius + consts.delta
+        window = (trace.xs[0] + half, trace.xs[-1] - half)
+        checks = [
+            lambda t: check_local_lp(t, consts, 1.0),
+            lambda t: check_local_lp(t, consts, 2.0),
+            lambda t: check_local_lp(t, consts, 1.5),
+            lambda t: check_local_lp(t, consts, 1.0),
+            lambda t: check_derivative_lp(t, consts, 2.0),
+            lambda t: check_derivative_lp(t, consts, 1.0),
+            lambda t: check_weighted(t, consts, 2.0, WeightSpec.exponential(0.5), window),
+            lambda t: check_persistence(t, consts),
+        ]
+        for check, fresh in zip(checks, copies):
+            assert check(trace).to_dict() == check(fresh).to_dict()
 
     def test_global_lp_corollary(self, sin_trace, sin_consts):
         # integrated form of the derivative bound with unit weight
