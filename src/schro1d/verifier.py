@@ -43,7 +43,7 @@ the n-th acceptance and is the same as for one attempt at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
