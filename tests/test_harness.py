@@ -181,7 +181,7 @@ class TestSuiteExecution:
         checks = [{"name": "lemma31", "samples": 40, "seed": 3},
                   {"name": "weighted", "p": 1, "weight": {"kind": "polynomial", "exponent": 2}},
                   {"name": "lemma31", "samples": 40}]
-        scn = parse_scenario(dict(SQUARE_WELL_SCENARIO, span=[0.0, 3.0], checks=checks))
+        scn = parse_scenario(dict(SQUARE_WELL_SCENARIO, checks=checks))
         first = run_scenario(scn)
         assert len(first["outcomes"]) == 3
         assert run_scenario(scn) == first

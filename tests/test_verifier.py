@@ -396,8 +396,7 @@ class TestOutcomeInvariants:
             consts = constants_for(0.0, 1.0)
         else:
             trace, consts = _random_step_trace()
-        copies = [SolutionTrace(trace.xs.copy(), trace.u.copy(), trace.du.copy(),
-                                trace.energy, trace.method, trace.max_step) for _ in range(8)]
+        xs, u, du = trace.xs.copy(), trace.u.copy(), trace.du.copy()
         half = consts.k_radius + consts.delta
         window = (trace.xs[0] + half, trace.xs[-1] - half)
         checks = [
@@ -410,7 +409,9 @@ class TestOutcomeInvariants:
             lambda t: check_weighted(t, consts, 2.0, WeightSpec.exponential(0.5), window),
             lambda t: check_persistence(t, consts),
         ]
-        for check, fresh in zip(checks, copies):
+        for check in checks:
+            fresh = SolutionTrace(xs.copy(), u.copy(), du.copy(), trace.energy, trace.method,
+                                  trace.max_step)
             assert check(trace).to_dict() == check(fresh).to_dict()
 
     def test_global_lp_corollary(self, sin_trace, sin_consts):
