@@ -57,8 +57,8 @@ class Scenario:
     def __post_init__(self):
         if self.expected not in ("pass", "expected_fail"):
             raise ConfigError(f"bad expected value {self.expected!r}", f"{self.id}.expected")
-        if self.max_step <= 0:
-            raise ConfigError("max_step must be positive", f"{self.id}.max_step")
+        if not 0 < self.max_step < math.inf:
+            raise ConfigError("max_step must be positive and finite", f"{self.id}.max_step")
         a, b = self.span
         if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
             raise ConfigError("span must be a nonempty finite interval", f"{self.id}.span")
@@ -76,6 +76,14 @@ def _parse_complex(obj, path):
         return complex(obj)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad complex value {obj!r}", path) from err
+
+
+def _parse_number(obj, key, default, kind, path):
+    raw = obj.get(key, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"bad {key} {raw!r}", f"{path}.{key}") from None
 
 
 def parse_potential(obj, path="potential") -> PiecewisePotential:
@@ -123,9 +131,9 @@ def parse_scenario(obj, path="scenario") -> Scenario:
         energy=energy,
         init=init,
         span=span,
-        max_step=float(obj.get("max_step", 0.01)),
+        max_step=_parse_number(obj, "max_step", 0.01, float, path),
         checks=checks,
-        seed=int(obj.get("seed", 0)),
+        seed=_parse_number(obj, "seed", 0, int, path),
         expected=str(obj.get("expected", "pass")),
     )
 
@@ -135,9 +143,14 @@ def scenario_trace(scn: Scenario) -> SolutionTrace:
 
 
 def _weighted(trace, consts, scn, p, weight, window, tol):
-    half = consts.k_radius + consts.delta
-    return check_weighted(trace, consts, p, weight,
-                          window or [scn.span[0] + half, scn.span[1] - half], tol)
+    """check_weighted on `window`, by default the span less K + delta at
+    each end; a span too short for that default skips the check."""
+    if not window:
+        half = consts.k_radius + consts.delta
+        window = [scn.span[0] + half, scn.span[1] - half]
+        if window[0] >= window[1]:
+            raise TraceTooShort(f"span is shorter than 2(K + delta) = {2 * half:g}")
+    return check_weighted(trace, consts, p, weight, window, tol)
 
 
 # check name -> (the spec fields it reads, runner(trace, consts, scn, *fields,

@@ -33,11 +33,13 @@ where the work is sequential:
    stepped block by block from its start, all groups at once.  The group
    axis is the innermost one, so each step is two ufunc calls whose inner
    loop runs over all groups (see `_anchor_scan`);
-4. fill: every node up to the first anchor that is not finite or is over
-   the overflow guard is evaluated from the anchor of its block, a chunk of
+4. fill: every node is evaluated from the anchor of its block, a chunk of
    nodes per pass.  Series or closed form is chosen once per block.  A
    chunk whose nodes are all anchors is copied from the scan rows, which
-   are the values the fill would give there.
+   are the values the fill would give there but for the sign of a zero.
+
+Neither kernel tests a value: the overflow guard is one test of every node
+after the kernel (see `_kernel_columns`).
 """
 
 from __future__ import annotations
@@ -259,26 +261,17 @@ def build_grid(V: PiecewisePotential, a: float, b: float, max_step: float):
     return xs, edge_idx
 
 
-def _check_overflow(xs, us, dus, i0, i1):
-    mag = np.max(np.maximum(np.abs(us[:, i0:i1 + 1]), np.abs(dus[:, i0:i1 + 1])), axis=0)
-    bad = np.flatnonzero(mag > OVERFLOW_GUARD)
-    if bad.size:
-        raise OverflowAtX(float(xs[i0 + bad[0]]), float(mag[bad[0]]))
-
-
-def _block_anchors(xs, edge_idx, qs, growth=None):
+def _block_anchors(xs, edge_idx, growth):
     """First node of every evaluation block, segment by segment.
 
     Evaluating far from a block's anchor cancels catastrophically for
     decaying solutions, so each cell is cut into blocks of length at most
-    1/|Re sqrt(q)| (`growth`, computed from qs when not given): a block ends
-    at the last node within that length of its anchor, but spans at least
-    one step.  Every segment is cut at once, one block per round, until all
-    of them are used up.
+    1/|Re sqrt(q)| (`growth`, per segment): a block ends at the last node
+    within that length of its anchor, but spans at least one step.  Every
+    segment is cut at once, one block per round, until all of them are used
+    up.
     """
     i0, i1 = edge_idx[:-1], edge_idx[1:]
-    if growth is None:
-        growth = np.abs(np.sqrt(qs).real)
     block = xs[i1] - xs[i0]
     wide = growth * block > 1.0
     block[wide] = 1.0 / growth[wide]
@@ -305,7 +298,7 @@ def _steps(m, rows):
         np.add(p[0], p[1], rows[k + 1, :, 0])
 
 
-def _anchor_scan(q, h, series, u, du, growth=None):
+def _anchor_scan(q, h, series, u, du, growth):
     """Data columns at every block end, carried from (u, du) by the step
     matrices [[c, sl], [q sl, c]] over the block lengths h.
 
@@ -316,9 +309,8 @@ def _anchor_scan(q, h, series, u, du, growth=None):
     reassociated: the rows of the first group, and every other row given its
     group's start row, are the block-by-block arithmetic.  A group may grow
     by at most e^GROUP_GROWTH (b |Re sqrt(q)| h <= GROUP_GROWTH for every
-    block; `growth` is |Re sqrt(q)|, computed from q when not given), which
-    bounds the cancellation that a product over a group brings to a decaying
-    solution.  Below that cap b = isqrt(nblk // 2), which minimizes the loop
+    block; `growth` is |Re sqrt(q)|), which bounds the cancellation that a
+    product over a group brings to a decaying solution.  Below that cap b = isqrt(nblk // 2), which minimizes the loop
     passes: b for the products, b - 1 inside the groups and nblk / b for the
     carry.
 
@@ -329,13 +321,9 @@ def _anchor_scan(q, h, series, u, du, growth=None):
     any row, group starts included.  The carry runs on contiguous copies of
     the group products and the group start rows.
 
-    Returns the rows (data at xs[0], then at each block end) and the index of
-    the first row that is not finite or is over the overflow guard (the
-    number of blocks if none).
+    Returns the rows: the data at xs[0], then at each block end.
     """
     nblk, ncol = len(q), len(u)
-    if growth is None:
-        growth = np.abs(np.sqrt(q).real)
     b = max(1, math.isqrt(nblk // 2))
     grow = float(np.max(growth * h))
     if grow * b > GROUP_GROWTH:
@@ -353,36 +341,21 @@ def _anchor_scan(q, h, series, u, du, growth=None):
     rows = np.empty((b, 2, 1, ncol, g), dtype=complex)
     # The scan stays in numpy ufuncs on purpose: numpy's complex multiply
     # uses FMA where the CPU has it, Python's complex `*` does not, and the
-    # two disagree in the last bit on a large share of products.  Rows past
-    # the first one over the guard are discarded, so their overflow to inf
-    # or nan is silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the products of groups 0 .. g-2 are their steps of two data columns
-        # started at the identity: prod[b, i, 0, j, G] is entry (i, j)
-        prod = np.zeros((b + 1, 2, 1, 2, g - 1), dtype=complex)
-        prod[0, 0, 0, 0] = prod[0, 1, 0, 1] = 1.0
-        _steps(m[..., :-1], prod)
-        # group start to group start, one group per step, on contiguous copies
-        carry = np.ascontiguousarray(prod[b, :, 0].transpose(2, 1, 0))[..., None, None]
-        starts = np.empty((g, 2, 1, ncol, 1), dtype=complex)
-        starts[0, :, 0, :, 0] = u, du
-        _steps(carry, starts)
-        rows[0] = starts[..., 0].transpose(1, 2, 3, 0)
-        _steps(m, rows)
-        mag = np.abs(rows).max(axis=(1, 2, 3)).T.reshape(-1)[:nblk + 1]
-        bad = np.flatnonzero(~(mag <= OVERFLOW_GUARD))
+    # two disagree in the last bit on a large share of products.  The
+    # products of groups 0 .. g-2 are their steps of two data columns started
+    # at the identity: prod[b, i, 0, j, G] is entry (i, j)
+    prod = np.zeros((b + 1, 2, 1, 2, g - 1), dtype=complex)
+    prod[0, 0, 0, 0] = prod[0, 1, 0, 1] = 1.0
+    _steps(m[..., :-1], prod)
+    # group start to group start, one group per step, on contiguous copies
+    carry = np.ascontiguousarray(prod[b, :, 0].transpose(2, 1, 0))[..., None, None]
+    starts = np.empty((g, 2, 1, ncol, 1), dtype=complex)
+    starts[0, :, 0, :, 0] = u, du
+    _steps(carry, starts)
+    rows[0] = starts[..., 0].transpose(1, 2, 3, 0)
+    _steps(m, rows)
     flat = np.ascontiguousarray(rows.transpose(4, 0, 1, 2, 3)).reshape(g * b, 2, ncol)
-    return flat[:nblk + 1], int(bad[0]) if bad.size else nblk
-
-
-_NEGATIVE_ZERO = np.array(-0.0).view(np.int64)
-
-
-def _has_negative_zero(a):
-    """Whether a complex array has a component -0.0.  The fill at an anchor
-    (dt = 0, so c = 1 and sl = 0 exactly) returns every other component of
-    the anchor's row unchanged, but may turn -0.0 into +0.0."""
-    return bool((a.view(np.int64) == _NEGATIVE_ZERO).any())
+    return flat[:nblk + 1]
 
 
 def _exact_kernel(xs, edge_idx, qs, u, du):
@@ -391,19 +364,14 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
     A sequential scan carries the data from block anchor to block anchor;
     every node is then filled, a chunk of nodes at a time, from the anchor
     of its block: the block with the last anchor at or before the node.  A
-    chunk whose nodes are all anchors is copied from the scan rows, which
-    gives the fill's bytes unless a row holds a -0.0 (see
-    `_has_negative_zero`); such a chunk is filled, but for a -0.0 in its
-    first row alone, which only that node's fill needs: a reflected run
-    starts from (u0, -du0), so a zero entry of du0 (the basis data of a
-    backward transfer matrix) is a -0.0 of row 0.  The scan has tested the
-    rows before the first bad one against the overflow guard, so only the
-    filled nodes, in x order, and the last row are tested here.
+    chunk whose nodes are all anchors is copied from the scan rows: the fill
+    at an anchor (dt = 0, so c = 1 and sl = 0 exactly) returns its row, but
+    may turn a -0.0 into +0.0.  Node 0 holds (u, du) as given.
     """
     n, ncol = len(xs), len(u)
     growth = np.abs(np.sqrt(qs).real)  # per segment
     is_anchor = np.zeros(n, dtype=bool)
-    is_anchor[_block_anchors(xs, edge_idx, qs, growth)] = True
+    is_anchor[_block_anchors(xs, edge_idx, growth)] = True
     row_node = np.append(np.flatnonzero(is_anchor), n - 1)  # node of each scan row
     owner = np.cumsum(is_anchor[:-1]) - 1  # block of nodes 0..n-2
     xa = xs[row_node[:-1]]  # abscissa of each block anchor
@@ -411,22 +379,15 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
     q = qs[seg]
     h = xs[row_node[1:]] - xa
     series = _use_series(q, h)  # one choice per block, never per node
-    rows, stop = _anchor_scan(q, h, series, u, du, growth[seg])
-    last = row_node[stop]
+    rows = _anchor_scan(q, h, series, u, du, growth[seg])
     us = np.empty((ncol, n), dtype=complex)
     dus = np.empty_like(us)
-    for i in range(0, last, _FILL_CHUNK):
-        own = owner[i:min(i + _FILL_CHUNK, last)]
+    for i in range(0, n - 1, _FILL_CHUNK):
+        own = owner[i:i + _FILL_CHUNK]
         j = i + len(own)
         if is_anchor[i:j].all():  # rows own[0] .. own[-1], one per node
-            anchor_rows = rows[own[0]:own[0] + j - i]
-            for k in (0, 1):  # copy every row, or every row but the first
-                if not _has_negative_zero(anchor_rows[k:]):
-                    us[:, i + k:j], dus[:, i + k:j] = anchor_rows[k:].transpose(1, 2, 0)
-                    own, j = own[:k], i + k  # the nodes left to fill
-                    break
-            if j == i:
-                continue
+            us[:, i:j], dus[:, i:j] = rows[own[0]:own[0] + j - i].transpose(1, 2, 0)
+            continue
         ua, dua = rows[own].transpose(1, 2, 0)  # data at each node's anchor
         qn = q[own]
         c, sl = _propagator_terms(qn, xs[i:j] - xa[own], series[own])
@@ -434,9 +395,8 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
         us[:, i:j] += sl * dua
         np.multiply(qn * sl, ua, out=dus[:, i:j])
         dus[:, i:j] += c * dua
-        _check_overflow(xs, us, dus, i, j - 1)
-    us[:, last], dus[:, last] = rows[stop]
-    _check_overflow(xs, us, dus, last, last)
+    us[:, 0], dus[:, 0] = u, du
+    us[:, -1], dus[:, -1] = rows[-1]
     return us, dus
 
 
@@ -478,7 +438,6 @@ def _rk_kernel(xs, edge_idx, qs, u, du):
         u, du = us[:, i0, None], dus[:, i0, None]
         us[:, i0 + 1:i1 + 1] = p[0] * u + p[1] * du
         dus[:, i0 + 1:i1 + 1] = p[2] * u + p[3] * du
-        _check_overflow(xs, us, dus, i0, i1)
     return us, dus
 
 
@@ -488,8 +447,13 @@ def _kernel_columns(kernel, V, energy, x0, x_end, u0, du0, step):
     Returns the grid, the columns (us, dus) and whether the run was
     reflected.  The kernels only run forward: for x_end < x0 they run on the
     reflected potential, from -x0 with data (u0, -du0), so the grid holds -x
-    and dus holds -u'(-x).  An OverflowAtX carries x in the caller's
-    coordinates either way.
+    and dus holds -u'(-x).
+
+    The kernel computes every node, with overflow silenced; an OverflowAtX
+    is then raised at the first node over the overflow guard or not finite,
+    with x in the caller's coordinates.  The nodes before it are those a
+    kernel stopping there would compute, and a scan group grows by at most
+    e^GROUP_GROWTH, so that node is over the guard but finite.
     """
     x_end = float(x_end)
     if x_end == x0:
@@ -500,12 +464,13 @@ def _kernel_columns(kernel, V, energy, x0, x_end, u0, du0, step):
     xs, edge_idx = build_grid(V, x0, x_end, step)
     mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
     qs = V.value_at(mids) - energy.as_complex
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         us, dus = kernel(xs, edge_idx, qs, u0, du0)
-    except OverflowAtX as err:
-        if not reflected:
-            raise
-        raise OverflowAtX(-err.x, err.magnitude) from None
+        mag = np.maximum(np.abs(us), np.abs(dus)).max(axis=0)
+        bad = np.flatnonzero(~(mag <= OVERFLOW_GUARD))
+    if bad.size:
+        x = float(xs[bad[0]])
+        raise OverflowAtX(-x if reflected else x, float(mag[bad[0]]))
     return xs, us, dus, reflected
 
 
@@ -570,8 +535,8 @@ def transfer_matrix(
     The basis data (1, 0) and (0, 1) at y run toward x as the two columns of
     one kernel pass (on the reflected potential when x < y), and T is read
     from the kernel's last node, which is x; no trace is built.  The kernel
-    still fills and guards every node, so an overflow raises the OverflowAtX
-    that `basis_traces` would.
+    still fills every node and `_kernel_columns` guards them, so an overflow
+    raises the OverflowAtX that `basis_traces` would.
     """
     energy = Energy.of(E)
     x = float(x)

@@ -175,6 +175,32 @@ class TestSuiteExecution:
         with pytest.raises(ConfigError, match=field):
             run_suite(doc)
 
+    @pytest.mark.parametrize("field, raw", [
+        ("max_step", None), ("max_step", [1]), ("max_step", "nan"), ("max_step", "inf"),
+        ("max_step", "abc"), ("seed", "x"), ("seed", None),
+    ])
+    def test_bad_scenario_number_is_config_error(self, field, raw):
+        doc = {"scenarios": [dict(HEALTHY_FREE, **{field: raw})]}
+        with pytest.raises(ConfigError) as exc:
+            run_suite(doc)
+        assert exc.value.path.endswith(f".{field}")
+
+    def test_weighted_default_window_skips_a_short_span(self, tmp_path, capsys):
+        # 2(K + delta) exceeds the span [0, 1], so the default window is empty
+        doc = {"scenarios": [{
+            "id": "short-weighted",
+            "potential": {"breakpoints": [0.0, 1.0], "values": [-1.0]},
+            "energy": 1.0,
+            "span": [0.0, 1.0],
+            "checks": [{"name": "weighted"}],
+        }]}
+        entry = run_suite(doc).entries[0]
+        assert entry["ok"] and entry["outcomes"] == []
+        assert [s["name"] for s in entry["skipped"]] == ["weighted"]
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+
     def test_scenario_runs_twice_alike(self):
         # the lemma31 generator is seeded when its check runs, not when the
         # spec is parsed, so a second run draws what the first drew

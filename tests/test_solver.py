@@ -65,15 +65,38 @@ class TestExactPropagator:
         with pytest.raises(ValueError):
             propagate_exact(free_potential, 1.0, InitialData(0.0, 1.0, 0.0), 0.0, 0.01)
 
-    def test_overflow_guard_reports_abscissa(self, free_potential):
+    @pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])
+    def test_overflow_guard_reports_abscissa(self, propagate):
         # growth rate 10 over [0, 40] blows past the guard in either direction;
-        # x is reported in the caller's coordinates, inside the interval
+        # x is reported in the caller's coordinates, at the first node over
+        # the guard.  The kernels compute past that node, so no overflow or
+        # invalid-value warning may escape
         V = PiecewisePotential((0.0, 40.0), (0.0,))
-        for x0, du0, x_end, lo, hi in ((0.0, 10.0, 40.0, 30.0, 40.0),
-                                       (40.0, -10.0, 0.0, 0.0, 10.0)):
-            with pytest.raises(OverflowAtX) as exc:
-                propagate_exact(V, -100.0, InitialData(x0, 1.0, du0), x_end, 0.01)
-            assert lo < exc.value.x < hi
+        for x0, du0, x_end, x in ((0.0, 10.0, 40.0, 34.31),
+                                  (40.0, -10.0, 0.0, 5.689999999999998)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowAtX) as exc:
+                    propagate(V, -100.0, InitialData(x0, 1.0, du0), x_end, 0.01)
+            assert exc.value.x == x
+            if propagate is propagate_rk:
+                assert exc.value.magnitude == 1.0146645462888317e+150
+
+    def test_trace_holds_initial_data_at_x0(self):
+        # bit for bit, signed zeros included: a backward run starts from
+        # (u0, -du0) on the reflected potential, and its trace must hand back
+        # du0 = 0 as +0.0.  Backward from 3 the first fill chunk holds only
+        # block anchors; backward from 8 it mixes both kinds
+        traces = [(propagate_exact(_LATTICE_THEN_FREE, 1.0, InitialData(x0, 1.0, 0.0),
+                                   x_end, 1e-2), x0, [1.0, 0.0])
+                  for x0, x_end in ((3.0, 0.0), (8.0, 0.0), (0.0, 3.0))]
+        basis = basis_traces(_LATTICE_THEN_FREE, 1.0, 3.0, 0.0, 1e-2)
+        traces += [(t, 3.0, data) for t, data in zip(basis, np.eye(2))]
+        for tr, x0, data in traces:
+            i = np.flatnonzero(tr.xs == x0)
+            assert len(i) == 1 and i[0] in (0, len(tr.xs) - 1)
+            expected = np.array(data, dtype=complex).tobytes()
+            assert np.concatenate([tr.u[i], tr.du[i]]).tobytes() == expected
 
     def test_real_inputs_stay_real(self):
         V = make_family("random_step", {"cells": 10, "low": -2, "high": 2, "seed": 5})
@@ -351,7 +374,9 @@ def _old_exact_kernel(xs, edge_idx, qs, u, du):
 
 def _outcome(monkeypatch, kernel, grid, V, E, x0, x_end, u0, du0, step):
     """Traces from `kernel` on `grid`, both run through `_traces` (so backward
-    runs take the same reflection path), or the overflow's (x, magnitude)."""
+    runs take the same reflection path), or the overflow's (x, magnitude).
+    The per-block oracle guards its own nodes, so on a backward run its x is
+    that of the reflected run, which is negated here."""
     with monkeypatch.context() as m:
         m.setattr(solver, "build_grid", grid)
         try:
@@ -359,7 +384,8 @@ def _outcome(monkeypatch, kernel, grid, V, E, x0, x_end, u0, du0, step):
                            np.asarray(u0, dtype=complex), np.asarray(du0, dtype=complex),
                            step)
         except OverflowAtX as err:
-            return err.x, err.magnitude
+            oracle_reflected = kernel is _old_exact_kernel and x_end < x0
+            return -err.x if oracle_reflected else err.x, err.magnitude
 
 
 def _group_size(q, h):
@@ -382,7 +408,8 @@ def _exact_nodes(V, E, x0, x_end, step):
     xs, edge_idx = build_grid(V, x0, x_end, step)
     mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
     qs = V.value_at(mids) - Energy.of(E).as_complex
-    row_node = np.append(np.sort(solver._block_anchors(xs, edge_idx, qs)), len(xs) - 1)
+    growth = np.abs(np.sqrt(qs).real)
+    row_node = np.append(np.sort(solver._block_anchors(xs, edge_idx, growth)), len(xs) - 1)
     q = qs[np.searchsorted(edge_idx, row_node[:-1], side="right") - 1]
     b = _group_size(q, np.diff(xs[row_node]))
     return len(xs) if b == 1 else int(row_node[b])
@@ -471,8 +498,8 @@ class TestKernelOracle:
 
     def test_free_case_splits_cells_into_blocks(self):
         xs, edge_idx = build_grid(_FREE, 0.0, 12.0, 1e-2)
-        qs = np.ones(len(edge_idx) - 1, dtype=complex)
-        assert len(solver._block_anchors(xs, edge_idx, qs)) >= 12
+        growth = np.ones(len(edge_idx) - 1)  # |Re sqrt(q)| for q = 1
+        assert len(solver._block_anchors(xs, edge_idx, growth)) >= 12
 
     def test_basis_traces_match_oracle(self, monkeypatch):
         t1, t2 = basis_traces(_RANDOM_STEP, 0.5 + 0.5j, 0.0, 6.0, 1e-2)
@@ -493,8 +520,8 @@ class TestKernelOracle:
             q[-1], h[-1] = 400.0, 0.05
         series = _use_series(q, h)
         u, du = np.array([1.0, 0.5j]), np.array([0.0, -1.0])
-        rows, stop = solver._anchor_scan(q, h, series, u, du)
-        assert stop == nblk and rows.shape == (nblk + 1, 2, 2)
+        rows = solver._anchor_scan(q, h, series, u, du, np.abs(np.sqrt(q).real))
+        assert rows.shape == (nblk + 1, 2, 2)
         assert np.array_equal(rows[0], [u, du])
         c, sl = _propagator_terms(q, h, series)
         m = np.stack([c, q * sl, sl, c], axis=1).reshape(nblk, 2, 2, 1)
@@ -520,30 +547,6 @@ class TestKernelOracle:
                            x0, x_end, [1.0], [du0], 0.01)
         assert exc.value.x == old[0]
         assert exc.value.magnitude == pytest.approx(old[1], rel=REL_TOL, abs=0.0)
-
-    @pytest.mark.parametrize("x0, x_end", [(0.0, 8.0), (8.0, 0.0), (3.0, 0.0)])
-    def test_anchor_chunk_copies_are_fill_bytes(self, monkeypatch, x0, x_end):
-        # An all-anchor chunk copied from the scan rows has the bytes the fill
-        # at dt = 0 gives, signed zeros included: backward, the basis data
-        # (1, -0), (-0, -1) start an all-anchor chunk, which keeps the fill.
-        copied, has_negative_zero = [], solver._has_negative_zero
-
-        def spy(a):
-            copied.append(not has_negative_zero(a))
-            return not copied[-1]
-
-        args = (_exact_kernel, "exact_cell", _LATTICE_THEN_FREE, 1.0, x0, x_end,
-                *np.eye(2, dtype=complex), 1e-2)
-        with monkeypatch.context() as m:
-            m.setattr(solver, "_has_negative_zero", spy)
-            new = _traces(*args)
-        assert any(copied)
-        with monkeypatch.context() as m:
-            m.setattr(solver, "_has_negative_zero", lambda a: True)  # fill every chunk
-            filled = _traces(*args)
-        for t, ref in zip(new, filled):
-            assert t.u.tobytes() == ref.u.tobytes()
-            assert t.du.tobytes() == ref.du.tobytes()
 
     def test_overflow_parity_in_anchor_chunk(self, monkeypatch):
         # 5,000 one-step cells: the first node over the guard lies in the
