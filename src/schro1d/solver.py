@@ -310,9 +310,9 @@ def _anchor_scan(q, h, series, u, du, growth):
     group's start row, are the block-by-block arithmetic.  A group may grow
     by at most e^GROUP_GROWTH (b |Re sqrt(q)| h <= GROUP_GROWTH for every
     block; `growth` is |Re sqrt(q)|), which bounds the cancellation that a
-    product over a group brings to a decaying solution.  Below that cap b = isqrt(nblk // 2), which minimizes the loop
-    passes: b for the products, b - 1 inside the groups and nblk / b for the
-    carry.
+    product over a group brings to a decaying solution.  Below that cap
+    b = isqrt(nblk // 2), which minimizes the loop passes: b for the
+    products, b - 1 inside the groups and nblk / b for the carry.
 
     Block k of group G is block G b + k, laid out with the step axis first
     and the group axis last: m[k, j, i, 0, G] is entry (i, j) of its matrix

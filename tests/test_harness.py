@@ -185,7 +185,7 @@ class TestSuiteExecution:
             run_suite(doc)
         assert exc.value.path.endswith(f".{field}")
 
-    def test_weighted_default_window_skips_a_short_span(self, tmp_path, capsys):
+    def test_weighted_default_window_skips_a_short_span(self, tmp_path):
         # 2(K + delta) exceeds the span [0, 1], so the default window is empty
         doc = {"scenarios": [{
             "id": "short-weighted",
