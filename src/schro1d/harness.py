@@ -59,6 +59,8 @@ class Scenario:
             raise ConfigError(f"bad expected value {self.expected!r}", f"{self.id}.expected")
         if not 0 < self.max_step < math.inf:
             raise ConfigError("max_step must be positive and finite", f"{self.id}.max_step")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative", f"{self.id}.seed")
         a, b = self.span
         if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
             raise ConfigError("span must be a nonempty finite interval", f"{self.id}.span")

@@ -177,7 +177,7 @@ class TestSuiteExecution:
 
     @pytest.mark.parametrize("field, raw", [
         ("max_step", None), ("max_step", [1]), ("max_step", "nan"), ("max_step", "inf"),
-        ("max_step", "abc"), ("seed", "x"), ("seed", None),
+        ("max_step", "abc"), ("seed", "x"), ("seed", None), ("seed", -3),
     ])
     def test_bad_scenario_number_is_config_error(self, field, raw):
         doc = {"scenarios": [dict(HEALTHY_FREE, **{field: raw})]}
