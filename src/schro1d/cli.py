@@ -22,6 +22,8 @@ import sys
 from . import __version__
 from .errors import ConfigError, Schro1dError
 from .harness import (
+    ALL_FAMILIES,
+    _field,
     default_suite_path,
     load_suite_config,
     parse_potential,
@@ -57,16 +59,15 @@ def _cmd_c1(args):
     return 0
 
 
-def _load_scenario(args):
+def _load(args, **options):
+    """The config document, each option given on the command line in place
+    of its field, so that it is read and tested as the field would be."""
     doc = load_suite_config(args.config)
-    scn = parse_scenario(doc, "scenario")
-    if args.max_step is not None:
-        scn.max_step = args.max_step
-    return scn
+    return {**doc, **{key: v for key, v in options.items() if v is not None}}
 
 
 def _cmd_solve(args):
-    scn = _load_scenario(args)
+    scn = parse_scenario(_load(args, max_step=args.max_step), "scenario")
     trace = scenario_trace(scn)
     if args.out:
         trace.to_csv(args.out)
@@ -110,27 +111,18 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep(args):
-    families = tuple(args.families.split(",")) if args.families else None
-    kwargs = {
-        "n_scenarios": args.n,
-        "seed": args.seed,
-        "lemma_samples": args.lemma_samples,
-    }
-    if families:
-        kwargs["families"] = families
-    if args.max_step is not None:
-        kwargs["max_step"] = args.max_step
-    report = random_sweep(**kwargs)
+    report = random_sweep(tuple(args.families.split(",")), args.n, args.seed,
+                          args.max_step, args.lemma_samples)
     return _finish_report(report, args)
 
 
 def _cmd_simon_stolz(args):
-    doc = load_suite_config(args.config)
+    # the curve's energy defaults to 1, a scenario's to 0
+    doc = {"energy": 1.0,
+           **_load(args, energy=args.energy, x_max=args.x_max, step=args.max_step)}
     pot = parse_potential(doc.get("potential", doc), "potential")
-    energy = doc.get("energy", 1.0) if args.energy is None else args.energy
-    x_max = float(doc.get("x_max", 10.0)) if args.x_max is None else args.x_max
-    step = args.max_step if args.max_step is not None else float(doc.get("step", 1e-3))
-    curve = simon_stolz_curve(pot, energy, x_max, step)
+    curve = simon_stolz_curve(pot, _field(doc, "energy"), _field(doc, "x_max"),
+                              _field(doc, "step"))
     if args.out:
         curve.to_csv(args.out)
     else:
@@ -139,12 +131,12 @@ def _cmd_simon_stolz(args):
 
 
 def _cmd_prufer(args):
-    scn = _load_scenario(args)
+    scn = parse_scenario(_load(args, max_step=args.max_step), "scenario")
     trace = scenario_trace(scn)
     k = args.k
     if k is None:
         if scn.energy.re <= 0 or scn.energy.im != 0:
-            raise ConfigError("need E = k^2 > 0 real, or pass --k", "energy")
+            raise ConfigError("need E = k^2 > 0 real, or pass --k", f"{scn.id}.energy")
         k = math.sqrt(scn.energy.re)
     ptrace = prufer_decompose(trace, k)
     if args.out:
@@ -160,18 +152,19 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"schro1d {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, config_required=True, max_step=None):
         p.add_argument("--config", required=config_required,
                        help="path to the JSON configuration")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--max-step", type=float, default=None, dest="max_step")
+        if max_step:
+            p.add_argument("--max-step", type=float, help=f"in place of the config's {max_step}")
 
     p = sub.add_parser("c1", help="exact C1 constant of a potential")
     common(p)
     p.set_defaults(func=_cmd_c1)
 
     p = sub.add_parser("solve", help="propagate a scenario, export trace CSV")
-    common(p)
+    common(p, max_step="max_step")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="run a suite config and report")
@@ -183,20 +176,21 @@ def build_parser():
     p = sub.add_parser("sweep", help="randomized corroboration sweep")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--families", help="comma-separated family names")
+    p.add_argument("--families", default=",".join(ALL_FAMILIES),
+                   help="comma-separated family names")
     p.add_argument("--lemma-samples", type=int, default=1000, dest="lemma_samples")
     p.add_argument("--out", help="report JSON output file")
-    p.add_argument("--max-step", type=float, default=None, dest="max_step")
+    p.add_argument("--max-step", type=float, default=0.01)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simon-stolz", help="transfer-matrix integral curve CSV")
-    common(p)
+    common(p, max_step="step")
     p.add_argument("--energy", type=float, default=None)
     p.add_argument("--x-max", type=float, default=None, dest="x_max")
     p.set_defaults(func=_cmd_simon_stolz)
 
     p = sub.add_parser("prufer", help="amplitude/phase decomposition CSV")
-    common(p)
+    common(p, max_step="max_step")
     p.add_argument("--k", type=float, default=None)
     p.set_defaults(func=_cmd_prufer)
 

@@ -40,8 +40,6 @@ class Energy:
     def of(cls, value) -> "Energy":
         if isinstance(value, Energy):
             return value
-        if isinstance(value, dict):
-            return cls(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
         z = complex(value)
         return cls(z.real, z.imag)
 

@@ -2,12 +2,15 @@
 
 A suite is one JSON document: a list of scenarios, each naming a potential
 (explicit cells or family shorthand), an energy, initial data, a span, and a
-list of checks.  Reports echo the exact constants used per scenario so any
-failure is reproducible from the report alone.
+list of checks.  Every config value is read by _field through one table,
+_FIELDS; a bad one is a ConfigError at <id>.<field>, <id>.init.<field> or
+<id>.checks[<j>].<field>.  Reports echo the exact constants used per
+scenario so any failure is reproducible from the report alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -44,6 +47,9 @@ SKIPPABLE = (NoEligiblePoints, PreconditionFailed, TraceTooShort)
 
 @dataclass
 class Scenario:
+    """One scenario of a suite, as parse_scenario reads it from its document:
+    every field has passed its test in _FIELDS, and init.x0 is span[0]."""
+
     id: str
     potential: PiecewisePotential
     energy: Energy
@@ -51,46 +57,102 @@ class Scenario:
     span: tuple
     max_step: float
     checks: list
-    seed: int = 0
-    expected: str = "pass"  # or "expected_fail"
-
-    def __post_init__(self):
-        if self.expected not in ("pass", "expected_fail"):
-            raise ConfigError(f"bad expected value {self.expected!r}", f"{self.id}.expected")
-        if not 0 < self.max_step < math.inf:
-            raise ConfigError("max_step must be positive and finite", f"{self.id}.max_step")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative", f"{self.id}.seed")
-        a, b = self.span
-        if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-            raise ConfigError("span must be a nonempty finite interval", f"{self.id}.span")
-        if self.init.x0 != a:
-            raise ConfigError("init.x0 must equal span start", f"{self.id}.init.x0")
+    seed: int
+    expected: str  # "pass" or "expected_fail"
 
 
-def _parse_complex(obj, path):
-    try:
-        if isinstance(obj, dict):
-            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        if isinstance(obj, (list, tuple)):
-            re, im = obj
-            return complex(float(re), float(im))
-        return complex(obj)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad complex value {obj!r}", path) from err
+def _number(raw):
+    """A JSON number as a float: a bool or a string is no number."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, np.integer, np.floating)):
+        raise TypeError(raw)
+    return float(raw)
 
 
-def _parse_number(obj, key, default, kind, path):
+def _integer(raw):
+    """A JSON number of integral value as an int."""
+    if not _number(raw).is_integer():
+        raise ValueError(raw)
+    return int(raw)
+
+
+def _complex(raw):
+    """A number, [re, im] or {"re": re, "im": im} (each part default 0)."""
+    if isinstance(raw, dict):
+        raw = [raw.get("re", 0.0), raw.get("im", 0.0)]
+    re, im = raw if isinstance(raw, list) else (raw, 0.0)
+    return complex(_number(re), _number(im))
+
+
+def _interval(raw):
+    a, b = raw
+    return _number(a), _number(b)
+
+
+def _same(raw):
+    return raw
+
+
+# config field -> (default, conversion, test of the converted value).  The
+# fields of a scenario, of its init object and of its check specs, of the
+# suite document and of the simon-stolz config; _field reads every one.
+_FIELDS = {
+    # suite
+    "scenarios": (None, _same, lambda s: isinstance(s, list)),
+    "c2_floor": (0.0, _number, lambda c: 0.0 <= c < math.inf),
+    # scenario; "seed" also of the suite and, defaulting to the scenario's,
+    # of a lemma31 check
+    "id": (None, _same, lambda s: isinstance(s, str) and s != ""),
+    "energy": (0.0, lambda e: Energy.of(_complex(e)), lambda e: math.isfinite(e.modulus)),
+    "init": ({}, _same, lambda i: isinstance(i, dict)),
+    "x0": (None, _number, math.isfinite),
+    "u0": (1.0, _complex, cmath.isfinite),
+    "du0": (0.0, _complex, cmath.isfinite),
+    "span": (None, _interval, lambda s: -math.inf < s[0] < s[1] < math.inf),
+    "max_step": (0.01, _number, lambda m: 0.0 < m < math.inf),
+    "seed": (0, _integer, lambda s: s >= 0),
+    "expected": ("pass", _same, lambda e: e in ("pass", "expected_fail")),
+    "checks": ([], _same, lambda c: isinstance(c, list)),
+    # check spec
+    "name": (None, _same, lambda n: n in CHECKS),
+    "p": (2, _number, lambda p: 1.0 <= p < math.inf),
+    "weight": ({"kind": "exponential"}, lambda w: WeightSpec(**w),
+               lambda w: w.kind in ("exponential", "polynomial")
+               and math.isfinite(_number(w.rate)) and math.isfinite(_number(w.exponent))),
+    "window": (None, lambda w: w if w in (None, []) else _interval(w),
+               lambda w: not w or -math.inf < w[0] < w[1] < math.inf),
+    "tail_fraction": (0.2, _number, lambda t: 0.0 < t < 0.5),
+    "drop_factor": (10.0, _number, lambda d: d > 1.0),
+    "samples": (100, _integer, lambda n: n >= 1),
+    "max_gap": (1.5, _number, lambda g: 0.0 <= g < math.inf),
+    "tolerance": (1e-6, _number, lambda t: 0.0 <= t < math.inf),
+    # simon-stolz config, with "energy"
+    "x_max": (10.0, _number, lambda x: 0.0 <= x < math.inf),
+    "step": (1e-3, _number, lambda s: 0.0 < s < math.inf),
+}
+
+
+def _field(obj, key, path=""):
+    """obj[key], or its default, converted and tested by _FIELDS[key]; a
+    non-object obj is a ConfigError at path, a bad value one at path.key."""
+    if not isinstance(obj, dict):
+        raise ConfigError("must be an object", path)
+    default, conversion, test = _FIELDS[key]
     raw = obj.get(key, default)
     try:
-        return kind(raw)
+        value = conversion(raw)
+        if test(value):
+            return value
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"bad {key} {raw!r}", f"{path}.{key}") from None
+        pass
+    raise ConfigError(f"bad {key} {raw!r}", f"{path}.{key}" if path else key)
 
 
 def parse_potential(obj, path="potential") -> PiecewisePotential:
     """Explicit {"breakpoints": [...], "values": [...]} or family shorthand
-    {"family": "square_well", "depth": 2, "width": 3, ...}."""
+    {"family": "square_well", "depth": 2, "width": 3, ...}; a potential
+    already built is taken as it is."""
+    if isinstance(obj, PiecewisePotential):
+        return obj
     if not isinstance(obj, dict):
         raise ConfigError("potential must be an object", path)
     try:
@@ -103,40 +165,25 @@ def parse_potential(obj, path="potential") -> PiecewisePotential:
 
 
 def parse_scenario(obj, path="scenario") -> Scenario:
-    if not isinstance(obj, dict):
-        raise ConfigError("scenario must be an object", path)
-    try:
-        sid = str(obj["id"])
-    except KeyError:
-        raise ConfigError("missing id", path) from None
-    pot = parse_potential(obj.get("potential", {}), f"{path}.potential")
-    energy = Energy.of(_parse_complex(obj.get("energy", 0.0), f"{path}.energy"))
-    init_obj = obj.get("init", {})
-    try:
-        init = InitialData(
-            float(init_obj.get("x0", obj.get("span", [0, 1])[0])),
-            _parse_complex(init_obj.get("u0", 1.0), f"{path}.init.u0"),
-            _parse_complex(init_obj.get("du0", 0.0), f"{path}.init.du0"),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err), f"{path}.init") from err
-    try:
-        span = tuple(float(v) for v in obj["span"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("span must be [a, b]", f"{path}.span") from None
-    checks = obj.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError("checks must be a list", f"{path}.checks")
+    """The Scenario of a scenario document.  A non-object document or a bad
+    id is a ConfigError at path; once the id is read, every other error is
+    at <id>.<field>, <id>.init.<field> or <id>.potential."""
+    sid = _field(obj, "id", path)
+    init = _field(obj, "init", sid)
+    span = _field(obj, "span", sid)
+    if "x0" in init and _field(init, "x0", f"{sid}.init") != span[0]:
+        raise ConfigError("init.x0 must equal span start", f"{sid}.init.x0")
     return Scenario(
         id=sid,
-        potential=pot,
-        energy=energy,
-        init=init,
+        potential=parse_potential(obj.get("potential", {}), f"{sid}.potential"),
+        energy=_field(obj, "energy", sid),
+        init=InitialData(span[0], _field(init, "u0", f"{sid}.init"),
+                         _field(init, "du0", f"{sid}.init")),
         span=span,
-        max_step=_parse_number(obj, "max_step", 0.01, float, path),
-        checks=checks,
-        seed=_parse_number(obj, "seed", 0, int, path),
-        expected=str(obj.get("expected", "pass")),
+        max_step=_field(obj, "max_step", sid),
+        checks=_field(obj, "checks", sid),
+        seed=_field(obj, "seed", sid),
+        expected=_field(obj, "expected", sid),
     )
 
 
@@ -159,7 +206,7 @@ def _weighted(trace, consts, scn, p, weight, window, tol):
 # tolerance)).  Runners look the check up by its module-level name when they
 # run, so a wrapper installed on this module sees every call.  The lemma31
 # generator is made when its runner runs, so a scenario run twice draws the
-# same.
+# same; its seed defaults to the scenario's.
 CHECKS = {
     "derivative_bound": ((), lambda tr, c, scn, tol: check_derivative_bound(tr, c, tol)),
     "persistence": ((), lambda tr, c, scn, tol: check_persistence(tr, c, tol)),
@@ -170,45 +217,16 @@ CHECKS = {
               lambda tr, c, scn, tail, drop, tol: check_decay(tr, tail, drop, tol)),
     "lemma31": (("samples", "seed", "max_gap"),
                 lambda tr, c, scn, n, seed, gap, tol: sample_lemma31(
-                    tr, c, n, np.random.default_rng(scn.seed if seed is None else seed),
-                    gap, tol)),
-}
-
-# spec field -> (default, conversion, test of the converted value)
-_FIELDS = {
-    "p": (2, float, lambda p: 1.0 <= p < math.inf),
-    "weight": ({"kind": "exponential"}, lambda w: WeightSpec(**w),
-               lambda w: w.kind in ("exponential", "polynomial")
-               and math.isfinite(w.rate) and math.isfinite(w.exponent)),
-    "window": (None, lambda w: w and [float(v) for v in w],
-               lambda w: not w or len(w) == 2 and -math.inf < w[0] < w[1] < math.inf),
-    "tail_fraction": (0.2, float, lambda t: 0.0 < t < 0.5),
-    "drop_factor": (10.0, float, lambda d: d > 1.0),
-    "samples": (100, int, lambda n: n >= 1),
-    "seed": (None, lambda s: s if s is None else int(s), lambda s: s is None or s >= 0),
-    "max_gap": (1.5, float, lambda g: 0.0 <= g < math.inf),
-    "tolerance": (1e-6, float, lambda t: 0.0 <= t < math.inf),
+                    tr, c, n, np.random.default_rng(seed), gap, tol)),
 }
 
 
 def _parse_check(spec, scn, path):
     """runner(trace, consts) of one check spec.  Every field the check reads
-    is converted and tested here: a bad one is a ConfigError at its path."""
-    name = spec.get("name") if isinstance(spec, dict) else None
-    if not isinstance(name, str) or name not in CHECKS:
-        raise ConfigError(f"unknown check {name!r}", path)
-    keys, run = CHECKS[name]
-    args = []
-    for key in (*keys, "tolerance"):
-        default, kind, ok = _FIELDS[key]
-        raw = spec.get(key, default)
-        try:
-            args.append(kind(raw))
-            valid = ok(args[-1])
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise ConfigError(f"bad {key} {raw!r}", f"{path}.{key}")
+    is read here by _field: a bad one is a ConfigError at its path."""
+    keys, run = CHECKS[_field(spec, "name", path)]
+    spec = {"seed": scn.seed, **spec}
+    args = [_field(spec, key, path) for key in (*keys, "tolerance")]
     return lambda trace, consts: run(trace, consts, scn, *args)
 
 
@@ -294,127 +312,96 @@ def run_scenarios(scenarios, c2_floor: float = 0.0, seed=None) -> SuiteReport:
 
 
 def load_suite_config(config) -> dict:
+    """A config document: a dict as it is, or the JSON object in a file."""
     if isinstance(config, dict):
         return config
     try:
         with open(config, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}", str(config)) from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON: {err}", str(config)) from err
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object", str(config))
+    return doc
 
 
 def run_suite(config, c2_floor=None) -> SuiteReport:
-    """Execute a suite config (path or dict); deterministic given config+seeds."""
+    """Execute a suite config (path or dict); deterministic given config+seeds.
+    A c2_floor given here stands in for the document's."""
     doc = load_suite_config(config)
-    if not isinstance(doc, dict) or "scenarios" not in doc:
-        raise ConfigError("config must be an object with a 'scenarios' list")
-    raw = doc["scenarios"]
-    if not isinstance(raw, list):
-        raise ConfigError("'scenarios' must be a list", "scenarios")
-    scenarios = [parse_scenario(o, f"scenarios[{i}]") for i, o in enumerate(raw)]
-    floor = float(doc.get("c2_floor", 0.0)) if c2_floor is None else float(c2_floor)
-    return run_scenarios(scenarios, floor, seed=doc.get("seed"))
+    if c2_floor is not None:
+        doc = {**doc, "c2_floor": c2_floor}
+    floor = _field(doc, "c2_floor")
+    scenarios = [parse_scenario(o, f"scenarios[{i}]")
+                 for i, o in enumerate(_field(doc, "scenarios"))]
+    return run_scenarios(scenarios, floor, seed=_field(doc, "seed") if "seed" in doc else None)
 
 
-DEFAULT_ENERGY_GRID = (
-    Energy(1.0, 0.0),
-    Energy(4.0, 0.0),
-    Energy(2.0, 1.0),
-    Energy(-1.0, 0.5),
-)
+# the sweep's energies, one per round of the families
+SWEEP_ENERGIES = (1.0, 4.0, 2.0 + 1.0j, -1.0 + 0.5j)
 
 ALL_FAMILIES = ("square_well", "spike_lattice", "random_step")
 
 
-def sweep_scenarios(
-    families=ALL_FAMILIES,
-    n_scenarios: int = 50,
-    energy_grid=DEFAULT_ENERGY_GRID,
-    seed: int = 1,
-    max_step: float = 0.01,
-    lemma_samples: int = 1000,
-) -> list:
-    """Deterministic corpus of random scenarios over the potential families."""
-    if n_scenarios < 1:
-        raise ValueError("need at least one scenario")
+def sweep_scenarios(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
+                    max_step: float = 0.01, lemma_samples: int = 1000) -> list:
+    """Deterministic corpus of random scenarios over the potential families.
+    Each is read by parse_scenario from the document built for it, whose
+    potential is built once and passed in as it is."""
+    if n_scenarios < 1 or lemma_samples < 1:
+        raise ValueError("need at least one scenario and one lemma31 sample")
     families = tuple(families)
-    energy_grid = tuple(Energy.of(e) for e in energy_grid)
-    for e in energy_grid:
-        if e.modulus == 0.0:
-            raise ValueError("energy grid must avoid E = 0 for zero potentials")
     rng = np.random.default_rng(seed)
-    per_scn = max(1, int(math.ceil(lemma_samples / n_scenarios)))
+    per_scn = math.ceil(lemma_samples / n_scenarios)
     scenarios = []
     for i in range(n_scenarios):
         fam = families[i % len(families)]
-        energy = energy_grid[(i // len(families)) % len(energy_grid)]
+        energy = SWEEP_ENERGIES[(i // len(families)) % len(SWEEP_ENERGIES)]
         if fam == "square_well":
-            params = {
-                "depth": round(float(rng.uniform(0.5, 4.0)), 3),
-                "width": round(float(rng.uniform(3.0, 6.0)), 3),
-            }
+            params = {"depth": round(float(rng.uniform(0.5, 4.0)), 3),
+                      "width": round(float(rng.uniform(3.0, 6.0)), 3)}
         elif fam == "spike_lattice":
-            params = {
-                "g": round(float(rng.uniform(0.5, 7.0)), 3),
-                "period": 1.0,
-                "cap": 100.0,
-                "cell": 1e-3,
-                "span": 5.0,
-            }
+            params = {"g": round(float(rng.uniform(0.5, 7.0)), 3), "period": 1.0,
+                      "cap": 100.0, "cell": 1e-3, "span": 5.0}
         elif fam == "random_step":
-            params = {
-                "cells": 30,
-                "low": -3.0,
-                "high": 3.0,
-                "seed": int(rng.integers(0, 2 ** 31)),
-            }
+            params = {"cells": 30, "low": -3.0, "high": 3.0,
+                      "seed": int(rng.integers(0, 2 ** 31))}
         else:
             raise ValueError(f"unknown family {fam!r}")
         pot = make_family(fam, params)
-        a, b = pot.support
-        real_energy = energy.im == 0.0
-        u0 = complex(round(float(rng.uniform(0.5, 1.5)), 6), 0.0)
-        du0 = complex(round(float(rng.uniform(-1.0, 1.0)), 6), 0.0)
-        if not real_energy:
-            du0 += 1j * round(float(rng.uniform(-0.5, 0.5)), 6)
-        checks = [
-            {"name": "derivative_bound"},
-            {"name": "persistence"},
-            {"name": "local_lp", "p": 1},
-            {"name": "local_lp", "p": 2},
-            {"name": "derivative_lp", "p": 1},
-            {"name": "derivative_lp", "p": 2},
-            {"name": "lemma31", "samples": per_scn, "seed": seed * 100003 + i},
-        ]
-        scenarios.append(
-            Scenario(
-                id=f"sweep-{i:03d}",
-                potential=pot,
-                energy=energy,
-                init=InitialData(a, u0, du0),
-                span=(a, b),
-                max_step=max_step,
-                checks=checks,
-                seed=seed * 1000 + i,
-            )
-        )
+        u0 = round(float(rng.uniform(0.5, 1.5)), 6)
+        du0 = [round(float(rng.uniform(-1.0, 1.0)), 6), 0.0]
+        if energy.imag != 0.0:
+            du0[1] = round(float(rng.uniform(-0.5, 0.5)), 6)
+        sid = f"sweep-{i:03d}"
+        doc = {
+            "id": sid,
+            "potential": pot,
+            "energy": [energy.real, energy.imag],
+            "init": {"u0": u0, "du0": du0},
+            "span": list(pot.support),
+            "max_step": max_step,
+            "checks": [
+                {"name": "derivative_bound"},
+                {"name": "persistence"},
+                {"name": "local_lp", "p": 1},
+                {"name": "local_lp", "p": 2},
+                {"name": "derivative_lp", "p": 1},
+                {"name": "derivative_lp", "p": 2},
+                {"name": "lemma31", "samples": per_scn, "seed": seed * 100003 + i},
+            ],
+            "seed": seed * 1000 + i,
+        }
+        scenarios.append(parse_scenario(doc, sid))
     return scenarios
 
 
-def random_sweep(
-    families=ALL_FAMILIES,
-    n_scenarios: int = 50,
-    energy_grid=DEFAULT_ENERGY_GRID,
-    seed: int = 1,
-    max_step: float = 0.01,
-    lemma_samples: int = 1000,
-) -> SuiteReport:
+def random_sweep(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
+                 max_step: float = 0.01, lemma_samples: int = 1000) -> SuiteReport:
     """Randomized corroboration sweep; deterministic for fixed arguments."""
-    scenarios = sweep_scenarios(
-        families, n_scenarios, energy_grid, seed, max_step, lemma_samples
-    )
+    scenarios = sweep_scenarios(families, n_scenarios, seed, max_step, lemma_samples)
     return run_scenarios(scenarios, seed=seed)
 
 

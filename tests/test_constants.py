@@ -43,7 +43,8 @@ def test_rejects_negative_c1():
 
 def test_energy_parsing():
     assert Energy.of(2 + 1j) == Energy(2.0, 1.0)
-    assert Energy.of({"re": 3}) == Energy(3.0, 0.0)
+    with pytest.raises(TypeError):  # a config's {"re", "im"} is read by the harness
+        Energy.of({"re": 3})
     assert Energy.of(Energy(1, 2)).modulus == pytest.approx(math.sqrt(5))
     with pytest.raises(ValueError):
         Energy(math.inf, 0.0)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import warnings
 
 import pytest
 
@@ -80,6 +82,22 @@ OVERFLOWING_FREE = {
     "span": [0.0, 400.0],
     "checks": [{"name": "derivative_bound"}],
 }
+
+# a check that reads each check field
+_CHECK_OF = {"p": "local_lp", "weight": "weighted", "window": "weighted",
+             "tail_fraction": "decay", "drop_factor": "decay", "samples": "lemma31",
+             "seed": "lemma31", "max_gap": "lemma31", "tolerance": "persistence"}
+
+
+def _overflowing_with(field, raw):
+    """OVERFLOWING_FREE with field (<key>, init.<key> or checks[0].<key>) set
+    to raw."""
+    where, _, key = field.rpartition(".")
+    if where == "init":
+        return dict(OVERFLOWING_FREE, init={key: raw})
+    if where == "checks[0]":
+        return dict(OVERFLOWING_FREE, checks=[{"name": _CHECK_OF.get(key), key: raw}])
+    return dict(OVERFLOWING_FREE, **{key: raw})
 
 
 class TestSuiteExecution:
@@ -178,12 +196,49 @@ class TestSuiteExecution:
     @pytest.mark.parametrize("field, raw", [
         ("max_step", None), ("max_step", [1]), ("max_step", "nan"), ("max_step", "inf"),
         ("max_step", "abc"), ("seed", "x"), ("seed", None), ("seed", -3),
+        ("max_step", True), ("max_step", -1.0), ("max_step", 0.0), ("seed", 1.5),
+        ("seed", True), ("energy", "1"), ("energy", [1.0]), ("energy", {"re": True}),
+        ("energy", {"re": 1.0, "im": math.inf}), ("span", 5), ("span", None),
+        ("span", [0.0]), ("span", [1.0, 0.0]), ("span", [0.0, math.inf]),
+        ("expected", "maybe"), ("expected", None), ("checks", {}), ("init", 5),
+        ("init.x0", 1.0), ("init.x0", "0"), ("init.u0", True),
+        ("init.u0", {"re": math.inf}), ("init.du0", [1.0, 2.0, 3.0]),
+        ("checks[0].name", None), ("checks[0].p", True),
+        ("checks[0].weight", 5), ("checks[0].weight", {"kind": "exponential", "rate": True}),
+        ("checks[0].weight", {"kind": "exponential", "rat": 0.5}),
+        ("checks[0].window", [1.0]), ("checks[0].window", 0),
+        ("checks[0].tail_fraction", 0.5), ("checks[0].drop_factor", 1.0),
+        ("checks[0].samples", 2.7), ("checks[0].seed", 1.5), ("checks[0].seed", None),
+        ("checks[0].max_gap", math.inf), ("checks[0].tolerance", -1.0),
     ])
     def test_bad_scenario_number_is_config_error(self, field, raw):
-        doc = {"scenarios": [dict(HEALTHY_FREE, **{field: raw})]}
+        # every field is read before the trace, which overflows here
+        doc = {"scenarios": [_overflowing_with(field, raw)]}
         with pytest.raises(ConfigError) as exc:
             run_suite(doc)
-        assert exc.value.path.endswith(f".{field}")
+        assert exc.value.path == f"free-overflow.{field}"
+
+    @pytest.mark.parametrize("scenario, path", [
+        (5, "scenarios[0]"),
+        (dict(OVERFLOWING_FREE, id=None), "scenarios[0].id"),
+        (dict(OVERFLOWING_FREE, id=7), "scenarios[0].id"),
+        ({k: v for k, v in OVERFLOWING_FREE.items() if k != "id"}, "scenarios[0].id"),
+        (dict(OVERFLOWING_FREE, checks=[5]), "free-overflow.checks[0]"),
+    ], ids=["not-an-object", "id-null", "id-number", "id-missing", "check-not-an-object"])
+    def test_bad_scenario_shape_is_config_error(self, scenario, path):
+        with pytest.raises(ConfigError) as exc:
+            run_suite({"scenarios": [scenario]})
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("doc, floor", [
+        ({"c2_floor": math.nan}, None), ({"c2_floor": "abc"}, None),
+        ({"c2_floor": -1.0}, None), ({"c2_floor": True}, None), ({}, math.nan),
+        ({"c2_floor": 1.0}, math.inf), ({"scenarios": {}}, None), ({"seed": 0.5}, None),
+    ])
+    def test_bad_suite_field_is_config_error(self, doc, floor):
+        with pytest.raises(ConfigError) as exc:
+            run_suite({"scenarios": [OVERFLOWING_FREE], **doc}, c2_floor=floor)
+        assert exc.value.path in doc or exc.value.path == "c2_floor"
 
     def test_weighted_default_window_skips_a_short_span(self, tmp_path):
         # 2(K + delta) exceeds the span [0, 1], so the default window is empty
@@ -338,6 +393,32 @@ class TestCli:
         out = tmp_path / "prufer.csv"
         assert main(["prufer", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "x,R,theta"
+
+    def test_bad_option_is_config_error(self, tmp_path, capsys):
+        # an option stands in for its config field and meets the same test
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps(SQUARE_WELL_SCENARIO))
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps({"breakpoints": [0.0, 1.0], "values": [0.0]}))
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"scenarios": [SQUARE_WELL_SCENARIO]}))
+        for argv, path in (
+            (["solve", "--config", str(scn), "--max-step", "nan"], "well.max_step"),
+            (["prufer", "--config", str(scn), "--max-step", "-1"], "well.max_step"),
+            (["simon-stolz", "--config", str(pot), "--x-max", "inf"], "x_max"),
+            (["simon-stolz", "--config", str(pot), "--max-step", "0"], "step"),
+            (["simon-stolz", "--config", str(pot), "--energy", "nan"], "energy"),
+            (["verify", "--config", str(suite), "--c2-floor", "nan"], "c2_floor"),
+            (["sweep", "--n", "1", "--max-step", "nan"], "sweep-000.max_step"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv) == 2, argv
+            assert f"config error: {path}: bad " in capsys.readouterr().err
+        assert main(["sweep", "--n", "2", "--lemma-samples", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["c1", "--config", str(pot), "--max-step", "1"])
+        assert exc.value.code == 2
 
     def test_prufer_rejects_complex_energy(self, tmp_path, capsys):
         cfg = tmp_path / "scn.json"
