@@ -381,7 +381,7 @@ def sweep_scenarios(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
             "potential": pot,
             "energy": [energy.real, energy.imag],
             "init": {"u0": u0, "du0": du0},
-            "span": list(pot.support),
+            "span": pot.support,
             "max_step": max_step,
             "checks": [
                 {"name": "derivative_bound"},

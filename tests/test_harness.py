@@ -230,15 +230,17 @@ class TestSuiteExecution:
             run_suite({"scenarios": [scenario]})
         assert exc.value.path == path
 
-    @pytest.mark.parametrize("doc, floor", [
-        ({"c2_floor": math.nan}, None), ({"c2_floor": "abc"}, None),
-        ({"c2_floor": -1.0}, None), ({"c2_floor": True}, None), ({}, math.nan),
-        ({"c2_floor": 1.0}, math.inf), ({"scenarios": {}}, None), ({"seed": 0.5}, None),
+    @pytest.mark.parametrize("doc, floor, path", [
+        ({"c2_floor": math.nan}, None, "c2_floor"), ({"c2_floor": "abc"}, None, "c2_floor"),
+        ({"c2_floor": -1.0}, None, "c2_floor"), ({"c2_floor": True}, None, "c2_floor"),
+        ({}, math.nan, "c2_floor"), ({"c2_floor": 1.0}, math.inf, "c2_floor"),
+        ({"scenarios": {}}, None, "scenarios"), ({"seed": 0.5}, None, "seed"),
     ])
-    def test_bad_suite_field_is_config_error(self, doc, floor):
+    def test_bad_suite_field_is_config_error(self, doc, floor, path):
+        # --c2-floor stands in for the document's c2_floor, at the same path
         with pytest.raises(ConfigError) as exc:
             run_suite({"scenarios": [OVERFLOWING_FREE], **doc}, c2_floor=floor)
-        assert exc.value.path in doc or exc.value.path == "c2_floor"
+        assert exc.value.path == path
 
     def test_weighted_default_window_skips_a_short_span(self, tmp_path):
         # 2(K + delta) exceeds the span [0, 1], so the default window is empty
