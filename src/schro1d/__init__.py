@@ -20,7 +20,6 @@ from .potential import (
     PiecewisePotential,
     WindowIntegralProfile,
     c1_sup,
-    make_family,
     negative_part_integral,
     window_integral,
 )
@@ -57,6 +56,7 @@ from .harness import (
     Scenario,
     SuiteReport,
     default_suite_path,
+    make_family,
     parse_potential,
     parse_scenario,
     random_sweep,

@@ -24,6 +24,7 @@ from .errors import ConfigError, Schro1dError
 from .harness import (
     ALL_FAMILIES,
     _field,
+    _known,
     default_suite_path,
     load_suite_config,
     parse_potential,
@@ -46,9 +47,17 @@ def _write_text(text, out):
             sys.stdout.write("\n")
 
 
+def _potential(doc):
+    """The potential of a c1 or simon-stolz config: its "potential" object,
+    or else the document less the curve's energy, x_max and step."""
+    rest = {k: v for k, v in doc.items() if k not in ("energy", "x_max", "step")}
+    if "potential" in rest:
+        _known(rest, ("potential",))
+    return parse_potential(rest.get("potential", rest), "potential")
+
+
 def _cmd_c1(args):
-    doc = load_suite_config(args.config)
-    pot = parse_potential(doc.get("potential", doc), "potential")
+    pot = _potential(load_suite_config(args.config))
     profile = c1_sup(pot)
     payload = {
         "c1": profile.supremum,
@@ -120,8 +129,7 @@ def _cmd_simon_stolz(args):
     # the curve's energy defaults to 1, a scenario's to 0
     doc = {"energy": 1.0,
            **_load(args, energy=args.energy, x_max=args.x_max, step=args.max_step)}
-    pot = parse_potential(doc.get("potential", doc), "potential")
-    curve = simon_stolz_curve(pot, _field(doc, "energy"), _field(doc, "x_max"),
+    curve = simon_stolz_curve(_potential(doc), _field(doc, "energy"), _field(doc, "x_max"),
                               _field(doc, "step"))
     if args.out:
         curve.to_csv(args.out)

@@ -33,9 +33,6 @@ class Energy:
     def modulus(self) -> float:
         return abs(self.as_complex)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return abs(self.im) <= tol
-
     @classmethod
     def of(cls, value) -> "Energy":
         if isinstance(value, Energy):

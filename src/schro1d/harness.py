@@ -3,9 +3,10 @@
 A suite is one JSON document: a list of scenarios, each naming a potential
 (explicit cells or family shorthand), an energy, initial data, a span, and a
 list of checks.  Every config value is read by _field through one table,
-_FIELDS; a bad one is a ConfigError at <id>.<field>, <id>.init.<field> or
-<id>.checks[<j>].<field>.  Reports echo the exact constants used per
-scenario so any failure is reproducible from the report alone.
+_FIELDS, or a potential's entry of FAMILIES; a bad value, or a key its object
+does not read, is a ConfigError at its path, such as <id>.potential.<key>.
+Reports echo the exact constants used per scenario so any failure is
+reproducible from the report alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     Schro1dError,
     TraceTooShort,
 )
-from .potential import PiecewisePotential, c1_sup, make_family
+from .potential import PiecewisePotential, c1_sup, random_step, spike_lattice, square_well
 from .solver import InitialData, SolutionTrace, propagate_exact
 from .verifier import (
     WeightSpec,
@@ -92,26 +93,34 @@ def _same(raw):
     return raw
 
 
+def _positive(x):
+    return 0.0 < x < math.inf
+
+
+_C2_MAX = 0.5 / np.finfo(float).tiny  # the largest C2 whose delta does not underflow
+
 # config field -> (default, conversion, test of the converted value).  The
 # fields of a scenario, of its init object and of its check specs, of the
 # suite document and of the simon-stolz config; _field reads every one.
 _FIELDS = {
     # suite
     "scenarios": (None, _same, lambda s: isinstance(s, list)),
-    "c2_floor": (0.0, _number, lambda c: 0.0 <= c < math.inf),
+    "c2_floor": (0.0, _number, lambda c: 0.0 <= c <= _C2_MAX),
     # scenario; "seed" also of the suite and, defaulting to the scenario's,
     # of a lemma31 check
     "id": (None, _same, lambda s: isinstance(s, str) and s != ""),
-    "energy": (0.0, lambda e: Energy.of(_complex(e)), lambda e: math.isfinite(e.modulus)),
+    "energy": (0.0, lambda e: Energy.of(_complex(e)), lambda e: e.modulus <= _C2_MAX),
     "init": ({}, _same, lambda i: isinstance(i, dict)),
     "x0": (None, _number, math.isfinite),
     "u0": (1.0, _complex, cmath.isfinite),
     "du0": (0.0, _complex, cmath.isfinite),
     "span": (None, _interval, lambda s: -math.inf < s[0] < s[1] < math.inf),
-    "max_step": (0.01, _number, lambda m: 0.0 < m < math.inf),
+    "max_step": (0.01, _number, _positive),
     "seed": (0, _integer, lambda s: s >= 0),
     "expected": ("pass", _same, lambda e: e in ("pass", "expected_fail")),
     "checks": ([], _same, lambda c: isinstance(c, list)),
+    # potential: the entry of FAMILIES that reads its other fields
+    "family": (None, _same, lambda f: f in FAMILIES),
     # check spec
     "name": (None, _same, lambda n: n in CHECKS),
     "p": (2, _number, lambda p: 1.0 <= p < math.inf),
@@ -127,16 +136,37 @@ _FIELDS = {
     "tolerance": (1e-6, _number, lambda t: 0.0 <= t < math.inf),
     # simon-stolz config, with "energy"
     "x_max": (10.0, _number, lambda x: 0.0 <= x < math.inf),
-    "step": (1e-3, _number, lambda s: 0.0 < s < math.inf),
+    "step": (1e-3, _number, _positive),
+}
+
+# potential family -> (builder, its fields in the builder's order, each as in
+# _FIELDS); None, for no family, has explicit cells.  The builder tests what
+# relates two fields: its ValueError is a ConfigError at the potential.
+FAMILIES = {
+    None: (PiecewisePotential, dict.fromkeys(("breakpoints", "values"), (
+        None, lambda v: tuple(map(_number, v)), lambda v: all(map(math.isfinite, v))))),
+    "square_well": (square_well, {"depth": (1.0, _number, math.isfinite),
+                                  "width": (1.0, _number, _positive)}),
+    "spike_lattice": (spike_lattice, {"g": (1.0, _number, lambda g: 0.0 <= g < math.inf),
+                                      "period": (1.0, _number, _positive),
+                                      "cap": (100.0, _number, _positive),
+                                      "cell": (1e-3, _number, _positive),
+                                      "span": (5.0, _number, _positive)}),
+    "random_step": (random_step, {"cells": (20, _integer, lambda n: n >= 1),
+                                  "low": (-2.0, _number, math.isfinite),
+                                  "high": (2.0, _number, math.isfinite),
+                                  "seed": _FIELDS["seed"],
+                                  "min_width": (0.05, _number, _positive),
+                                  "max_width": (0.5, _number, _positive)}),
 }
 
 
-def _field(obj, key, path=""):
-    """obj[key], or its default, converted and tested by _FIELDS[key]; a
+def _field(obj, key, path="", fields=_FIELDS):
+    """obj[key], or its default, converted and tested by fields[key]; a
     non-object obj is a ConfigError at path, a bad value one at path.key."""
     if not isinstance(obj, dict):
         raise ConfigError("must be an object", path)
-    default, conversion, test = _FIELDS[key]
+    default, conversion, test = fields[key]
     raw = obj.get(key, default)
     try:
         value = conversion(raw)
@@ -147,29 +177,42 @@ def _field(obj, key, path=""):
     raise ConfigError(f"bad {key} {raw!r}", f"{path}.{key}" if path else key)
 
 
+def _known(obj, keys, path=""):
+    """A ConfigError at path.key for a key of the object obj not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
+
+
 def parse_potential(obj, path="potential") -> PiecewisePotential:
     """Explicit {"breakpoints": [...], "values": [...]} or family shorthand
-    {"family": "square_well", "depth": 2, "width": 3, ...}; a potential
-    already built is taken as it is."""
+    {"family": "square_well", "depth": 2, "width": 3, ...}, each field read
+    by _field through its FAMILIES entry; a potential already built is taken
+    as it is."""
     if isinstance(obj, PiecewisePotential):
         return obj
-    if not isinstance(obj, dict):
-        raise ConfigError("potential must be an object", path)
+    build, fields = FAMILIES[_field(obj, "family", path)]
+    _known(obj, ("family", *fields), path)
+    args = [_field(obj, key, path, fields) for key in fields]
     try:
-        if "family" in obj:
-            params = {k: v for k, v in obj.items() if k != "family"}
-            return make_family(obj["family"], params, params.get("seed"))
-        return PiecewisePotential(tuple(obj["breakpoints"]), tuple(obj["values"]))
-    except (KeyError, ValueError, TypeError) as err:
+        return build(*args)
+    except (ValueError, OverflowError) as err:
         raise ConfigError(str(err), path) from err
+
+
+def make_family(kind, params) -> PiecewisePotential:
+    """parse_potential of {"family": kind, **params}."""
+    return parse_potential({**params, "family": kind})
 
 
 def parse_scenario(obj, path="scenario") -> Scenario:
     """The Scenario of a scenario document.  A non-object document or a bad
     id is a ConfigError at path; once the id is read, every other error is
-    at <id>.<field>, <id>.init.<field> or <id>.potential."""
+    at <id>.<key>, <id>.init.<key>, <id>.potential or <id>.potential.<key>."""
     sid = _field(obj, "id", path)
+    _known(obj, Scenario.__dataclass_fields__, sid)
     init = _field(obj, "init", sid)
+    _known(init, ("x0", "u0", "du0"), f"{sid}.init")
     span = _field(obj, "span", sid)
     if "x0" in init and _field(init, "x0", f"{sid}.init") != span[0]:
         raise ConfigError("init.x0 must equal span start", f"{sid}.init.x0")
@@ -225,6 +268,7 @@ def _parse_check(spec, scn, path):
     """runner(trace, consts) of one check spec.  Every field the check reads
     is read here by _field: a bad one is a ConfigError at its path."""
     keys, run = CHECKS[_field(spec, "name", path)]
+    _known(spec, ("name", *keys, "tolerance"), path)
     spec = {"seed": scn.seed, **spec}
     args = [_field(spec, key, path) for key in (*keys, "tolerance")]
     return lambda trace, consts: run(trace, consts, scn, *args)
@@ -334,6 +378,7 @@ def run_suite(config, c2_floor=None) -> SuiteReport:
     if c2_floor is not None:
         doc = {**doc, "c2_floor": c2_floor}
     floor = _field(doc, "c2_floor")
+    _known(doc, ("scenarios", "c2_floor", "seed"))
     scenarios = [parse_scenario(o, f"scenarios[{i}]")
                  for i, o in enumerate(_field(doc, "scenarios"))]
     return run_scenarios(scenarios, floor, seed=_field(doc, "seed") if "seed" in doc else None)
@@ -359,6 +404,7 @@ def sweep_scenarios(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
     for i in range(n_scenarios):
         fam = families[i % len(families)]
         energy = SWEEP_ENERGIES[(i // len(families)) % len(SWEEP_ENERGIES)]
+        params = {}  # an unknown family is rejected by make_family
         if fam == "square_well":
             params = {"depth": round(float(rng.uniform(0.5, 4.0)), 3),
                       "width": round(float(rng.uniform(3.0, 6.0)), 3)}
@@ -368,8 +414,6 @@ def sweep_scenarios(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
         elif fam == "random_step":
             params = {"cells": 30, "low": -3.0, "high": 3.0,
                       "seed": int(rng.integers(0, 2 ** 31))}
-        else:
-            raise ValueError(f"unknown family {fam!r}")
         pot = make_family(fam, params)
         u0 = round(float(rng.uniform(0.5, 1.5)), 6)
         du0 = [round(float(rng.uniform(-1.0, 1.0)), 6), 0.0]

@@ -9,6 +9,9 @@ form, and the sliding-window supremum
 
 is computed exactly: the window integral is piecewise linear in x, so its
 maximum is attained at a breakpoint of either window edge.
+
+The families square_well, spike_lattice and random_step take typed arguments:
+harness.FAMILIES reads and tests each field, a builder what relates two.
 """
 
 from __future__ import annotations
@@ -112,13 +115,6 @@ class PiecewisePotential:
                             bp_array=bp, value_array=vals)
         return new
 
-    def to_dict(self):
-        return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(d["breakpoints"]), tuple(d["values"]))
-
 
 @dataclass(frozen=True)
 class WindowIntegralProfile:
@@ -182,22 +178,14 @@ def c1_sup(V: PiecewisePotential) -> WindowIntegralProfile:
     return WindowIntegralProfile(supremum=sup, argmax=arg)
 
 
-def _square_well(depth, width):
-    depth = float(depth)
-    width = float(width)
-    if width <= 0:
-        raise ValueError("square_well width must be positive")
+def square_well(depth, width):
+    """V = -depth on [0, width]."""
     return PiecewisePotential((0.0, width), (-depth,))
 
 
-def _spike_lattice(g, period, cap, cell, span):
-    g = float(g)
-    period = float(period)
-    cap = float(cap)
-    cell = float(cell)
-    span = float(span)
-    if min(period, cap, cell, span) <= 0 or g < 0:
-        raise ValueError("spike_lattice parameters must be positive")
+def spike_lattice(g, period, cap, cell, span):
+    """-g/sqrt(|x - m|) spikes, one centred in each period, truncated at depth
+    cap and sampled on cells of width cell over [0, span]."""
     n = int(round(span / cell))
     if n < 1:
         raise ValueError("span too small for the requested cell width")
@@ -212,15 +200,11 @@ def _spike_lattice(g, period, cap, cell, span):
     return PiecewisePotential(tuple(bp.tolist()), tuple(vals.tolist()))
 
 
-def _random_step(cells, low, high, seed, min_width=0.05, max_width=0.5):
-    cells = int(cells)
-    low = float(low)
-    high = float(high)
-    if cells < 1:
-        raise ValueError("random_step needs at least one cell")
+def random_step(cells, low, high, seed, min_width, max_width):
+    """cells seeded cells, widths in [min_width, max_width], values in [low, high)."""
     if high <= low:
         raise ValueError("random_step value range is empty")
-    if not (0 < min_width <= max_width):
+    if min_width > max_width:
         raise ValueError("random_step width range invalid")
     rng = np.random.default_rng(seed)
     # widths quantized to 1e-3 so breakpoints land on any grid of step 1e-4
@@ -230,35 +214,3 @@ def _random_step(cells, low, high, seed, min_width=0.05, max_width=0.5):
     bp = np.concatenate([[0.0], np.cumsum(widths)])
     vals = rng.uniform(low, high, size=cells)
     return PiecewisePotential(tuple(bp.tolist()), tuple(vals.tolist()))
-
-
-def make_family(kind: str, params: dict, seed=None) -> PiecewisePotential:
-    """Construct a corpus potential; deterministic for fixed (kind, params, seed).
-
-    kinds:
-      square_well(depth, width)         -> V = -depth on [0, width]
-      spike_lattice(g, period, cap, cell, span)
-            -> discretized -g/sqrt(|x-m|) spikes, truncated at depth cap
-      random_step(cells, low, high)     -> seeded uniform cell values
-    """
-    params = dict(params)
-    if kind == "square_well":
-        return _square_well(params.get("depth", 1.0), params.get("width", 1.0))
-    if kind == "spike_lattice":
-        return _spike_lattice(
-            params.get("g", 1.0),
-            params.get("period", 1.0),
-            params.get("cap", 100.0),
-            params.get("cell", 1e-3),
-            params.get("span", 5.0),
-        )
-    if kind == "random_step":
-        return _random_step(
-            params.get("cells", 20),
-            params.get("low", -2.0),
-            params.get("high", 2.0),
-            params.get("seed", seed),
-            params.get("min_width", 0.05),
-            params.get("max_width", 0.5),
-        )
-    raise ValueError(f"unknown potential family: {kind!r}")

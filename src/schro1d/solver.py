@@ -126,10 +126,6 @@ class SolutionTrace:
             self._cum_abs_u[p] = cumtrapz(self.abs_u ** p, self.xs)
         return self._cum_abs_u[p]
 
-    @property
-    def span(self):
-        return (float(self.xs[0]), float(self.xs[-1]))
-
     def magnitude_scale(self) -> float:
         return float(max(np.max(np.abs(self.u)), np.max(np.abs(self.du)), 1e-300))
 

@@ -89,6 +89,15 @@ _CHECK_OF = {"p": "local_lp", "weight": "weighted", "window": "weighted",
              "seed": "lemma31", "max_gap": "lemma31", "tolerance": "persistence"}
 
 
+SQUARE_WELL = {"family": "square_well", "depth": 2.0, "width": 3.0}
+RANDOM_STEP = {"family": "random_step", "cells": 12, "low": -2.0, "high": 2.0}
+
+
+def _overflowing_suite(**fields):
+    """A suite of OVERFLOWING_FREE with fields set."""
+    return {"scenarios": [dict(OVERFLOWING_FREE, **fields)]}
+
+
 def _overflowing_with(field, raw):
     """OVERFLOWING_FREE with field (<key>, init.<key> or checks[0].<key>) set
     to raw."""
@@ -209,7 +218,7 @@ class TestSuiteExecution:
         ("checks[0].window", [1.0]), ("checks[0].window", 0),
         ("checks[0].tail_fraction", 0.5), ("checks[0].drop_factor", 1.0),
         ("checks[0].samples", 2.7), ("checks[0].seed", 1.5), ("checks[0].seed", None),
-        ("checks[0].max_gap", math.inf), ("checks[0].tolerance", -1.0),
+        ("checks[0].max_gap", math.inf), ("checks[0].tolerance", -1.0), ("energy", 1e308),
     ])
     def test_bad_scenario_number_is_config_error(self, field, raw):
         # every field is read before the trace, which overflows here
@@ -217,6 +226,45 @@ class TestSuiteExecution:
         with pytest.raises(ConfigError) as exc:
             run_suite(doc)
         assert exc.value.path == f"free-overflow.{field}"
+
+    @pytest.mark.parametrize("doc, path", [
+        (_overflowing_suite(potential=SQUARE_WELL | {"depth": True}),
+         "free-overflow.potential.depth"),
+        (_overflowing_suite(potential=SQUARE_WELL | {"depth": "4"}),
+         "free-overflow.potential.depth"),
+        (_overflowing_suite(potential=RANDOM_STEP | {"cells": 2.7}),
+         "free-overflow.potential.cells"),
+        (_overflowing_suite(potential=RANDOM_STEP | {"seed": 1.5}),
+         "free-overflow.potential.seed"),
+        (_overflowing_suite(potential=RANDOM_STEP | {"seed": -3}),
+         "free-overflow.potential.seed"),
+        (_overflowing_suite(potential={"family": "spike_lattice", "g": math.nan}),
+         "free-overflow.potential.g"),
+        (_overflowing_suite(potential=SQUARE_WELL | {"width": 0}),
+         "free-overflow.potential.width"),
+        (_overflowing_suite(potential={"family": "square_well", "dpeth": 4, "width": 3}),
+         "free-overflow.potential.dpeth"),
+        (_overflowing_suite(potential={"family": "morse"}), "free-overflow.potential.family"),
+        (_overflowing_suite(potential=SQUARE_WELL | {"breakpoints": [0.0, 3.0]}),
+         "free-overflow.potential.breakpoints"),
+        (_overflowing_suite(potential={"breakpoints": [0, True], "values": [0.0]}),
+         "free-overflow.potential.breakpoints"),
+        (_overflowing_suite(potential={"breakpoints": [0.0, 1.0], "values": ["2"]}),
+         "free-overflow.potential.values"),
+        (_overflowing_suite(maxstep=0.1), "free-overflow.maxstep"),
+        (_overflowing_suite(init={"dx0": 0.0}), "free-overflow.init.dx0"),
+        (_overflowing_suite(checks=[{"name": "local_lp", "P": 1}]), "free-overflow.checks[0].P"),
+        ({"scenarios": [OVERFLOWING_FREE], "c2floor": 1.0}, "c2floor"),
+    ], ids=["depth-true", "depth-text", "cells-fraction", "seed-fraction", "seed-negative",
+            "g-nan", "width-zero", "dpeth", "family-morse", "family-and-breakpoints",
+            "breakpoints-bool", "values-text", "scenario-maxstep", "init-dx0", "check-P",
+            "suite-c2floor"])
+    def test_bad_potential_or_unknown_key_is_config_error(self, doc, path):
+        # a potential is read field by field like the rest of the scenario,
+        # and every object rejects a key it does not read, before the trace
+        with pytest.raises(ConfigError) as exc:
+            run_suite(doc)
+        assert exc.value.path == path
 
     @pytest.mark.parametrize("scenario, path", [
         (5, "scenarios[0]"),
@@ -235,6 +283,7 @@ class TestSuiteExecution:
         ({"c2_floor": -1.0}, None, "c2_floor"), ({"c2_floor": True}, None, "c2_floor"),
         ({}, math.nan, "c2_floor"), ({"c2_floor": 1.0}, math.inf, "c2_floor"),
         ({"scenarios": {}}, None, "scenarios"), ({"seed": 0.5}, None, "seed"),
+        ({"c2_floor": 1e308}, None, "c2_floor"),
     ])
     def test_bad_suite_field_is_config_error(self, doc, floor, path):
         # --c2-floor stands in for the document's c2_floor, at the same path
@@ -306,6 +355,15 @@ class TestDeterminism:
         d1 = r1.to_json_dict()
         d2 = r1.to_json_dict(include_wall_time=False)
         assert set(d1) - set(d2) == {"wall_time_s"}
+
+    def test_seedless_random_step_reads_seed_zero(self):
+        # a random_step's seed defaults to 0, so a suite that names none
+        # still gives the same report on every run
+        scenario = {"id": "step", "potential": RANDOM_STEP, "energy": 1.0,
+                    "span": [0.0, 3.0], "checks": [{"name": "local_lp", "p": 2}]}
+        r1, r2 = (run_suite({"scenarios": [scenario]}) for _ in range(2))
+        assert r1.to_json(include_wall_time=False) == r2.to_json(include_wall_time=False)
+        assert parse_potential(RANDOM_STEP) == parse_potential(dict(RANDOM_STEP, seed=0))
 
     def test_entries_sorted_by_id(self):
         a = parse_scenario(dict(SQUARE_WELL_SCENARIO, id="zzz"))
@@ -421,6 +479,25 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["c1", "--config", str(pot), "--max-step", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["c1", "simon-stolz"])
+    @pytest.mark.parametrize("doc, path", [
+        ({"potential": SQUARE_WELL, "energy": 1.0, "x_max": 2.0, "step": 0.01}, None),
+        (SQUARE_WELL | {"energy": 1.0, "x_max": 2.0, "step": 0.01}, None),
+        ({"potential": SQUARE_WELL, "xmax": 2.0}, "xmax"),
+        (SQUARE_WELL | {"dpeth": 4}, "potential.dpeth"),
+    ], ids=["nested", "inline", "outer-key", "inline-key"])
+    def test_potential_config_keys(self, tmp_path, capsys, command, doc, path):
+        # the potential of a c1 or simon-stolz config is its "potential", or
+        # the document less energy, x_max and step
+        cfg = tmp_path / "pot.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        if path is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"config error: {path}: unknown key" in capsys.readouterr().err
 
     def test_prufer_rejects_complex_energy(self, tmp_path, capsys):
         cfg = tmp_path / "scn.json"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schro1d import (
+    ConfigError,
     PiecewisePotential,
     c1_sup,
     make_family,
@@ -200,7 +201,7 @@ class TestMakeFamily:
         assert V.values == (-2.0,)
 
     def test_square_well_rejects_bad_width(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="width"):
             make_family("square_well", {"depth": 2, "width": 0})
 
     def test_random_step_deterministic(self):
@@ -210,7 +211,7 @@ class TestMakeFamily:
         assert V1.values == V2.values
 
     def test_random_step_rejects_empty_range(self):
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ConfigError, match="range"):
             make_family("random_step", {"cells": 5, "low": 1.0, "high": 1.0, "seed": 0})
 
     def test_spike_lattice_c1_matches_riemann_oracle(self):
@@ -224,5 +225,5 @@ class TestMakeFamily:
         assert c1 == pytest.approx(riemann_c1(V, step=1e-4), abs=1e-9)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ConfigError, match="family 'morse'"):
             make_family("morse", {})

@@ -11,6 +11,7 @@ from schro1d import (
     InitialData,
     OverflowAtX,
     PiecewisePotential,
+    make_family,
     propagate_exact,
     propagate_rk,
     transfer_matrix,
@@ -18,7 +19,6 @@ from schro1d import (
 )
 from schro1d import harness, solver, verifier
 from schro1d.constants import Energy
-from schro1d.potential import make_family
 from schro1d.solver import (
     OVERFLOW_GUARD,
     SERIES_THRESHOLD,

@@ -8,11 +8,11 @@ from schro1d import (
     InitialData,
     NotRealSolution,
     PiecewisePotential,
+    make_family,
     propagate_exact,
     prufer_decompose,
     simon_stolz_curve,
 )
-from schro1d.potential import make_family
 from schro1d.spectral import operator_norm_2x2, singular_values_2x2
 
 from conftest import frobenius_integrand

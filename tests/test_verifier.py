@@ -24,12 +24,12 @@ from schro1d import (
     check_persistence,
     check_weighted,
     constants_for,
+    make_family,
     propagate_exact,
     sample_lemma31,
 )
 from schro1d import verifier
 from schro1d.errors import InadmissibleWeight
-from schro1d.potential import make_family
 from schro1d.verifier import (
     ZERO_BAND,
     CheckOutcome,
