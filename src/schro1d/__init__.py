@@ -63,5 +63,6 @@ from .harness import (
     run_scenario,
     run_scenarios,
     run_suite,
+    sweep_document,
     sweep_scenarios,
 )

@@ -23,6 +23,7 @@ from . import __version__
 from .errors import ConfigError, Schro1dError
 from .harness import (
     ALL_FAMILIES,
+    CURVE_FIELDS,
     _field,
     _known,
     default_suite_path,
@@ -49,8 +50,8 @@ def _write_text(text, out):
 
 def _potential(doc):
     """The potential of a c1 or simon-stolz config: its "potential" object,
-    or else the document less the curve's energy, x_max and step."""
-    rest = {k: v for k, v in doc.items() if k not in ("energy", "x_max", "step")}
+    or else the document less the curve's fields."""
+    rest = {k: v for k, v in doc.items() if k not in CURVE_FIELDS}
     if "potential" in rest:
         _known(rest, ("potential",))
     return parse_potential(rest.get("potential", rest), "potential")
@@ -126,11 +127,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_simon_stolz(args):
-    # the curve's energy defaults to 1, a scenario's to 0
-    doc = {"energy": 1.0,
-           **_load(args, energy=args.energy, x_max=args.x_max, step=args.max_step)}
-    curve = simon_stolz_curve(_potential(doc), _field(doc, "energy"), _field(doc, "x_max"),
-                              _field(doc, "step"))
+    doc = _load(args, energy=args.energy, x_max=args.x_max, step=args.max_step)
+    curve = simon_stolz_curve(_potential(doc),
+                              *[_field(doc, key, fields=CURVE_FIELDS) for key in CURVE_FIELDS])
     if args.out:
         curve.to_csv(args.out)
     else:

@@ -1,12 +1,12 @@
 """Scenario configuration, suite execution, and randomized sweeps.
 
-A suite is one JSON document: a list of scenarios, each naming a potential
-(explicit cells or family shorthand), an energy, initial data, a span, and a
-list of checks.  Every config value is read by _field through one table,
-_FIELDS, or a potential's entry of FAMILIES; a bad value, or a key its object
-does not read, is a ConfigError at its path, such as <id>.potential.<key>.
-Reports echo the exact constants used per scenario so any failure is
-reproducible from the report alone.
+A suite is one JSON document, such as sweep_document's: a list of scenarios,
+each naming a potential, an energy, initial data, a span (default the
+potential's support) and checks.  Every config value is read by _field
+through one table, _FIELDS, a potential's entry of FAMILIES or CURVE_FIELDS;
+a bad value, or a key its object does not read, is a ConfigError at its
+path, such as <id>.potential.<key>.  Reports echo the exact constants used
+per scenario so any failure is reproducible from the report alone.
 """
 
 from __future__ import annotations
@@ -100,14 +100,14 @@ def _positive(x):
 _C2_MAX = 0.5 / np.finfo(float).tiny  # the largest C2 whose delta does not underflow
 
 # config field -> (default, conversion, test of the converted value).  The
-# fields of a scenario, of its init object and of its check specs, of the
-# suite document and of the simon-stolz config; _field reads every one.
+# fields of a scenario, of its init object and of its check specs, and of the
+# suite document; _field reads every one.
 _FIELDS = {
     # suite
     "scenarios": (None, _same, lambda s: isinstance(s, list)),
     "c2_floor": (0.0, _number, lambda c: 0.0 <= c <= _C2_MAX),
-    # scenario; "seed" also of the suite and, defaulting to the scenario's,
-    # of a lemma31 check
+    # scenario (an absent "span" is its potential's support); "seed" also of
+    # the suite and, defaulting to the scenario's, of a lemma31 check
     "id": (None, _same, lambda s: isinstance(s, str) and s != ""),
     "energy": (0.0, lambda e: Energy.of(_complex(e)), lambda e: e.modulus <= _C2_MAX),
     "init": ({}, _same, lambda i: isinstance(i, dict)),
@@ -134,9 +134,6 @@ _FIELDS = {
     "samples": (100, _integer, lambda n: n >= 1),
     "max_gap": (1.5, _number, lambda g: 0.0 <= g < math.inf),
     "tolerance": (1e-6, _number, lambda t: 0.0 <= t < math.inf),
-    # simon-stolz config, with "energy"
-    "x_max": (10.0, _number, lambda x: 0.0 <= x < math.inf),
-    "step": (1e-3, _number, _positive),
 }
 
 # potential family -> (builder, its fields in the builder's order, each as in
@@ -159,6 +156,11 @@ FAMILIES = {
                                   "min_width": (0.05, _number, _positive),
                                   "max_width": (0.5, _number, _positive)}),
 }
+
+# a simon-stolz config's fields in simon_stolz_curve's order; energy default 1
+CURVE_FIELDS = {"energy": (1.0, *_FIELDS["energy"][1:]),
+                "x_max": (10.0, _number, lambda x: 0.0 <= x < math.inf),
+                "step": (1e-3, _number, _positive)}
 
 
 def _field(obj, key, path="", fields=_FIELDS):
@@ -187,10 +189,7 @@ def _known(obj, keys, path=""):
 def parse_potential(obj, path="potential") -> PiecewisePotential:
     """Explicit {"breakpoints": [...], "values": [...]} or family shorthand
     {"family": "square_well", "depth": 2, "width": 3, ...}, each field read
-    by _field through its FAMILIES entry; a potential already built is taken
-    as it is."""
-    if isinstance(obj, PiecewisePotential):
-        return obj
+    by _field through its FAMILIES entry."""
     build, fields = FAMILIES[_field(obj, "family", path)]
     _known(obj, ("family", *fields), path)
     args = [_field(obj, key, path, fields) for key in fields]
@@ -213,12 +212,13 @@ def parse_scenario(obj, path="scenario") -> Scenario:
     _known(obj, Scenario.__dataclass_fields__, sid)
     init = _field(obj, "init", sid)
     _known(init, ("x0", "u0", "du0"), f"{sid}.init")
-    span = _field(obj, "span", sid)
+    potential = parse_potential(obj.get("potential", {}), f"{sid}.potential")
+    span = _field(obj, "span", sid) if "span" in obj else potential.support
     if "x0" in init and _field(init, "x0", f"{sid}.init") != span[0]:
         raise ConfigError("init.x0 must equal span start", f"{sid}.init.x0")
     return Scenario(
         id=sid,
-        potential=parse_potential(obj.get("potential", {}), f"{sid}.potential"),
+        potential=potential,
         energy=_field(obj, "energy", sid),
         init=InitialData(span[0], _field(init, "u0", f"{sid}.init"),
                          _field(init, "du0", f"{sid}.init")),
@@ -287,6 +287,8 @@ def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
              "described_interval": list(scn.potential.support)}
     try:
         profile = c1_sup(scn.potential)
+        if profile.supremum + scn.energy.modulus > _C2_MAX:
+            raise ConfigError(f"C1 + |E| exceeds {_C2_MAX:g}", f"{scn.id}.potential")
         consts = constants_for(profile.supremum, scn.energy, c2_floor)
         consts.validate()
         entry["constants"] = {**consts.to_dict(), "c1_argmax": profile.argmax}
@@ -390,42 +392,37 @@ SWEEP_ENERGIES = (1.0, 4.0, 2.0 + 1.0j, -1.0 + 0.5j)
 ALL_FAMILIES = ("square_well", "spike_lattice", "random_step")
 
 
-def sweep_scenarios(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
-                    max_step: float = 0.01, lemma_samples: int = 1000) -> list:
-    """Deterministic corpus of random scenarios over the potential families.
-    Each is read by parse_scenario from the document built for it, whose
-    potential is built once and passed in as it is."""
-    if n_scenarios < 1 or lemma_samples < 1:
-        raise ValueError("need at least one scenario and one lemma31 sample")
-    families = tuple(families)
+def sweep_document(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
+                   max_step: float = 0.01, lemma_samples: int = 1000) -> dict:
+    """Deterministic suite document of random scenarios over the potential
+    families, of JSON values only, so that verify --config runs it as a file.
+    A span is left out: it is the potential's support."""
+    if n_scenarios < 1:
+        raise ValueError("need at least one scenario")
     rng = np.random.default_rng(seed)
     per_scn = math.ceil(lemma_samples / n_scenarios)
     scenarios = []
     for i in range(n_scenarios):
         fam = families[i % len(families)]
         energy = SWEEP_ENERGIES[(i // len(families)) % len(SWEEP_ENERGIES)]
-        params = {}  # an unknown family is rejected by make_family
+        potential = {"family": fam}  # an unknown family is rejected by parse_potential
         if fam == "square_well":
-            params = {"depth": round(float(rng.uniform(0.5, 4.0)), 3),
-                      "width": round(float(rng.uniform(3.0, 6.0)), 3)}
+            potential |= {"depth": round(float(rng.uniform(0.5, 4.0)), 3),
+                          "width": round(float(rng.uniform(3.0, 6.0)), 3)}
         elif fam == "spike_lattice":
-            params = {"g": round(float(rng.uniform(0.5, 7.0)), 3), "period": 1.0,
-                      "cap": 100.0, "cell": 1e-3, "span": 5.0}
+            potential |= {"g": round(float(rng.uniform(0.5, 7.0)), 3), "period": 1.0,
+                          "cap": 100.0, "cell": 1e-3, "span": 5.0}
         elif fam == "random_step":
-            params = {"cells": 30, "low": -3.0, "high": 3.0,
-                      "seed": int(rng.integers(0, 2 ** 31))}
-        pot = make_family(fam, params)
+            potential |= {"cells": 30, "low": -3.0, "high": 3.0,
+                          "seed": int(rng.integers(0, 2 ** 31))}
         u0 = round(float(rng.uniform(0.5, 1.5)), 6)
-        du0 = [round(float(rng.uniform(-1.0, 1.0)), 6), 0.0]
-        if energy.imag != 0.0:
-            du0[1] = round(float(rng.uniform(-0.5, 0.5)), 6)
-        sid = f"sweep-{i:03d}"
-        doc = {
-            "id": sid,
-            "potential": pot,
+        du0 = [round(float(rng.uniform(-1.0, 1.0)), 6),
+               round(float(rng.uniform(-0.5, 0.5)), 6) if energy.imag else 0.0]
+        scenarios.append({
+            "id": f"sweep-{i:03d}",
+            "potential": potential,
             "energy": [energy.real, energy.imag],
             "init": {"u0": u0, "du0": du0},
-            "span": pot.support,
             "max_step": max_step,
             "checks": [
                 {"name": "derivative_bound"},
@@ -437,16 +434,18 @@ def sweep_scenarios(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
                 {"name": "lemma31", "samples": per_scn, "seed": seed * 100003 + i},
             ],
             "seed": seed * 1000 + i,
-        }
-        scenarios.append(parse_scenario(doc, sid))
-    return scenarios
+        })
+    return {"seed": seed, "scenarios": scenarios}
 
 
-def random_sweep(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
-                 max_step: float = 0.01, lemma_samples: int = 1000) -> SuiteReport:
-    """Randomized corroboration sweep; deterministic for fixed arguments."""
-    scenarios = sweep_scenarios(families, n_scenarios, seed, max_step, lemma_samples)
-    return run_scenarios(scenarios, seed=seed)
+def sweep_scenarios(*args, **kwargs) -> list:
+    """The Scenarios of sweep_document(*args, **kwargs), read by parse_scenario."""
+    return [parse_scenario(o, o["id"]) for o in sweep_document(*args, **kwargs)["scenarios"]]
+
+
+def random_sweep(*args, **kwargs) -> SuiteReport:
+    """run_suite on sweep_document(*args, **kwargs); deterministic for fixed arguments."""
+    return run_suite(sweep_document(*args, **kwargs))
 
 
 def default_suite_path() -> str:

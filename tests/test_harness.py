@@ -8,11 +8,14 @@ import pytest
 from schro1d import (
     ConfigError,
     DegenerateConstants,
+    PiecewisePotential,
     default_suite_path,
     parse_potential,
     parse_scenario,
+    random_sweep,
     run_scenarios,
     run_suite,
+    sweep_document,
 )
 from schro1d.harness import run_scenario
 from schro1d.cli import main
@@ -61,9 +64,19 @@ class TestParsing:
             parse_scenario(bad)
 
     def test_missing_span(self):
-        bad = {k: v for k, v in SQUARE_WELL_SCENARIO.items() if k != "span"}
-        with pytest.raises(ConfigError, match="span"):
-            parse_scenario(bad)
+        # a missing span reads the potential's support (a bad one is an
+        # error: test_bad_scenario_number_is_config_error)
+        doc = {k: v for k, v in SQUARE_WELL_SCENARIO.items() if k != "span"}
+        assert parse_scenario(doc).span == (0.0, 3.0)
+        shifted = parse_scenario(dict(doc, init={}, potential={"breakpoints": [-1.0, 0.5, 2.0],
+                                                               "values": [-2.0, 0.0]}))
+        assert shifted.span == (-1.0, 2.0) and shifted.init.x0 == -1.0
+
+    def test_parse_potential_rejects_a_built_potential(self):
+        # a config value is a JSON value: a PiecewisePotential is not one
+        with pytest.raises(ConfigError) as exc:
+            parse_potential(PiecewisePotential((0.0, 1.0), (0.0,)), "well.potential")
+        assert exc.value.path == "well.potential"
 
 
 # a healthy free scenario, and one whose growing solution e^x passes the
@@ -255,10 +268,12 @@ class TestSuiteExecution:
         (_overflowing_suite(init={"dx0": 0.0}), "free-overflow.init.dx0"),
         (_overflowing_suite(checks=[{"name": "local_lp", "P": 1}]), "free-overflow.checks[0].P"),
         ({"scenarios": [OVERFLOWING_FREE], "c2floor": 1.0}, "c2floor"),
+        (_overflowing_suite(potential={"breakpoints": [0.0, 1.0], "values": [-1e308]},
+                            energy=1.0), "free-overflow.potential"),
     ], ids=["depth-true", "depth-text", "cells-fraction", "seed-fraction", "seed-negative",
             "g-nan", "width-zero", "dpeth", "family-morse", "family-and-breakpoints",
             "breakpoints-bool", "values-text", "scenario-maxstep", "init-dx0", "check-P",
-            "suite-c2floor"])
+            "suite-c2floor", "c1-near-float-max"])
     def test_bad_potential_or_unknown_key_is_config_error(self, doc, path):
         # a potential is read field by field like the rest of the scenario,
         # and every object rejects a key it does not read, before the trace
@@ -364,6 +379,16 @@ class TestDeterminism:
         r1, r2 = (run_suite({"scenarios": [scenario]}) for _ in range(2))
         assert r1.to_json(include_wall_time=False) == r2.to_json(include_wall_time=False)
         assert parse_potential(RANDOM_STEP) == parse_potential(dict(RANDOM_STEP, seed=0))
+
+    def test_sweep_document_round_trip(self, tmp_path):
+        # the sweep's document holds JSON values only, and verify --config on
+        # it as a file gives the sweep's report
+        doc = sweep_document(n_scenarios=3, seed=1)
+        assert json.loads(json.dumps(doc)) == doc
+        path = tmp_path / "sweep_suite.json"
+        path.write_text(json.dumps(doc))
+        expected = random_sweep(n_scenarios=3, seed=1).to_json(include_wall_time=False)
+        assert run_suite(str(path)).to_json(include_wall_time=False) == expected
 
     def test_entries_sorted_by_id(self):
         a = parse_scenario(dict(SQUARE_WELL_SCENARIO, id="zzz"))
