@@ -28,9 +28,7 @@ from .solver import (
     SolutionTrace,
     TransferMatrix,
     propagate_exact,
-    propagate_rk,
     transfer_matrix,
-    wronskian,
 )
 from .spectral import (
     PruferTrace,

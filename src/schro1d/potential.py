@@ -17,7 +17,7 @@ harness.FAMILIES reads and tests each field, a builder what relates two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -87,14 +87,6 @@ class PiecewisePotential:
         idx = np.clip(idx, 0, len(self.values) - 1)
         out = np.where(inside, self.value_array[idx], 0.0)
         return out if out.ndim else float(out)
-
-    def scaled(self, lam):
-        """The potential lam * V on the same cells."""
-        return PiecewisePotential(self.breakpoints, tuple(lam * v for v in self.values))
-
-    def translated(self, t):
-        """V(x - t): all breakpoints shifted by t."""
-        return PiecewisePotential(tuple(b + t for b in self.breakpoints), self.values)
 
     def reflected(self):
         """V(-x): cells mirrored about the origin.

@@ -9,12 +9,8 @@ Within each constant cell, q = V - E is constant and the flow of
 so propagation is exact up to rounding for piecewise-constant potentials.
 The entries are even functions of s, hence independent of the branch of the
 square root; near q = 0 they are evaluated by series to avoid cancellation.
-A classical fixed-step RK4 integrator (with steps split at cell boundaries)
-serves as an independent cross-check; within a cell its node k is S^k times
-the cell's start data, for the RK4 step matrix S, and the powers of S are
-built by doubling.
 
-Both propagators run forward only, over a batch of initial-data columns.
+The propagator runs forward only, over a batch of initial-data columns.
 Backward propagation runs forward on the reflected potential V(-x), from -x0
 with data (u0, -u0'), and reflects the traces back.  A transfer matrix runs
 the two basis solutions as the two columns of one kernel pass and reads the
@@ -38,7 +34,7 @@ where the work is sequential:
    chunk whose nodes are all anchors is copied from the scan rows, which
    are the values the fill would give there but for the sign of a zero.
 
-Neither kernel tests a value: the overflow guard is one test of every node
+The kernel tests no value: the overflow guard is one test of every node
 after the kernel (see `_kernel_columns`).
 """
 
@@ -140,12 +136,6 @@ class SolutionTrace:
         if not self.is_real(tol):
             raise NotRealSolution("imaginary parts exceed tolerance")
         return self.u.real.copy(), self.du.real.copy()
-
-    def scaled(self, lam: complex) -> "SolutionTrace":
-        if lam == 0:
-            raise ValueError("scaling by zero gives the trivial solution")
-        return SolutionTrace(self.xs.copy(), lam * self.u, lam * self.du,
-                             self.energy, self.method, self.max_step)
 
     def reflected(self) -> "SolutionTrace":
         """Trace of x -> u(-x); pairs with the reflected potential."""
@@ -396,52 +386,12 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
     return us, dus
 
 
-def _step_powers(alpha, beta, qbeta, n):
-    """Entries (0,0), (0,1), (1,0), (1,1) of S^1 .. S^n for the step matrix
-    S = [[alpha, beta], [qbeta, alpha]], by doubling: S^(m+k) = S^m S^k for
-    every k <= m at once, as explicit elementwise 2x2 products."""
-    p = np.empty((4, n), dtype=complex)
-    p[:, 0] = alpha, beta, qbeta, alpha
-    m = 1
-    while m < n:
-        k = min(m, n - m)
-        a, b, c, d = p[:, m - 1]  # S^m
-        ka, kb, kc, kd = p[:, :k]
-        p[0, m:m + k] = a * ka + b * kc
-        p[1, m:m + k] = a * kb + b * kd
-        p[2, m:m + k] = c * ka + d * kc
-        p[3, m:m + k] = c * kb + d * kd
-        m += k
-    return p
-
-
-def _rk_kernel(xs, edge_idx, qs, u, du):
-    """Fixed-step RK4 flow of the data columns (u, du) at xs[0] along xs.
-
-    On the linear system RK4 collapses to one constant 2x2 step matrix S per
-    cell, so node k of a cell is S^k times the data at the cell's start; the
-    last node carries the data into the next cell.  It uses no blocks and no
-    anchors, which keeps it independent of the exact kernel.
-    """
-    us = np.empty((len(u), len(xs)), dtype=complex)
-    dus = np.empty_like(us)
-    us[:, 0], dus[:, 0] = u, du
-    for i0, i1, q in zip(edge_idx, edge_idx[1:], qs.tolist()):
-        h = (xs[i1] - xs[i0]) / (i1 - i0)
-        alpha = 1.0 + q * h * h / 2.0 + q * q * h ** 4 / 24.0
-        beta = h + q * h ** 3 / 6.0
-        p = _step_powers(alpha, beta, q * beta, i1 - i0)
-        u, du = us[:, i0, None], dus[:, i0, None]
-        us[:, i0 + 1:i1 + 1] = p[0] * u + p[1] * du
-        dus[:, i0 + 1:i1 + 1] = p[2] * u + p[3] * du
-    return us, dus
-
-
-def _kernel_columns(kernel, V, energy, x0, x_end, u0, du0, step):
-    """Run `kernel` on the data columns (u0[k], du0[k]) at x0 toward x_end.
+def _kernel_columns(V, energy, x0, x_end, u0, du0, step):
+    """Run `_exact_kernel` on the data columns (u0[k], du0[k]) at x0 toward
+    x_end.
 
     Returns the grid, the columns (us, dus) and whether the run was
-    reflected.  The kernels only run forward: for x_end < x0 they run on the
+    reflected.  The kernel only runs forward: for x_end < x0 it runs on the
     reflected potential, from -x0 with data (u0, -du0), so the grid holds -x
     and dus holds -u'(-x).
 
@@ -461,7 +411,7 @@ def _kernel_columns(kernel, V, energy, x0, x_end, u0, du0, step):
     mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
     qs = V.value_at(mids) - energy.as_complex
     with np.errstate(over="ignore", invalid="ignore"):
-        us, dus = kernel(xs, edge_idx, qs, u0, du0)
+        us, dus = _exact_kernel(xs, edge_idx, qs, u0, du0)
         mag = np.maximum(np.abs(us), np.abs(dus)).max(axis=0)
         bad = np.flatnonzero(~(mag <= OVERFLOW_GUARD))
     if bad.size:
@@ -470,12 +420,13 @@ def _kernel_columns(kernel, V, energy, x0, x_end, u0, du0, step):
     return xs, us, dus, reflected
 
 
-def _traces(kernel, method, V, E, x0, x_end, u0, du0, step):
+def _traces(V, E, x0, x_end, u0, du0, step):
     """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end;
     traces of a reflected run are reflected back."""
     energy = Energy.of(E)
-    xs, us, dus, reflected = _kernel_columns(kernel, V, energy, x0, x_end, u0, du0, step)
-    traces = [SolutionTrace(xs, u, du, energy, method, float(step)) for u, du in zip(us, dus)]
+    xs, us, dus, reflected = _kernel_columns(V, energy, x0, x_end, u0, du0, step)
+    traces = [SolutionTrace(xs, u, du, energy, "exact_cell", float(step))
+              for u, du in zip(us, dus)]
     return [t.reflected() for t in traces] if reflected else traces
 
 
@@ -492,25 +443,8 @@ def propagate_exact(
     returned grid is always increasing.  Aborts with OverflowAtX once the
     solution magnitude exceeds the overflow guard.
     """
-    (trace,) = _traces(_exact_kernel, "exact_cell", V, E, init.x0, x_end,
-                       np.array([init.u0]), np.array([init.du0]), max_step)
-    return trace
-
-
-def propagate_rk(
-    V: PiecewisePotential,
-    E,
-    init: InitialData,
-    x_end: float,
-    step: float,
-) -> SolutionTrace:
-    """Classical fixed-step RK4 on (u, u')' = (u', (V - E) u).
-
-    Steps are split at cell boundaries so every stage sees the cell's constant
-    potential value; used to cross-validate propagate_exact.
-    """
-    (trace,) = _traces(_rk_kernel, "rk4", V, E, init.x0, x_end,
-                       np.array([init.u0]), np.array([init.du0]), step)
+    (trace,) = _traces(V, E, init.x0, x_end, np.array([init.u0]), np.array([init.du0]),
+                       max_step)
     return trace
 
 
@@ -518,8 +452,7 @@ def basis_traces(V: PiecewisePotential, E, x_from: float, x_to: float, max_step:
     """Traces of the two canonical solutions with data (1,0) and (0,1) at
     x_from, propagated together as the columns of one kernel pass."""
     u0, du0 = np.eye(2, dtype=complex)
-    t1, t2 = _traces(_exact_kernel, "exact_cell", V, E, float(x_from), x_to,
-                     u0, du0, max_step)
+    t1, t2 = _traces(V, E, float(x_from), x_to, u0, du0, max_step)
     return t1, t2
 
 
@@ -542,16 +475,7 @@ def transfer_matrix(
     if x == y:
         return TransferMatrix(np.eye(2, dtype=complex), y, x, energy)
     u0, du0 = np.eye(2, dtype=complex)
-    _, us, dus, reflected = _kernel_columns(_exact_kernel, V, energy, y, x, u0, du0,
-                                            max_step)
+    _, us, dus, reflected = _kernel_columns(V, energy, y, x, u0, du0, max_step)
     # the kernel's last node is x; a reflected run holds -u'(x) there
     entries = np.array([us[:, -1], -dus[:, -1] if reflected else dus[:, -1]])
     return TransferMatrix(entries, y, x, energy)
-
-
-def wronskian(t1: SolutionTrace, t2: SolutionTrace) -> np.ndarray:
-    """u v' - u' v along the shared grid (constant for solutions of the same
-    equation); callers normalize by the product magnitude when asserting."""
-    if len(t1.xs) != len(t2.xs) or np.max(np.abs(t1.xs - t2.xs)) > 0:
-        raise ValueError("traces must share the same grid")
-    return t1.u * t2.du - t1.du * t2.u

@@ -13,7 +13,6 @@ u = R sin(theta), u' = k R cos(theta), and k^2 R^2 = u'^2 + k^2 u^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +52,6 @@ class SimonStolzCurve:
     integrand: np.ndarray
     cumulative: np.ndarray
     energy: Energy
-    norm_kind: str = "operator 2-norm"
-
-    def slope_fit(self, fraction: float = 0.5):
-        """Log-log slope of the cumulative over its trailing fraction; a slope
-        near 1 suggests linear (divergent-looking) growth, near 0 saturation."""
-        n = len(self.xs)
-        i0 = max(1, int(n * (1 - fraction)))
-        lx = np.log(self.xs[i0:])
-        ly = np.log(np.maximum(self.cumulative[i0:], 1e-300))
-        coef = np.polyfit(lx, ly, 1)
-        return float(coef[0])
 
     def to_csv(self, path):
         header = "x,norm_T,integrand,cumulative"
@@ -105,10 +93,6 @@ class PruferTrace:
     R: np.ndarray
     theta: np.ndarray
     k: float
-
-    def reconstruct(self):
-        """(u, u') from (R, theta, k); inverse of prufer_decompose."""
-        return self.R * np.sin(self.theta), self.k * self.R * np.cos(self.theta)
 
     def to_csv(self, path):
         header = "x,R,theta"

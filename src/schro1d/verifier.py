@@ -270,15 +270,12 @@ def check_derivative_lp(
 class WeightSpec:
     """Positive weight with a finite ratio bound over |x-y| <= K+delta.
 
-    kinds: exponential (w = exp(rate*|x|)), polynomial (w = (1+|x|)^exponent),
-    custom (positive samples, interpolated).
+    kinds: exponential (w = exp(rate*|x|)), polynomial (w = (1+|x|)^exponent).
     """
 
     kind: str
     rate: float = 0.0
     exponent: float = 0.0
-    sample_xs: np.ndarray | None = None
-    sample_ws: np.ndarray | None = None
 
     @classmethod
     def exponential(cls, rate):
@@ -288,26 +285,12 @@ class WeightSpec:
     def polynomial(cls, exponent):
         return cls(kind="polynomial", exponent=float(exponent))
 
-    @classmethod
-    def from_samples(cls, xs, ws):
-        xs = np.asarray(xs, dtype=float)
-        ws = np.asarray(ws, dtype=float)
-        if np.any(ws <= 0) or not np.all(np.isfinite(ws)):
-            raise InadmissibleWeight("custom weight samples must be positive and finite")
-        # np.interp silently returns wrong values for unsorted abscissae
-        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
-            raise InadmissibleWeight(
-                "custom weight abscissae must be finite and strictly increasing")
-        return cls(kind="custom", sample_xs=xs, sample_ws=ws)
-
     def values(self, xs):
         xs = np.asarray(xs, dtype=float)
         if self.kind == "exponential":
             return np.exp(self.rate * np.abs(xs))
         if self.kind == "polynomial":
             return (1.0 + np.abs(xs)) ** self.exponent
-        if self.kind == "custom":
-            return np.interp(xs, self.sample_xs, self.sample_ws)
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
     def admissibility_bound(self, h: float) -> float:
@@ -318,24 +301,6 @@ class WeightSpec:
             return math.exp(abs(self.rate) * h)
         if self.kind == "polynomial":
             return (1.0 + h) ** abs(self.exponent)
-        if self.kind == "custom":
-            xs, ws = self.sample_xs, self.sample_ws
-
-            def first_near(xs):
-                """First j with |xs[j] - xs[i]| <= h, as the difference rounds,
-                for each i.  Those j are a run of indices around i since xs
-                increases; the search for xs[i] - h can miss the run's start
-                by a node where that rounds differently, and steps onto it."""
-                j = np.searchsorted(xs, xs - h, side="left")
-                while np.any(step := (j > 0) & (np.abs(xs[j - 1] - xs) <= h)):
-                    j[step] -= 1
-                while np.any(step := np.abs(xs[j] - xs) > h):
-                    j[step] += 1
-                return j
-
-            lo = first_near(xs)
-            hi = len(xs) - first_near(-xs[::-1])[::-1]  # the run's end, by reflection
-            return float(np.max(ws / _window_extreme(ws, lo, hi, np.minimum), initial=1.0))
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
 

@@ -25,7 +25,6 @@ from schro1d import (
     default_suite_path,
     make_family,
     propagate_exact,
-    propagate_rk,
     prufer_decompose,
     random_sweep,
     run_suite,
@@ -33,12 +32,12 @@ from schro1d import (
     simon_stolz_curve,
     sweep_scenarios,
     transfer_matrix,
-    wronskian,
 )
 from schro1d.harness import scenario_trace
 from schro1d.verifier import analytic_trace
 
 from conftest import frobenius_integrand, riemann_c1
+from oracles import propagate_rk, wronskian
 
 
 def _report(name, ok, detail):

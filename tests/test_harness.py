@@ -228,6 +228,7 @@ class TestSuiteExecution:
         ("checks[0].name", None), ("checks[0].p", True),
         ("checks[0].weight", 5), ("checks[0].weight", {"kind": "exponential", "rate": True}),
         ("checks[0].weight", {"kind": "exponential", "rat": 0.5}),
+        ("checks[0].weight", {"kind": "exponential", "rate": 0.5, "sample_xs": [0, 1]}),
         ("checks[0].window", [1.0]), ("checks[0].window", 0),
         ("checks[0].tail_fraction", 0.5), ("checks[0].drop_factor", 1.0),
         ("checks[0].samples", 2.7), ("checks[0].seed", 1.5), ("checks[0].seed", None),
@@ -495,6 +496,7 @@ class TestCli:
             (["simon-stolz", "--config", str(pot), "--energy", "nan"], "energy"),
             (["verify", "--config", str(suite), "--c2-floor", "nan"], "c2_floor"),
             (["sweep", "--n", "1", "--max-step", "nan"], "sweep-000.max_step"),
+            (["sweep", "--seed", "-1"], "seed"),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)

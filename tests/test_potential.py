@@ -60,7 +60,8 @@ class TestConstruction:
         assert len(V.values) == 5000
         expected = (
             (V.reflected(), [-b for b in V.breakpoints[::-1]], V.values[::-1]),
-            (V.translated(0.25), [b + 0.25 for b in V.breakpoints], V.values),
+            (PiecewisePotential(tuple(b + 0.25 for b in V.breakpoints), V.values),
+             [b + 0.25 for b in V.breakpoints], V.values),
         )
         for W, bp, vals in expected:
             built = PiecewisePotential(tuple(bp), tuple(vals))
@@ -86,7 +87,8 @@ class TestConstruction:
         # reflected() skips the validating constructor; a breakpoint at 0.0
         # reflects to -0.0, whose sign the arrays must keep
         if through_zero:
-            V = V.translated(-V.breakpoints[len(V.breakpoints) // 2])
+            t = -V.breakpoints[len(V.breakpoints) // 2]
+            V = PiecewisePotential(tuple(b + t for b in V.breakpoints), V.values)
         W = V.reflected()
         built = PiecewisePotential(tuple(-b for b in reversed(V.breakpoints)),
                                    tuple(reversed(V.values)))
@@ -170,18 +172,20 @@ class TestC1Sup:
     @given(potentials(), st.floats(-10, 10))
     def test_translation_invariance(self, V, t):
         s0 = c1_sup(V).supremum
-        s1 = c1_sup(V.translated(t)).supremum
+        s1 = c1_sup(PiecewisePotential(tuple(b + t for b in V.breakpoints), V.values)).supremum
         assert abs(s0 - s1) <= 1e-12 * (1.0 + abs(s0))
 
     @given(potentials())
     def test_scaling_by_power_of_two_is_exact(self, V):
-        assert c1_sup(V.scaled(4.0)).supremum == 4.0 * c1_sup(V).supremum
+        scaled = PiecewisePotential(V.breakpoints, tuple(4.0 * v for v in V.values))
+        assert c1_sup(scaled).supremum == 4.0 * c1_sup(V).supremum
 
     @given(potentials(), st.floats(0.1, 7.0))
     @settings(max_examples=50)
     def test_scaling_general(self, V, lam):
         s = c1_sup(V).supremum
-        assert c1_sup(V.scaled(lam)).supremum == pytest.approx(lam * s, rel=1e-12, abs=1e-13)
+        scaled = PiecewisePotential(V.breakpoints, tuple(lam * v for v in V.values))
+        assert c1_sup(scaled).supremum == pytest.approx(lam * s, rel=1e-12, abs=1e-13)
 
     def test_supremum_equals_max_of_profile(self):
         # F at every kink of the profile: where x or x + 1 is a breakpoint

@@ -13,9 +13,7 @@ from schro1d import (
     PiecewisePotential,
     make_family,
     propagate_exact,
-    propagate_rk,
     transfer_matrix,
-    wronskian,
 )
 from schro1d import harness, solver, verifier
 from schro1d.constants import Energy
@@ -29,6 +27,8 @@ from schro1d.solver import (
     basis_traces,
     build_grid,
 )
+
+from oracles import propagate_rk, wronskian
 
 
 class TestExactPropagator:
@@ -135,6 +135,19 @@ class TestRkCrossValidation:
             scale = ex.magnitude_scale()
             assert np.max(np.abs(ex.u - rk.u)) / scale <= 1e-6
             assert np.max(np.abs(ex.du - rk.du)) / scale <= 1e-6
+
+    def test_oracle_is_rk4(self):
+        # the oracle runs propagate_exact with RK4 patched in for the exact
+        # kernel: had the patch not applied, it would compare that kernel
+        # with itself.  It must differ by RK4's error, and restore the kernel
+        V = make_family("random_step", {"cells": 15, "low": -1.5, "high": 1.5, "seed": 3})
+        init = InitialData(0.0, 1.0, 0.2 - 0.3j)
+        ex = propagate_exact(V, 2 + 1j, init, 10.0, 1e-3)
+        rk = propagate_rk(V, 2 + 1j, init, 10.0, 1e-3)
+        assert rk.method == "rk4" and np.array_equal(ex.xs, rk.xs)
+        dev = max(np.max(np.abs(ex.u - rk.u)), np.max(np.abs(ex.du - rk.du)))
+        assert 0.0 < dev <= 1e-6 * ex.magnitude_scale()
+        assert solver._exact_kernel is _exact_kernel
 
 
 def _basis_trace_entries(V, E, x, y, step):
@@ -373,16 +386,17 @@ def _old_exact_kernel(xs, edge_idx, qs, u, du):
 
 
 def _outcome(monkeypatch, kernel, grid, V, E, x0, x_end, u0, du0, step):
-    """Traces from `kernel` on `grid`, both run through `_traces` (so backward
-    runs take the same reflection path), or the overflow's (x, magnitude).
+    """Traces from `kernel` on `grid`, both patched into the solver and run
+    through `_traces` (so backward runs take the same reflection path), or
+    the overflow's (x, magnitude).
     The per-block oracle guards its own nodes, so on a backward run its x is
     that of the reflected run, which is negated here."""
     with monkeypatch.context() as m:
         m.setattr(solver, "build_grid", grid)
+        m.setattr(solver, "_exact_kernel", kernel)
         try:
-            return _traces(kernel, "exact_cell", V, E, x0, x_end,
-                           np.asarray(u0, dtype=complex), np.asarray(du0, dtype=complex),
-                           step)
+            return _traces(V, E, x0, x_end, np.asarray(u0, dtype=complex),
+                           np.asarray(du0, dtype=complex), step)
         except OverflowAtX as err:
             oracle_reflected = kernel is _old_exact_kernel and x_end < x0
             return -err.x if oracle_reflected else err.x, err.magnitude
