@@ -271,6 +271,10 @@ def _parse_check(spec, scn, path):
     _known(spec, ("name", *keys, "tolerance"), path)
     spec = {"seed": scn.seed, **spec}
     args = [_field(spec, key, path) for key in (*keys, "tolerance")]
+    if "weight" in spec:  # a weight object reads its kind and that kind's one field
+        w = spec["weight"]
+        _known(w, ("kind", "rate" if w["kind"] == "exponential" else "exponent"),
+               f"{path}.weight")
     return lambda trace, consts: run(trace, consts, scn, *args)
 
 
@@ -398,7 +402,7 @@ def sweep_document(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
     families, of JSON values only, so that verify --config runs it as a file.
     A span is left out: it is the potential's support."""
     if n_scenarios < 1:
-        raise ValueError("need at least one scenario")
+        raise ConfigError("need at least one scenario", "scenarios")
     seed = _field({"seed": seed}, "seed")
     rng = np.random.default_rng(seed)
     per_scn = math.ceil(lemma_samples / n_scenarios)

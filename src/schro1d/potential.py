@@ -18,94 +18,73 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 
 def _read_only(numbers):
+    """A read-only float64 copy of numbers."""
     arr = np.array(numbers, dtype=float)
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewisePotential:
     """Real potential, constant on cells [x_i, x_{i+1}), zero outside.
 
     breakpoints: strictly increasing abscissae x_0 < ... < x_n (n+1 of them)
     values: n cell values
+
+    Both are kept as read-only float64 arrays, copied from the arguments
+    once, so a potential never changes with the caller's arrays.  Arrays
+    have no value equality: two potentials compare by identity.
     """
 
-    breakpoints: tuple
-    values: tuple
+    breakpoints: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        bp = tuple(map(float, self.breakpoints))
-        vals = tuple(map(float, self.values))
-        if len(bp) < 2:
+        bp = _read_only(self.breakpoints)
+        vals = _read_only(self.values)
+        if bp.ndim != 1 or len(bp) < 2:
             raise ValueError("need at least two breakpoints (one cell)")
-        if len(vals) != len(bp) - 1:
+        if vals.shape != (len(bp) - 1,):
             raise ValueError("values must have one entry per cell")
-        # whole-array checks on temporaries; bp_array and value_array stay lazy
-        bp_arr = np.array(bp)
-        if not np.isfinite(bp_arr).all():
+        if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
-        if not np.isfinite(np.array(vals)).all():
+        if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
-        if not (np.diff(bp_arr) > 0).all():
+        if not (np.diff(bp) > 0).all():
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
     @property
     def support(self):
-        """Described interval [x_0, x_n]; V vanishes outside it."""
-        return (self.breakpoints[0], self.breakpoints[-1])
-
-    # read-only arrays of the same numbers, built on first use and kept
-    @cached_property
-    def bp_array(self):
-        return _read_only(self.breakpoints)
-
-    @cached_property
-    def value_array(self):
-        return _read_only(self.values)
+        """Described interval [x_0, x_n], as Python floats; V vanishes outside it."""
+        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
     @property
     def negative_values(self):
         """Cell values of the negative part V_-(x) = max(-V(x), 0)."""
-        return np.maximum(-self.value_array, 0.0)
+        return np.maximum(-self.values, 0.0)
 
     def value_at(self, x):
         """Evaluate V at x (scalar or array); right-continuous on cells,
         zero outside the described interval."""
         x = np.asarray(x, dtype=float)
-        bp = self.bp_array
+        bp = self.breakpoints
         idx = np.searchsorted(bp, x, side="right") - 1
         inside = (x >= bp[0]) & (x <= bp[-1])
         idx = np.clip(idx, 0, len(self.values) - 1)
-        out = np.where(inside, self.value_array[idx], 0.0)
+        out = np.where(inside, self.values[idx], 0.0)
         return out if out.ndim else float(out)
 
     def reflected(self):
-        """V(-x): cells mirrored about the origin.
-
-        Built from the cached arrays, -bp_array[::-1] and value_array[::-1],
-        which become the new potential's arrays; its tuples come from them.
-        It is not validated again: negation and reversal are exact, so the
-        breakpoints stay finite and strictly increasing, and the tuples, ==
-        and hash are those the validating constructor gives.
-        """
-        bp = -self.bp_array[::-1]
-        vals = self.value_array[::-1].copy()
-        bp.setflags(write=False)
-        vals.setflags(write=False)
-        new = object.__new__(PiecewisePotential)
-        # the fields, and the cached_property values, in the instance dict
-        new.__dict__.update(breakpoints=tuple(bp.tolist()), values=tuple(vals.tolist()),
-                            bp_array=bp, value_array=vals)
-        return new
+        """V(-x): cells mirrored about the origin, through the validating
+        constructor (a breakpoint at 0.0 reflects to -0.0)."""
+        return PiecewisePotential(-self.breakpoints[::-1], self.values[::-1])
 
 
 @dataclass(frozen=True)
@@ -126,7 +105,7 @@ def _check_interval(a, b):
 def negative_part_integral(V: PiecewisePotential, a: float, b: float) -> float:
     """Exact integral of V_- over [a, b] (zero extension outside the cells)."""
     _check_interval(float(a), float(b))
-    bp = V.bp_array
+    bp = V.breakpoints
     vminus = V.negative_values
     lo = np.maximum(bp[:-1], a)
     hi = np.minimum(bp[1:], b)
@@ -136,7 +115,7 @@ def negative_part_integral(V: PiecewisePotential, a: float, b: float) -> float:
 
 def _cumulative_vminus(V: PiecewisePotential):
     """Knots and values of G(t) = integral_{x_0}^{t} V_-, piecewise linear."""
-    bp = V.bp_array
+    bp = V.breakpoints
     widths = np.diff(bp)
     cum = np.concatenate([[0.0], np.cumsum(widths * V.negative_values)])
     return bp, cum
@@ -160,7 +139,7 @@ def c1_sup(V: PiecewisePotential) -> WindowIntegralProfile:
     all kinks (clipped to [x_0 - 1, x_n]) therefore yields the exact sup.
     Ties are broken toward the smallest abscissa.
     """
-    bp = V.bp_array
+    bp = V.breakpoints
     lo, hi = bp[0] - 1.0, bp[-1]
     cands = np.unique(np.clip(np.concatenate([bp, bp - 1.0]), lo, hi))
     F = window_integral(V, cands)
@@ -189,7 +168,7 @@ def spike_lattice(g, period, cap, cell, span):
     with np.errstate(divide="ignore"):
         depth = np.where(dist > 0, g / np.sqrt(dist), np.inf)
     vals = -np.minimum(depth, cap)
-    return PiecewisePotential(tuple(bp.tolist()), tuple(vals.tolist()))
+    return PiecewisePotential(bp, vals)
 
 
 def random_step(cells, low, high, seed, min_width, max_width):
@@ -205,4 +184,4 @@ def random_step(cells, low, high, seed, min_width, max_width):
     widths = rng.integers(wlo, whi + 1, size=cells) * 1e-3
     bp = np.concatenate([[0.0], np.cumsum(widths)])
     vals = rng.uniform(low, high, size=cells)
-    return PiecewisePotential(tuple(bp.tolist()), tuple(vals.tolist()))
+    return PiecewisePotential(bp, vals)

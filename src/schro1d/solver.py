@@ -123,7 +123,7 @@ class SolutionTrace:
         return self._cum_abs_u[p]
 
     def magnitude_scale(self) -> float:
-        return float(max(np.max(np.abs(self.u)), np.max(np.abs(self.du)), 1e-300))
+        return float(max(np.max(self.abs_u), np.max(self.abs_du), 1e-300))
 
     def is_real(self, tol: float = 1e-10) -> bool:
         scale = max(1.0, self.magnitude_scale())
@@ -233,7 +233,7 @@ def build_grid(V: PiecewisePotential, a: float, b: float, max_step: float):
     if max_step <= 0:
         raise ValueError("max_step must be positive")
     tol = 1e-12 * (1.0 + max(abs(a), abs(b)))
-    bp = V.bp_array
+    bp = V.breakpoints
     edges = np.concatenate([[a], bp[(bp > a + tol) & (bp < b - tol)], [b]])
     left, width = edges[:-1], np.diff(edges)
     n = np.maximum(1, np.ceil(width / max_step - 1e-12)).astype(np.int64)

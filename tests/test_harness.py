@@ -241,6 +241,16 @@ class TestSuiteExecution:
             run_suite(doc)
         assert exc.value.path == f"free-overflow.{field}"
 
+    @pytest.mark.parametrize("weight, key", [
+        ({"kind": "polynomial", "rate": 1}, "rate"),
+        ({"kind": "exponential", "exponent": 2}, "exponent"),
+    ], ids=["polynomial-rate", "exponential-exponent"])
+    def test_weight_rejects_a_field_its_kind_does_not_read(self, weight, key):
+        doc = {"scenarios": [_overflowing_with("checks[0].weight", weight)]}
+        with pytest.raises(ConfigError) as exc:
+            run_suite(doc)
+        assert exc.value.path == f"free-overflow.checks[0].weight.{key}"
+
     @pytest.mark.parametrize("doc, path", [
         (_overflowing_suite(potential=SQUARE_WELL | {"depth": True}),
          "free-overflow.potential.depth"),
@@ -379,7 +389,9 @@ class TestDeterminism:
                     "span": [0.0, 3.0], "checks": [{"name": "local_lp", "p": 2}]}
         r1, r2 = (run_suite({"scenarios": [scenario]}) for _ in range(2))
         assert r1.to_json(include_wall_time=False) == r2.to_json(include_wall_time=False)
-        assert parse_potential(RANDOM_STEP) == parse_potential(dict(RANDOM_STEP, seed=0))
+        V, W = parse_potential(RANDOM_STEP), parse_potential(dict(RANDOM_STEP, seed=0))
+        assert V.breakpoints.tobytes() == W.breakpoints.tobytes()
+        assert V.values.tobytes() == W.values.tobytes()
 
     def test_sweep_document_round_trip(self, tmp_path):
         # the sweep's document holds JSON values only, and verify --config on
@@ -503,6 +515,8 @@ class TestCli:
                 assert main(argv) == 2, argv
             assert f"config error: {path}: bad " in capsys.readouterr().err
         assert main(["sweep", "--n", "2", "--lemma-samples", "0"]) == 2
+        assert main(["sweep", "--n", "0"]) == 2
+        assert "config error: scenarios: need at least one scenario" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(["c1", "--config", str(pot), "--max-step", "1"])
         assert exc.value.code == 2

@@ -58,52 +58,59 @@ class TestConstruction:
     def test_long_lattice_transforms_match_per_element_construction(self):
         V = make_family("spike_lattice", {"span": 5.0})
         assert len(V.values) == 5000
+        bps, vals = V.breakpoints.tolist(), V.values.tolist()
         expected = (
-            (V.reflected(), [-b for b in V.breakpoints[::-1]], V.values[::-1]),
-            (PiecewisePotential(tuple(b + 0.25 for b in V.breakpoints), V.values),
-             [b + 0.25 for b in V.breakpoints], V.values),
+            (V.reflected(), [-b for b in bps[::-1]], vals[::-1]),
+            (PiecewisePotential(V.breakpoints + 0.25, V.values), [b + 0.25 for b in bps], vals),
         )
-        for W, bp, vals in expected:
-            built = PiecewisePotential(tuple(bp), tuple(vals))
-            assert W.breakpoints == built.breakpoints == tuple(bp)
-            assert W.values == built.values == tuple(vals)
-            assert all(type(x) is float for x in W.breakpoints + W.values)
-            assert W == built and hash(W) == hash(built)
+        for W, bp, cells in expected:
+            built = PiecewisePotential(tuple(bp), tuple(cells))
+            for arr, ref, numbers in ((W.breakpoints, built.breakpoints, bp),
+                                      (W.values, built.values, cells)):
+                assert arr.dtype == ref.dtype == np.float64
+                assert arr.tobytes() == ref.tobytes() == np.array(numbers).tobytes()
 
     def test_arrays_are_read_only(self):
         V = PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0))
-        assert V.bp_array is V.bp_array
-        assert np.array_equal(V.bp_array, V.breakpoints)
-        assert np.array_equal(V.value_array, V.values)
-        for arr in (V.bp_array, V.value_array):
+        assert V.breakpoints is V.breakpoints
+        assert V.breakpoints.tobytes() == np.array([0.0, 1.0, 2.0]).tobytes()
+        assert V.values.tobytes() == np.array([-1.0, 3.0]).tobytes()
+        for arr in (V.breakpoints, V.values):
+            assert arr.dtype == np.float64
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 5.0
-        assert V == PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0))
-        assert hash(V) == hash(PiecewisePotential((0.0, 1.0, 2.0), (-1.0, 3.0)))
+        assert V.support == (0.0, 2.0)
+        assert all(type(x) is float for x in V.support)
+
+    def test_caller_array_mutation_does_not_change_potential(self):
+        bp, vals = np.array([0.0, 1.0, 2.0]), np.array([-1.0, 3.0])
+        V = PiecewisePotential(bp, vals)
+        bp[1], vals[0] = 0.5, 7.0
+        assert V.breakpoints.tobytes() == np.array([0.0, 1.0, 2.0]).tobytes()
+        assert V.values.tobytes() == np.array([-1.0, 3.0]).tobytes()
+        assert V.value_at(0.75) == -1.0
 
     @given(V=potentials(), through_zero=st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_reflected_equals_validated_construction(self, V, through_zero):
-        # reflected() skips the validating constructor; a breakpoint at 0.0
-        # reflects to -0.0, whose sign the arrays must keep
+        # a breakpoint at 0.0 reflects to -0.0, whose sign the arrays must
+        # keep: arrays are compared by their bytes
         if through_zero:
             t = -V.breakpoints[len(V.breakpoints) // 2]
-            V = PiecewisePotential(tuple(b + t for b in V.breakpoints), V.values)
+            V = PiecewisePotential(V.breakpoints + t, V.values)
         W = V.reflected()
-        built = PiecewisePotential(tuple(-b for b in reversed(V.breakpoints)),
-                                   tuple(reversed(V.values)))
-        assert W.breakpoints == built.breakpoints and W.values == built.values
-        assert all(type(x) is float for x in W.breakpoints + W.values)
-        assert W == built and hash(W) == hash(built)
-        for arr, ref in ((W.bp_array, built.bp_array), (W.value_array, built.value_array)):
+        built = PiecewisePotential(tuple(-b for b in reversed(V.breakpoints.tolist())),
+                                   tuple(reversed(V.values.tolist())))
+        for arr, ref in ((W.breakpoints, built.breakpoints), (W.values, built.values)):
             assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 5.0
-        for tup, ref in ((W.breakpoints, built.bp_array), (W.values, built.value_array)):
-            assert np.array(tup).tobytes() == ref.tobytes()  # signs of zero too
         if through_zero:
-            assert (W.bp_array == 0.0).any() and np.signbit(W.bp_array[W.bp_array == 0.0]).all()
-        assert W.reflected() == V
+            zero = W.breakpoints == 0.0
+            assert zero.any() and np.signbit(W.breakpoints[zero]).all()
+        WW = W.reflected()
+        assert WW.breakpoints.tobytes() == V.breakpoints.tobytes()
+        assert WW.values.tobytes() == V.values.tobytes()
 
     def test_value_at_zero_extension(self):
         V = THREE_CELL
@@ -189,7 +196,7 @@ class TestC1Sup:
 
     def test_supremum_equals_max_of_profile(self):
         # F at every kink of the profile: where x or x + 1 is a breakpoint
-        bp = THREE_CELL.bp_array
+        bp = THREE_CELL.breakpoints
         kinks = np.unique(np.clip(np.concatenate([bp, bp - 1.0]), bp[0] - 1.0, bp[-1]))
         F = window_integral(THREE_CELL, kinks)
         prof = c1_sup(THREE_CELL)
@@ -201,8 +208,8 @@ class TestC1Sup:
 class TestMakeFamily:
     def test_square_well(self):
         V = make_family("square_well", {"depth": 2, "width": 3})
-        assert V.breakpoints == (0.0, 3.0)
-        assert V.values == (-2.0,)
+        assert V.breakpoints.tobytes() == np.array([0.0, 3.0]).tobytes()
+        assert V.values.tobytes() == np.array([-2.0]).tobytes()
 
     def test_square_well_rejects_bad_width(self):
         with pytest.raises(ConfigError, match="width"):
@@ -211,8 +218,8 @@ class TestMakeFamily:
     def test_random_step_deterministic(self):
         V1 = make_family("random_step", {"cells": 12, "low": -2, "high": 2, "seed": 7})
         V2 = make_family("random_step", {"cells": 12, "low": -2, "high": 2, "seed": 7})
-        assert V1.breakpoints == V2.breakpoints
-        assert V1.values == V2.values
+        assert V1.breakpoints.tobytes() == V2.breakpoints.tobytes()
+        assert V1.values.tobytes() == V2.values.tobytes()
 
     def test_random_step_rejects_empty_range(self):
         with pytest.raises(ConfigError, match="range"):
