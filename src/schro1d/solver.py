@@ -81,8 +81,10 @@ class InitialData:
 class SolutionTrace:
     """Grid samples of one solution: xs strictly increasing, u and u' at xs.
 
-    |u|, |u'| and the running integral of |u|^p for each p are computed on
-    first use and kept for every check: mutate no trace after its first check.
+    |u|, |u'|, the running integral of |u|^p for each p and the window bounds
+    for each radius are computed on first use (a propagated trace gets |u|
+    and |u'| from its run) and kept for every check: mutate no trace after
+    its first check.
     """
 
     xs: np.ndarray
@@ -92,6 +94,7 @@ class SolutionTrace:
     method: str
     max_step: float
     _cum_abs_u: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -121,6 +124,13 @@ class SolutionTrace:
         if p not in self._cum_abs_u:
             self._cum_abs_u[p] = cumtrapz(self.abs_u ** p, self.xs)
         return self._cum_abs_u[p]
+
+    def window_bounds(self, r: float):
+        """outward_windows(xs, xs, r) as int32 arrays, kept per radius r."""
+        if r not in self._windows:
+            bounds = outward_windows(self.xs, self.xs, r)
+            self._windows[r] = tuple(b.astype(np.int32) for b in bounds)
+        return self._windows[r]
 
     def magnitude_scale(self) -> float:
         return float(max(np.max(self.abs_u), np.max(self.abs_du), 1e-300))
@@ -182,6 +192,16 @@ class TransferMatrix:
 def cumtrapz(y, x):
     """Running trapezoid integral of the samples y over the grid x, from 0."""
     return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+
+
+def outward_windows(xs, x, r):
+    """(lo, hi) for each abscissa x: lo is the last node at or before x - r,
+    or 0 if there is none, and hi the first node at or after x + r, or
+    len(xs) if there is none."""
+    lo = np.searchsorted(xs, x - r, side="right")
+    lo -= 1
+    np.maximum(lo, 0, out=lo)
+    return lo, np.searchsorted(xs, x + r, side="left")
 
 
 def _use_series(q, hmax):
@@ -399,7 +419,8 @@ def _kernel_columns(V, energy, x0, x_end, u0, du0, step):
     is then raised at the first node over the overflow guard or not finite,
     with x in the caller's coordinates.  The nodes before it are those a
     kernel stopping there would compute, and a scan group grows by at most
-    e^GROUP_GROWTH, so that node is over the guard but finite.
+    e^GROUP_GROWTH, so that node is over the guard but finite.  The guard's
+    moduli |us| and |dus| are returned too, for the traces to keep.
     """
     x_end = float(x_end)
     if x_end == x0:
@@ -412,22 +433,30 @@ def _kernel_columns(V, energy, x0, x_end, u0, du0, step):
     qs = V.value_at(mids) - energy.as_complex
     with np.errstate(over="ignore", invalid="ignore"):
         us, dus = _exact_kernel(xs, edge_idx, qs, u0, du0)
-        mag = np.maximum(np.abs(us), np.abs(dus)).max(axis=0)
+        aus, adus = np.abs(us), np.abs(dus)
+        mag = np.maximum(aus, adus).max(axis=0)
         bad = np.flatnonzero(~(mag <= OVERFLOW_GUARD))
     if bad.size:
         x = float(xs[bad[0]])
         raise OverflowAtX(-x if reflected else x, float(mag[bad[0]]))
-    return xs, us, dus, reflected
+    return xs, us, dus, aus, adus, reflected
 
 
 def _traces(V, E, x0, x_end, u0, du0, step):
-    """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end;
-    traces of a reflected run are reflected back."""
+    """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end,
+    keeping the moduli of the run; traces of a reflected run are reflected
+    back, their moduli as reversed views."""
     energy = Energy.of(E)
-    xs, us, dus, reflected = _kernel_columns(V, energy, x0, x_end, u0, du0, step)
-    traces = [SolutionTrace(xs, u, du, energy, "exact_cell", float(step))
-              for u, du in zip(us, dus)]
-    return [t.reflected() for t in traces] if reflected else traces
+    xs, us, dus, aus, adus, reflected = _kernel_columns(V, energy, x0, x_end, u0, du0, step)
+    traces = []
+    for u, du, au, adu in zip(us, dus, aus, adus):
+        trace = SolutionTrace(xs, u, du, energy, "exact_cell", float(step))
+        if reflected:
+            trace = trace.reflected()
+            au, adu = au[::-1], adu[::-1]
+        trace.abs_u, trace.abs_du = au, adu
+        traces.append(trace)
+    return traces
 
 
 def propagate_exact(
@@ -475,7 +504,7 @@ def transfer_matrix(
     if x == y:
         return TransferMatrix(np.eye(2, dtype=complex), y, x, energy)
     u0, du0 = np.eye(2, dtype=complex)
-    _, us, dus, reflected = _kernel_columns(V, energy, y, x, u0, du0, max_step)
+    _, us, dus, _, _, reflected = _kernel_columns(V, energy, y, x, u0, du0, max_step)
     # the kernel's last node is x; a reflected run holds -u'(x) there
     entries = np.array([us[:, -1], -dus[:, -1] if reflected else dus[:, -1]])
     return TransferMatrix(entries, y, x, energy)

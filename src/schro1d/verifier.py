@@ -9,9 +9,10 @@ values, these checks can fail spuriously there but not pass.  Nothing is
 claimed between nodes, nor for the window minima of persistence and the
 window integrals (outward-snapped trapezoid sums), which are not one-sided.
 
-Every check reads |u|, |u'| and the cumulative integral of |u|^p for each p
-from its trace (`SolutionTrace.abs_u`, `abs_du`, `cum_abs_u`), which keeps
-them; only `check_weighted` integrates weighted terms of its own.
+Every check reads |u|, |u'|, the cumulative integral of |u|^p for each p
+and the window bounds for each radius from its trace (`SolutionTrace.abs_u`,
+`abs_du`, `cum_abs_u`, `window_bounds`), which keeps them; only
+`check_weighted` integrates weighted terms of its own.
 
 Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
@@ -19,6 +20,23 @@ through `_window_extreme`, a sparse-table range query that is exact, and
 window integrals of |u|^p are differences of the trace's cumulative integral.
 Windows whose integral drowns in the rounding of that sum (deep tails) are
 summed again from one array of np.trapezoid's own terms.
+
+The window bounds of radius delta, the last node at or before x - delta and
+the first at or after x + delta for every node x, are searched once per
+trace and kept as int32: persistence and every local_lp check read slices
+of that one table.  derivative_bound (radius K) and derivative_lp (radius
+K + delta) evaluate exact windows only where a node can set the worst
+ratio.  Every interior node first gets an upper bound of its ratio from the
+fixed-width inner window of nodes i - k .. i + k, k = floor(r / h_max) - 1,
+which lies inside its window: for the derivative bound one sparse-table
+level read on two slices, for L^p a difference of two slices of the
+cumulative integral.  The exact ratio at the node of the largest bound is a
+floor, and only the nodes whose bound reaches it search their windows
+(`_first_worst`); the worst ratio and its first-of-ties witness are the
+same bit for bit.  The bound's fixed passes pay for themselves only on
+long traces, so it is taken past PRUNE_NODES interior nodes, a measured
+cost; below that, derivative_lp reads its own kept table of radius K +
+delta, and derivative_bound searches every node.
 
 The randomized sweep of the core inequality (`sample_lemma31`) is a batched
 rejection sampler.  Every attempt takes three doubles from the generator (the
@@ -54,7 +72,7 @@ from .errors import (
     PreconditionFailed,
     TraceTooShort,
 )
-from .solver import SolutionTrace, cumtrapz
+from .solver import SolutionTrace, cumtrapz, outward_windows
 
 DEFAULT_TOL = 1e-6
 ZERO_BAND = 1e-3  # relative threshold below which u(x) counts as a zero
@@ -63,6 +81,10 @@ ZERO_BAND = 1e-3  # relative threshold below which u(x) counts as a zero
 # (numpy 2.4, 2 vCPU x86-64)
 SCAN_NODES = 3000
 CERTIFY_NODES = 175_000
+# interior nodes above which derivative_bound and derivative_lp bound every
+# ratio before taking exact windows: about where the bound's fixed passes
+# cost what the searches it saves do (numpy 2.4, 2 vCPU x86-64)
+PRUNE_NODES = 3000
 
 
 @dataclass
@@ -121,6 +143,15 @@ def analytic_trace(xs, u_fn, du_fn, energy) -> SolutionTrace:
     )
 
 
+def _raise_level(table, level, to, op):
+    """Level `to` of a sparse table over op from its level `level` < `to`:
+    level k holds the op-reduction of every run of 2^k consecutive entries."""
+    for k in range(level, to):
+        half = 1 << k
+        table = op(table[:-half], table[half:])
+    return table
+
+
 def _window_extreme(a, lo, hi, op):
     """op-reduction of a[lo[j]:hi[j]] for every query j, op being np.maximum
     or np.minimum; every window must be nonempty.
@@ -128,23 +159,28 @@ def _window_extreme(a, lo, hi, op):
     Sparse-table range query (Bender & Farach-Colton, LATIN 2000): level k
     holds the reduction of every run of 2^k consecutive entries, and a window
     of length n with 2^k <= n < 2^(k+1) is covered by its first and last such
-    runs.  Levels are built one at a time and dropped once their queries are
-    answered, so memory stays O(len(a) + len(lo)).  max and min are exact, so
-    the result equals the per-window reduction bit for bit, except that a zero
-    extreme of a window holding both +0.0 and -0.0 may carry either sign (the
-    order-dependent case of np.max too; moduli hold no -0.0).
+    runs.  Levels are built one at a time and dropped once passed, so memory
+    stays O(len(a) + len(lo)); only the levels that hold queries are read, and
+    when all queries share one level they are answered without masks.  max
+    and min are exact, so the result equals the per-window reduction bit for
+    bit, except that a zero extreme of a window holding both +0.0 and -0.0
+    may carry either sign (the order-dependent case of np.max too; moduli
+    hold no -0.0).
     """
     lo = np.asarray(lo, dtype=np.intp)
     hi = np.asarray(hi, dtype=np.intp)
     if np.any(hi <= lo):
         raise ValueError("every window must be nonempty")
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(length)), exact for ints
+    counts = np.bincount(level)
     table = np.asarray(a)
     out = np.empty(lo.shape, dtype=table.dtype)
-    for k in range(int(level.max(initial=0)) + 1):
-        if k:
-            half = 1 << (k - 1)
-            table = op(table[:-half], table[half:])
+    built = 0
+    for k in np.flatnonzero(counts).tolist():
+        table = _raise_level(table, built, k, op)
+        built = k
+        if counts[k] == len(lo):  # one level holds every query
+            return op(table[lo], table[hi - (1 << k)])
         sel = level == k
         part = table[lo[sel]]
         out[sel] = op(part, table[hi[sel] - (1 << k)], out=part)
@@ -152,29 +188,81 @@ def _window_extreme(a, lo, hi, op):
 
 
 def _interior_indices(xs, pad):
+    """The nodes at least pad from both ends of the grid, up to a rounding
+    allowance, as a slice."""
     lo, hi = xs[0] + pad, xs[-1] - pad
     eps = 1e-12 * (1.0 + abs(xs[-1]) + abs(xs[0]))
-    idx = np.flatnonzero((xs >= lo - eps) & (xs <= hi + eps))
-    return idx
+    start = int(np.searchsorted(xs, lo - eps, side="left"))
+    return slice(start, max(start, int(np.searchsorted(xs, hi + eps, side="right"))))
+
+
+def _inner_radius(xs, r, inner):
+    """Largest k such that nodes i - k .. i + k lie in the trace and in every
+    window of radius r around each node i of `inner`, however it is snapped,
+    or -1 if there is none.  k = floor(r / h_max) - 1 leaves one step h_max
+    for rounding, so grids finer than the rounding of x get none."""
+    h_max = float(np.max(np.diff(xs)))
+    if h_max <= 1e-11 * (1.0 + abs(xs[0]) + abs(xs[-1]) + r):
+        return -1
+    return min(int(r // h_max) - 1, inner.start, len(xs) - inner.stop)
+
+
+def _first_worst(xs, inner, ratios, bounds):
+    """(x, ratio) of the first largest exact ratio over the nodes `inner` (a
+    slice).  ratios(at) gives the exact ratios at the nodes at, a slice or an
+    index array; bounds, if given, returns an upper bound of every ratio in
+    `inner`, or None.
+
+    Past PRUNE_NODES nodes the bounds come first: the exact ratio at the node
+    of the largest bound is a floor under the largest ratio, and the exact
+    ratios are taken only where the bound reaches that floor.  Every node
+    that attains the largest ratio has a bound at least as large, so the
+    first of them is among those, and the result is the same bit for bit.
+    """
+    ub = bounds() if bounds and inner.stop - inner.start > PRUNE_NODES else None
+    if ub is None:
+        at = inner
+    else:  # a NaN bound or floor is no reason to skip a node
+        floor = ratios(inner.start + np.argmax(ub, keepdims=True))[0]
+        at = inner.start + np.flatnonzero(~(ub < floor))
+    r = ratios(at)
+    j = int(np.argmax(r))  # first of the ties
+    return xs[at][j], r[j]
 
 
 def check_derivative_bound(
     trace: SolutionTrace, consts: EstimateConstants, tolerance: float = DEFAULT_TOL
 ) -> CheckOutcome:
     """|u'(x)| <= C * max_{|y-x| <= K} |u(y)| at every K-interior grid point."""
-    xs, au = trace.xs, trace.abs_u
+    xs, au, adu = trace.xs, trace.abs_u, trace.abs_du
     K = consts.k_radius
     C = consts.c_bound
-    idx = _interior_indices(xs, K)
-    if idx.size == 0:
+    inner = _interior_indices(xs, K)
+    if inner.stop == inner.start:
         raise TraceTooShort(f"no grid point is {K}-interior to the trace")
-    lo = np.searchsorted(xs, xs[idx] - K, side="left")
-    hi = np.searchsorted(xs, xs[idx] + K, side="right")
-    m = _window_extreme(au, lo, hi, np.maximum)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(m > 0, trace.abs_du[idx] / (C * m), np.inf)
-    j = int(np.argmax(ratios))  # first of the ties
-    return _outcome("derivative_bound", idx.size, ratios[j], xs[idx[j]], tolerance)
+
+    def ratios(at):
+        lo = np.searchsorted(xs, xs[at] - K, side="left")
+        hi = np.searchsorted(xs, xs[at] + K, side="right")
+        m = _window_extreme(au, lo, hi, np.maximum)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(m > 0, adu[at] / (C * m), np.inf)
+
+    def bounds():
+        # the max over nodes i - k .. i + k is at most the window max: one
+        # sparse-table level read on two slices
+        k = _inner_radius(xs, K, inner)
+        if k < 0:
+            return None
+        level = (2 * k + 1).bit_length() - 1
+        table = _raise_level(au, 0, level, np.maximum)
+        s, e, tail = inner.start, inner.stop, k + 1 - (1 << level)
+        m = np.maximum(table[s - k:e - k], table[s + tail:e + tail])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(m > 0, adu[inner] / (C * m), np.inf)
+
+    x, worst = _first_worst(xs, inner, ratios, bounds)
+    return _outcome("derivative_bound", inner.stop - inner.start, worst, x, tolerance)
 
 
 def check_persistence(
@@ -192,7 +280,7 @@ def check_persistence(
     skipped_zeros = int(np.count_nonzero(au <= floor))
     if eligible.size == 0:
         raise NoEligiblePoints("no grid point satisfies the persistence hypothesis")
-    end = np.searchsorted(xs, xs[eligible] + delta, side="left")  # [x, x+delta)
+    end = trace.window_bounds(delta)[1][eligible]  # [x, x+delta)
     ratios = _window_extreme(au, eligible, end, np.minimum) / au[eligible]
     j = int(np.argmin(ratios))  # first of the ties
     min_ratio, worst_i = float(ratios[j]), eligible[j]
@@ -203,20 +291,22 @@ def check_persistence(
     return _outcome("persistence", eligible.size, worst, xs[worst_i], eff_tol, notes)
 
 
-def _window_integrals(trace, p, centers_idx, half_width):
-    """Trapezoid integrals of |u|^p over [x-h, x+h], windows snapped outward
-    to grid nodes (enlarging the domain; conservative for upper bounds)."""
+def _window_integrals(trace, p, at, half_width):
+    """Trapezoid integrals of |u|^p over [x-h, x+h] at the nodes at, windows
+    snapped outward to grid nodes (enlarging the domain; conservative for
+    upper bounds).  A slice of nodes reads the trace's window bounds for h,
+    an index array searches its own."""
     xs = trace.xs
     cum = trace.cum_abs_u(p)
-    x = xs[centers_idx]
-    i0 = np.searchsorted(xs, x - half_width, side="right") - 1
-    i0 = np.clip(i0, 0, len(xs) - 1)
-    i1 = np.searchsorted(xs, x + half_width, side="left")
-    i1 = np.clip(i1, 0, len(xs) - 1)
+    if isinstance(at, slice):
+        i0, i1 = (b[at] for b in trace.window_bounds(half_width))
+    else:
+        i0, i1 = outward_windows(xs, xs[at], half_width)
+    i1 = np.minimum(i1, len(xs) - 1)
     out = cum[i1] - cum[i0]
     # the global cumsum has absolute error ~ulp(total); recompute windows
     # whose value drowns in it (deep tails) directly on the slice
-    suspicious = np.flatnonzero(out <= 1e-9 * max(cum[-1], 0.0))
+    suspicious = np.flatnonzero(out <= _drowned(cum))
     if suspicious.size:
         # np.trapezoid's own terms: summing a slice of them is, bit for bit,
         # np.trapezoid(|u|^p[i0:i1 + 1], xs[i0:i1 + 1])
@@ -228,20 +318,45 @@ def _window_integrals(trace, p, centers_idx, half_width):
     return out
 
 
-def _lp_check(name, trace, consts, p, modulus, half, c, tolerance):
+def _drowned(cum):
+    """Window integrals at or below this drown in the rounding of cum."""
+    return 1e-9 * max(cum[-1], 0.0)
+
+
+def _lp_check(name, trace, consts, p, modulus, half, c, tolerance, prune):
     """modulus(x)^p <= (2^p c^p/delta) * integral over |y-x| <= half of |u|^p
-    at every half-interior grid point."""
+    at every half-interior grid point; prune says whether to bound the
+    ratios first (see _first_worst)."""
     if not (1.0 <= p < np.inf):
         raise ValueError("p must lie in [1, inf)")
     xs = trace.xs
-    idx = _interior_indices(xs, half)
-    if idx.size == 0:
+    inner = _interior_indices(xs, half)
+    if inner.stop == inner.start:
         raise TraceTooShort(f"no grid point is {half}-interior to the trace")
-    rhs = (2.0 ** p * c ** p / consts.delta) * _window_integrals(trace, p, idx, half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rhs > 0, modulus[idx] ** p / rhs, np.inf)
-    j = int(np.argmax(ratios))
-    return _outcome(f"{name}_p{p:g}", idx.size, ratios[j], xs[idx[j]], tolerance)
+    factor = 2.0 ** p * c ** p / consts.delta
+    powers = modulus[inner] ** p
+
+    def ratios(at):
+        rhs = factor * _window_integrals(trace, p, at, half)
+        num = powers if isinstance(at, slice) else powers[at - inner.start]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(rhs > 0, num / rhs, np.inf)
+
+    def bounds():
+        # the integral over nodes i - k .. i + k is at most the window's,
+        # unless the window drowns (see _window_integrals): cum is monotone
+        k = _inner_radius(xs, half, inner)
+        if k < 0:
+            return None
+        cum = trace.cum_abs_u(p)
+        s, e = inner.start, inner.stop
+        part = cum[s + k:e + k] - cum[s - k:e - k]
+        rhs = factor * part
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((part > _drowned(cum)) & (rhs > 0), powers / rhs, np.inf)
+
+    x, worst = _first_worst(xs, inner, ratios, bounds if prune else None)
+    return _outcome(f"{name}_p{p:g}", inner.stop - inner.start, worst, x, tolerance)
 
 
 def check_local_lp(
@@ -252,7 +367,9 @@ def check_local_lp(
 ) -> CheckOutcome:
     """|u(x)|^p <= (2^p/delta) * integral_{x-delta}^{x+delta} |u|^p."""
     # c = 1 leaves the constant 2^p/delta bit for bit
-    return _lp_check("local_lp", trace, consts, p, trace.abs_u, consts.delta, 1.0, tolerance)
+    # never pruned: away from its zeros, sin x has the same ratio everywhere
+    return _lp_check("local_lp", trace, consts, p, trace.abs_u, consts.delta, 1.0, tolerance,
+                     False)
 
 
 def check_derivative_lp(
@@ -263,7 +380,7 @@ def check_derivative_lp(
 ) -> CheckOutcome:
     """|u'(x)|^p <= (2^p C^p/delta) * integral over |y-x| <= K+delta of |u|^p."""
     return _lp_check("derivative_lp", trace, consts, p, trace.abs_du,
-                     consts.k_radius + consts.delta, consts.c_bound, tolerance)
+                     consts.k_radius + consts.delta, consts.c_bound, tolerance, True)
 
 
 @dataclass

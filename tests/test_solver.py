@@ -98,6 +98,19 @@ class TestExactPropagator:
             expected = np.array(data, dtype=complex).tobytes()
             assert np.concatenate([tr.u[i], tr.du[i]]).tobytes() == expected
 
+    @pytest.mark.parametrize("x0, x_end", [(0.0, 8.0), (8.0, 0.0)])
+    def test_traces_keep_the_moduli_of_their_run(self, x0, x_end):
+        # the overflow guard's |u| and |u'| are the traces': the moduli of
+        # the run's contiguous columns, reversed for a reflected run
+        flip = slice(None, None, 1 if x0 < x_end else -1)
+        traces = [propagate_exact(_LATTICE_THEN_FREE, 1 + 0.5j, InitialData(x0, 1.0, 0.3j),
+                                  x_end, 1e-2),
+                  *basis_traces(_LATTICE_THEN_FREE, 1.0, x0, x_end, 1e-2)]
+        for tr in traces:
+            for kept, values in ((tr.abs_u, tr.u), (tr.abs_du, tr.du)):
+                run = np.ascontiguousarray(values[flip])
+                assert kept.tobytes() == np.abs(run)[flip].tobytes()
+
     def test_real_inputs_stay_real(self):
         V = make_family("random_step", {"cells": 10, "low": -2, "high": 2, "seed": 5})
         tr = propagate_exact(V, 2.0, InitialData(0.0, 1.0, -0.5),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,7 +371,7 @@ def _loop_derivative_bound(trace, consts, tolerance=1e-6):
     adu = np.abs(trace.du)
     K = consts.k_radius
     C = consts.c_bound
-    idx = _interior_indices(xs, K)
+    idx = np.arange(len(xs))[_interior_indices(xs, K)]
     lo = np.searchsorted(xs, xs[idx] - K, side="left")
     hi = np.searchsorted(xs, xs[idx] + K, side="right")
     worst = -np.inf
@@ -523,11 +524,58 @@ def oracle_case(request, sin_trace, sin_consts, harmonic_trace):
     return _spike_lattice_trace()
 
 
+def _loop_lp_check(trace, consts, p, derivative, tolerance=1e-6):
+    """local_lp or derivative_lp one point at a time: a search for the
+    outward-snapped window, a difference of the cumulative integral, and
+    np.trapezoid on the window when that drowns."""
+    xs = trace.xs
+    au = np.abs(trace.u)
+    half = consts.k_radius + consts.delta if derivative else consts.delta
+    c = consts.c_bound if derivative else 1.0
+    powers = (np.abs(trace.du) if derivative else au) ** p
+    fvals = au ** p
+    cum = cumtrapz(fvals, xs)
+    factor = 2.0 ** p * c ** p / consts.delta
+    idx = np.arange(len(xs))[_interior_indices(xs, half)]
+    worst, worst_i = -np.inf, idx[0]
+    for i in idx:
+        i0 = max(int(np.searchsorted(xs, xs[i] - half, side="right")) - 1, 0)
+        i1 = min(int(np.searchsorted(xs, xs[i] + half, side="left")), len(xs) - 1)
+        integral = cum[i1] - cum[i0]
+        if integral <= 1e-9 * max(cum[-1], 0.0):
+            integral = np.trapezoid(fvals[i0:i1 + 1], xs[i0:i1 + 1])
+        rhs = factor * integral
+        ratio = powers[i] / rhs if rhs > 0 else np.inf
+        if ratio > worst:
+            worst, worst_i = ratio, i
+    name = "derivative_lp" if derivative else "local_lp"
+    return _outcome(f"{name}_p{p:g}", idx.size, worst, xs[worst_i], tolerance)
+
+
+def _copy(trace):
+    """The trace with nothing kept yet."""
+    return SolutionTrace(trace.xs, trace.u, trace.du, trace.energy, trace.method, trace.max_step)
+
+
 class TestLoopOracles:
-    def test_derivative_bound_equals_loop(self, oracle_case):
+    @pytest.mark.parametrize("prune", [0, 10 ** 9])
+    def test_derivative_bound_equals_loop(self, oracle_case, monkeypatch, prune):
         trace, consts = oracle_case
-        got = check_derivative_bound(trace, consts).to_dict()
+        monkeypatch.setattr(verifier, "PRUNE_NODES", prune)
+        got = check_derivative_bound(_copy(trace), consts).to_dict()
         assert got == _loop_derivative_bound(trace, consts).to_dict()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("check, derivative", [(check_local_lp, False),
+                                                   (check_derivative_lp, True)])
+    def test_lp_check_equals_loop(self, oracle_case, monkeypatch, check, derivative, p):
+        # with the ratios bounded first and without; on the constant case
+        # every ratio ties, so the witness must be the first interior point
+        trace, consts = oracle_case
+        want = _loop_lp_check(trace, consts, p, derivative).to_dict()
+        for prune in (0, 10 ** 9):
+            monkeypatch.setattr(verifier, "PRUNE_NODES", prune)
+            assert check(_copy(trace), consts, p).to_dict() == want
 
     def test_persistence_equals_loop(self, oracle_case):
         trace, consts = oracle_case
@@ -593,6 +641,138 @@ class TestLoopOracles:
             assert check_lemma31(trace, consts, omega, x, y).to_dict() == ref
             compared += 1
         assert compared >= 20
+
+
+_WINDOW_CHECKS = {
+    "derivative_bound": check_derivative_bound,
+    "persistence": check_persistence,
+    "local_lp_p1": lambda t, c: check_local_lp(t, c, 1.0),
+    "local_lp_p2": lambda t, c: check_local_lp(t, c, 2.0),
+    "derivative_lp_p1": lambda t, c: check_derivative_lp(t, c, 1.0),
+    "derivative_lp_p2": lambda t, c: check_derivative_lp(t, c, 2.0),
+}
+
+
+def _window_outcomes(trace, consts):
+    """Each window check's to_dict() on a fresh copy of trace, or the type
+    and message of what it raised."""
+    outcomes = {}
+    for name, check in _WINDOW_CHECKS.items():
+        try:
+            outcomes[name] = check(_copy(trace), consts).to_dict()
+        except (TraceTooShort, NoEligiblePoints) as err:
+            outcomes[name] = (type(err), str(err))
+    return outcomes
+
+
+def _assert_pruning_changes_nothing(trace, consts):
+    """The outcomes with the size rule forced above and below the trace."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "PRUNE_NODES", 10 ** 9)
+        exact = _window_outcomes(trace, consts)
+        mp.setattr(verifier, "PRUNE_NODES", 0)
+        assert _window_outcomes(trace, consts) == exact
+
+
+@st.composite
+def _piecewise_uniform_case(draw):
+    """A trace on a grid of uniform runs with their own steps, mostly dyadic
+    so that x +- r often lands exactly on a node, and constants whose radii
+    are multiples of the steps or arbitrary."""
+    xs = [draw(st.sampled_from([0.0, -3.0, 1.5]))]
+    for _ in range(draw(st.integers(1, 4))):
+        h = draw(st.sampled_from([2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 3 * 2.0 ** -7, 0.01]))
+        xs.extend(xs[-1] + h * np.arange(1, draw(st.integers(1, 300)) + 1))
+    xs = np.array(xs)
+    span = xs[-1] - xs[0]
+    radius = st.one_of(st.integers(1, 256).map(lambda j: j * 2.0 ** -6),
+                       st.floats(1e-3, max(span, 2e-3)))
+    consts = SimpleNamespace(k_radius=draw(radius), delta=draw(radius),
+                             c_bound=draw(st.floats(0.1, 10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["smooth", "random", "decaying", "constant"]))
+    if kind == "smooth":
+        a, b = rng.uniform(0.5, 5.0, 2)
+        u = np.exp(1j * a * xs) * (1.5 + np.sin(b * xs))
+        du = np.gradient(u, xs)
+    elif kind == "random":
+        u, du = rng.normal(size=(2, len(xs))) + 1j * rng.normal(size=(2, len(xs)))
+    elif kind == "decaying":  # deep tails: windows drown in the cumulative sum
+        rate = rng.uniform(5.0, 40.0)
+        u = np.exp(-rate * (xs - xs[0]))
+        du = -rate * u
+    else:  # every ratio ties
+        u, du = np.full(len(xs), 2.0), np.ones(len(xs))
+    return analytic_trace(xs, lambda x: u, lambda x: du, 1.0), consts
+
+
+class TestWindowPruning:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_piecewise_uniform_case())
+    def test_size_rule_changes_no_outcome(self, case):
+        _assert_pruning_changes_nothing(*case)
+
+    def test_deep_tail_takes_the_drowned_path(self):
+        xs = np.linspace(0.0, 30.0, 6001)
+        trace = analytic_trace(xs, lambda x: np.exp(-20.0 * x), lambda x: -20.0 * np.exp(-20.0 * x),
+                               1.0)
+        consts = constants_for(0.0, 1.0)
+        cum = trace.cum_abs_u(2.0)
+        lo, hi = trace.window_bounds(consts.k_radius + consts.delta)
+        assert np.count_nonzero(cum[np.minimum(hi, len(xs) - 1)] - cum[lo] <= 1e-9 * cum[-1]) > 1000
+        _assert_pruning_changes_nothing(trace, consts)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_rounded_tail_is_never_pruned(self, p):
+        # past x = 4 every trapezoid term of |u|^p is 0.6 ulp of the running
+        # sum, so each add rounds up to one ulp and the cumulative integral
+        # overstates these windows.  They drown, and their exact sums give
+        # the worst ratio, above the bright part's 0.8 of it: a bound taken
+        # from the cumulative integral there would prune the worst node
+        xs = np.linspace(0.0, 10.0, 10001)
+        tail = (0.6 * np.spacing(4.0) / (xs[1] - xs[0])) ** (1 / p)
+        u = np.where(xs <= 4.0, 1.0, tail)
+        du = np.where(xs <= 2.0, 10 * 0.8 ** (1 / p), np.where(xs <= 4.0, 0.0, 10 * tail))
+        trace = analytic_trace(xs, lambda x: u, lambda x: du, 1.0)
+        consts = constants_for(0.0, 1.0)
+        assert check_derivative_lp(_copy(trace), consts, p).witness_x > 4.0
+        _assert_pruning_changes_nothing(trace, consts)
+
+    @pytest.mark.parametrize("case", ["sin", "random_step_complex"])
+    def test_few_exact_windows(self, monkeypatch, sin_trace, sin_consts, case):
+        # past PRUNE_NODES only the nodes whose bound reaches the worst ratio
+        # search their windows
+        trace, consts = (sin_trace, sin_consts) if case == "sin" else _random_step_trace()
+        searched = []
+        inner_extreme, inner_outward = verifier._window_extreme, verifier.outward_windows
+        monkeypatch.setattr(verifier, "_window_extreme",
+                            lambda a, lo, hi, op: searched.append(len(lo)) or inner_extreme(a, lo, hi, op))
+        monkeypatch.setattr(verifier, "outward_windows",
+                            lambda xs, x, r: searched.append(len(x)) or inner_outward(xs, x, r))
+        monkeypatch.setattr(verifier, "PRUNE_NODES", 0)
+        n = len(trace.xs)
+        for check in (check_derivative_bound, lambda t, c: check_derivative_lp(t, c, 2.0)):
+            searched.clear()
+            check(_copy(trace), consts)
+            assert searched[0] == 1 and sum(searched) < n // 10
+
+    def test_persistence_and_local_lp_share_one_delta_table(self, monkeypatch):
+        trace, consts = _random_step_trace()
+        seen = []
+        inner = SolutionTrace.window_bounds
+
+        def spy(self, r):
+            seen.append((r, inner(self, r)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(SolutionTrace, "window_bounds", spy)
+        check_persistence(trace, consts)
+        check_local_lp(trace, consts, 1.0)
+        check_local_lp(trace, consts, 2.0)
+        assert [r for r, _ in seen] == [consts.delta] * 3
+        assert all(bounds is seen[0][1] for _, bounds in seen)
+        assert list(trace._windows) == [consts.delta]  # searched once
+        assert all(b.dtype == np.int32 and len(b) == len(trace.xs) for b in seen[0][1])
 
 
 def _loop_lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
@@ -794,13 +974,19 @@ class TestWindowExtreme:
     @given(_windows())
     def test_equals_brute_force(self, case):
         a, lo, hi = case
-        for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
-            got = _window_extreme(a, lo, hi, op)
-            want = np.array([reduce(a[i:j]) for i, j in zip(lo, hi)])
-            assert got.dtype == a.dtype
-            assert np.array_equal(got, want)
-            if not np.any(np.signbit(a) & (a == 0.0)):  # no -0.0: bitwise too
-                assert got.tobytes() == want.tobytes()
+        # all the windows; those of one shared level (answered without
+        # masks); and those of every other level that holds any, so that
+        # levels between them are built but hold no query
+        level = np.frexp(hi - lo)[1] - 1
+        held = np.unique(level)
+        for sel in (level >= 0, level == held[-1], np.isin(level, held[::2])):
+            for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+                got = _window_extreme(a, lo[sel], hi[sel], op)
+                want = np.array([reduce(a[i:j]) for i, j in zip(lo[sel], hi[sel])])
+                assert got.dtype == a.dtype
+                assert np.array_equal(got, want)
+                if not np.any(np.signbit(a) & (a == 0.0)):  # no -0.0: bitwise too
+                    assert got.tobytes() == want.tobytes()
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):

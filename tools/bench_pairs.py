@@ -4,6 +4,7 @@
 Run from the root of the checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --summarise BENCH_*.json
 
 Each revision is exported with `git archive` into its own temporary directory,
 so both sides run the same benchmark code from their own tree, as committed.
@@ -20,6 +21,14 @@ parent's IQR; a worsening beyond the bound is unresolved, not a regression,
 when the parent's own IQR is wider than the bound, unless every run of the
 change is better than every run of the parent.  The output_sha256 of
 every run is kept too, so the file shows whether the outputs were the same.
+
+Speed drifts between pairs on a shared machine, which widens the parent's
+IQR past the bound.  So the file also records each pair's ratio
+change/parent, which cancels most of that drift, with its median and
+quartiles, and `paired_within_bound`: the upper quartile of the paired
+worsening is at most the bound.  It adds to the verdicts above and replaces
+none of them.  --summarise prints these paired statistics from the raw
+values of committed files, without running anything.
 """
 
 from __future__ import annotations
@@ -76,10 +85,15 @@ def run_once(tree, workload, seed, seconds):
 
 
 def summary(parent, change, better, bound):
-    """Medians, quartiles, wins and verdicts of one metric over the pairs."""
+    """Medians, quartiles, wins and verdicts of one metric over the pairs,
+    unpaired and paired (the metrics are positive)."""
     sign = 1.0 if better == "lower" else -1.0
     q_parent = statistics.quantiles(parent, n=4, method="inclusive")
     q_change = statistics.quantiles(change, n=4, method="inclusive")
+    ratios = [c / p for p, c in zip(parent, change)]
+    q_ratio = statistics.quantiles(ratios, n=4, method="inclusive")
+    # the upper quartile of the worsening: of r - 1, or of 1 - r when higher is better
+    paired_worse = q_ratio[2] - 1.0 if sign > 0 else 1.0 - q_ratio[0]
     gain = sign * (q_parent[1] - q_change[1])  # positive when the change is better
     iqr = q_parent[2] - q_parent[0]
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
@@ -95,15 +109,43 @@ def summary(parent, change, better, bound):
         "relative_worsening": worse, "bound": bound,
         "within_bound": worse <= bound,
         "unresolved": iqr > bound * abs(q_parent[1]) and not separated,
+        "paired_ratios": ratios, "paired_ratio_median": q_ratio[1],
+        "paired_ratio_quartiles": [q_ratio[0], q_ratio[2]],
+        "paired_within_bound": paired_worse <= bound,
     }
+
+
+def summarise(paths, out=sys.stdout):
+    """Print the paired statistics of the committed BENCH files at paths,
+    from their raw values and bounds."""
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    for path in paths:
+        for row in json.loads(Path(path).read_text())["results"]:
+            for name, m in row["metrics"].items():
+                s = summary(m["parent"], m["change"], better[name], m["bound"])
+                lo, hi = s["paired_ratio_quartiles"]
+                print(f"{Path(path).name} {row['workload']} seed {row['seed']} {name}: "
+                      f"unpaired {s['relative_worsening']:+.1%}"
+                      f"{' unresolved' if s['unresolved'] else ''}, "
+                      f"paired {s['paired_ratio_median'] - 1:+.1%} [{lo - 1:+.1%}, {hi - 1:+.1%}] "
+                      f"{'within' if s['paired_within_bound'] else 'beyond'} bound "
+                      f"{s['bound']:g}, wins {s['change_wins']}/{s['pairs']}", file=out)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git revision of the parent")
-    parser.add_argument("--change", required=True, help="git revision of the change")
-    parser.add_argument("--out", required=True, help="path of the BENCH_<pr>.json to write")
+    parser.add_argument("--parent", help="git revision of the parent")
+    parser.add_argument("--change", help="git revision of the change")
+    parser.add_argument("--out", help="path of the BENCH_<pr>.json to write")
+    parser.add_argument("--summarise", nargs="+", metavar="BENCH",
+                        help="print the paired statistics of committed BENCH files")
     args = parser.parse_args(argv)
+    if args.summarise:
+        summarise(args.summarise)
+        return 0
+    if not (args.parent and args.change and args.out):
+        parser.error("--parent, --change and --out are required unless --summarise is given")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
