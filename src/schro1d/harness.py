@@ -25,6 +25,7 @@ from .constants import Energy, constants_for
 from .errors import (
     ConfigError,
     DegenerateConstants,
+    InadmissibleWeight,
     NoEligiblePoints,
     PreconditionFailed,
     Schro1dError,
@@ -43,7 +44,7 @@ from .verifier import (
     sample_lemma31,
 )
 
-SKIPPABLE = (NoEligiblePoints, PreconditionFailed, TraceTooShort)
+SKIPPABLE = (InadmissibleWeight, NoEligiblePoints, PreconditionFailed, TraceTooShort)
 
 
 @dataclass

@@ -92,7 +92,6 @@ class SolutionTrace:
     du: np.ndarray
     energy: Energy
     method: str
-    max_step: float
     _cum_abs_u: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -126,9 +125,9 @@ class SolutionTrace:
         return self._cum_abs_u[p]
 
     def window_bounds(self, r: float):
-        """outward_windows(xs, xs, r) as int32 arrays, kept per radius r."""
+        """The outward windows of radius r about every node, int32, kept per r."""
         if r not in self._windows:
-            bounds = outward_windows(self.xs, self.xs, r)
+            bounds = windows(self.xs, self.xs - r, self.xs + r, True)
             self._windows[r] = tuple(b.astype(np.int32) for b in bounds)
         return self._windows[r]
 
@@ -150,7 +149,7 @@ class SolutionTrace:
     def reflected(self) -> "SolutionTrace":
         """Trace of x -> u(-x); pairs with the reflected potential."""
         return SolutionTrace(-self.xs[::-1], self.u[::-1], -self.du[::-1],
-                             self.energy, self.method, self.max_step)
+                             self.energy, self.method)
 
     def to_csv(self, path):
         header = "x,re_u,im_u,re_du,im_du"
@@ -194,14 +193,14 @@ def cumtrapz(y, x):
     return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
-def outward_windows(xs, x, r):
-    """(lo, hi) for each abscissa x: lo is the last node at or before x - r,
-    or 0 if there is none, and hi the first node at or after x + r, or
-    len(xs) if there is none."""
-    lo = np.searchsorted(xs, x - r, side="right")
-    lo -= 1
-    np.maximum(lo, 0, out=lo)
-    return lo, np.searchsorted(xs, x + r, side="left")
+def windows(xs, a, b, outward):
+    """Node bounds (lo, hi) of the windows [a, b].  Outward, lo is the last
+    node at or before a (or 0) and hi the first at or after b (or len(xs));
+    inward, lo is the first node at or after a and hi one past the last at
+    or before b."""
+    if outward:  # xs[1:] holds one node fewer at or before a, or none
+        return np.searchsorted(xs[1:], a, side="right"), np.searchsorted(xs, b, side="left")
+    return np.searchsorted(xs, a, side="left"), np.searchsorted(xs, b, side="right")
 
 
 def _use_series(q, hmax):
@@ -450,7 +449,7 @@ def _traces(V, E, x0, x_end, u0, du0, step):
     xs, us, dus, aus, adus, reflected = _kernel_columns(V, energy, x0, x_end, u0, du0, step)
     traces = []
     for u, du, au, adu in zip(us, dus, aus, adus):
-        trace = SolutionTrace(xs, u, du, energy, "exact_cell", float(step))
+        trace = SolutionTrace(xs, u, du, energy, "exact_cell")
         if reflected:
             trace = trace.reflected()
             au, adu = au[::-1], adu[::-1]

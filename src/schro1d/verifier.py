@@ -21,22 +21,19 @@ window integrals of |u|^p are differences of the trace's cumulative integral.
 Windows whose integral drowns in the rounding of that sum (deep tails) are
 summed again from one array of np.trapezoid's own terms.
 
-The window bounds of radius delta, the last node at or before x - delta and
-the first at or after x + delta for every node x, are searched once per
-trace and kept as int32: persistence and every local_lp check read slices
-of that one table.  derivative_bound (radius K) and derivative_lp (radius
-K + delta) evaluate exact windows only where a node can set the worst
-ratio.  Every interior node first gets an upper bound of its ratio from the
-fixed-width inner window of nodes i - k .. i + k, k = floor(r / h_max) - 1,
-which lies inside its window: for the derivative bound one sparse-table
-level read on two slices, for L^p a difference of two slices of the
-cumulative integral.  The exact ratio at the node of the largest bound is a
-floor, and only the nodes whose bound reaches it search their windows
-(`_first_worst`); the worst ratio and its first-of-ties witness are the
-same bit for bit.  The bound's fixed passes pay for themselves only on
-long traces, so it is taken past PRUNE_NODES interior nodes, a measured
-cost; below that, derivative_lp reads its own kept table of radius K +
-delta, and derivative_bound searches every node.
+Every window's node range comes from `solver.windows`; its `outward`
+argument says how [a, b] snaps to nodes.  derivative_bound takes the max over
+the nodes inside [x - K, x + K] (inward), the L^p checks integrate outward,
+persistence ends [x, x + delta) at the first node at or after x + delta, and
+the weighted check integrates its LHS inward and its RHS outward.  Outward
+bounds are searched once per trace and radius and kept as int32
+(`window_bounds`).  derivative_bound, local_lp and derivative_lp go through
+one routine, `_ratio_check`: past PRUNE_NODES interior nodes (a measured
+cost), derivative_bound and derivative_lp bound every ratio from the inner
+window of nodes i - k .. i + k, k = floor(r / h_max) - 1, and take exact
+windows only where a bound can reach the worst ratio.  A check whose
+constant 2^p C^p/delta, weight ratio bound or weight overflows is skipped
+with an error that names it.
 
 The randomized sweep of the core inequality (`sample_lemma31`) is a batched
 rejection sampler.  Every attempt takes three doubles from the generator (the
@@ -72,7 +69,7 @@ from .errors import (
     PreconditionFailed,
     TraceTooShort,
 )
-from .solver import SolutionTrace, cumtrapz, outward_windows
+from .solver import SolutionTrace, cumtrapz, windows
 
 DEFAULT_TOL = 1e-6
 ZERO_BAND = 1e-3  # relative threshold below which u(x) counts as a zero
@@ -133,14 +130,7 @@ def _outcome(name, n, worst, witness, tol, notes=""):
 def analytic_trace(xs, u_fn, du_fn, energy) -> SolutionTrace:
     """Wrap closed-form u, u' samples as a trace (method 'analytic')."""
     xs = np.asarray(xs, dtype=float)
-    return SolutionTrace(
-        xs=xs,
-        u=np.asarray(u_fn(xs), dtype=complex),
-        du=np.asarray(du_fn(xs), dtype=complex),
-        energy=Energy.of(energy),
-        method="analytic",
-        max_step=float(np.max(np.diff(xs))),
-    )
+    return SolutionTrace(xs, u_fn(xs), du_fn(xs), Energy.of(energy), "analytic")
 
 
 def _raise_level(table, level, to, op):
@@ -207,62 +197,70 @@ def _inner_radius(xs, r, inner):
     return min(int(r // h_max) - 1, inner.start, len(xs) - inner.stop)
 
 
-def _first_worst(xs, inner, ratios, bounds):
-    """(x, ratio) of the first largest exact ratio over the nodes `inner` (a
-    slice).  ratios(at) gives the exact ratios at the nodes at, a slice or an
-    index array; bounds, if given, returns an upper bound of every ratio in
-    `inner`, or None.
+def _ratio_check(name, xs, r, num, rhs, inner_rhs, tolerance):
+    """The outcome of num <= rhs at every r-interior node: the worst ratio
+    num / rhs (inf where rhs is not positive) and the first node that has it.
+    num holds the numerator at every node, rhs(at) the RHS at the nodes at
+    (a slice or an index array), and inner_rhs(inner, k), if given, a lower
+    bound of the RHS over the slice inner from nodes i - k .. i + k.
 
-    Past PRUNE_NODES nodes the bounds come first: the exact ratio at the node
-    of the largest bound is a floor under the largest ratio, and the exact
-    ratios are taken only where the bound reaches that floor.  Every node
-    that attains the largest ratio has a bound at least as large, so the
-    first of them is among those, and the result is the same bit for bit.
+    With inner_rhs, past PRUNE_NODES nodes, exact ratios are taken only where
+    a bound reaches the exact ratio at the node of the largest bound, a floor
+    under the worst ratio: every node that attains the worst ratio has a
+    bound at least as large, so the result is the same bit for bit.
     """
-    ub = bounds() if bounds and inner.stop - inner.start > PRUNE_NODES else None
-    if ub is None:
+    inner = _interior_indices(xs, r)
+    n = inner.stop - inner.start
+    if n == 0:
+        raise TraceTooShort(f"no grid point is {r}-interior to the trace")
+
+    def ratios(at, den):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, num[at] / den, np.inf)
+
+    k = _inner_radius(xs, r, inner) if inner_rhs and n > PRUNE_NODES else -1
+    if k < 0:
         at = inner
     else:  # a NaN bound or floor is no reason to skip a node
-        floor = ratios(inner.start + np.argmax(ub, keepdims=True))[0]
-        at = inner.start + np.flatnonzero(~(ub < floor))
-    r = ratios(at)
-    j = int(np.argmax(r))  # first of the ties
-    return xs[at][j], r[j]
+        ub = ratios(inner, inner_rhs(inner, k))
+        top = inner.start + np.argmax(ub, keepdims=True)
+        at = inner.start + np.flatnonzero(~(ub < ratios(top, rhs(top))[0]))
+    ratio = ratios(at, rhs(at))
+    j = int(np.argmax(ratio))  # first of the ties
+    return _outcome(name, n, ratio[j], xs[at][j], tolerance)
+
+
+def _finite(what, f, error=PreconditionFailed):
+    """f(), a check's constant or weight; error naming it as what if it overflows."""
+    try:
+        with np.errstate(over="ignore"):
+            value = f()
+    except OverflowError:
+        value = math.inf
+    if not np.isfinite(value).all():
+        raise error(f"{what} is not finite")
+    return value
 
 
 def check_derivative_bound(
     trace: SolutionTrace, consts: EstimateConstants, tolerance: float = DEFAULT_TOL
 ) -> CheckOutcome:
     """|u'(x)| <= C * max_{|y-x| <= K} |u(y)| at every K-interior grid point."""
-    xs, au, adu = trace.xs, trace.abs_u, trace.abs_du
-    K = consts.k_radius
-    C = consts.c_bound
-    inner = _interior_indices(xs, K)
-    if inner.stop == inner.start:
-        raise TraceTooShort(f"no grid point is {K}-interior to the trace")
+    xs, au = trace.xs, trace.abs_u
+    K, C = consts.k_radius, consts.c_bound
 
-    def ratios(at):
-        lo = np.searchsorted(xs, xs[at] - K, side="left")
-        hi = np.searchsorted(xs, xs[at] + K, side="right")
-        m = _window_extreme(au, lo, hi, np.maximum)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(m > 0, adu[at] / (C * m), np.inf)
+    def rhs(at):  # the max over the nodes inside the window
+        return C * _window_extreme(au, *windows(xs, xs[at] - K, xs[at] + K, False), np.maximum)
 
-    def bounds():
+    def inner_rhs(inner, k):
         # the max over nodes i - k .. i + k is at most the window max: one
         # sparse-table level read on two slices
-        k = _inner_radius(xs, K, inner)
-        if k < 0:
-            return None
         level = (2 * k + 1).bit_length() - 1
         table = _raise_level(au, 0, level, np.maximum)
         s, e, tail = inner.start, inner.stop, k + 1 - (1 << level)
-        m = np.maximum(table[s - k:e - k], table[s + tail:e + tail])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(m > 0, adu[inner] / (C * m), np.inf)
+        return C * np.maximum(table[s - k:e - k], table[s + tail:e + tail])
 
-    x, worst = _first_worst(xs, inner, ratios, bounds)
-    return _outcome("derivative_bound", inner.stop - inner.start, worst, x, tolerance)
+    return _ratio_check("derivative_bound", xs, K, trace.abs_du, rhs, inner_rhs, tolerance)
 
 
 def check_persistence(
@@ -301,7 +299,7 @@ def _window_integrals(trace, p, at, half_width):
     if isinstance(at, slice):
         i0, i1 = (b[at] for b in trace.window_bounds(half_width))
     else:
-        i0, i1 = outward_windows(xs, xs[at], half_width)
+        i0, i1 = windows(xs, xs[at] - half_width, xs[at] + half_width, True)
     i1 = np.minimum(i1, len(xs) - 1)
     out = cum[i1] - cum[i0]
     # the global cumsum has absolute error ~ulp(total); recompute windows
@@ -326,37 +324,23 @@ def _drowned(cum):
 def _lp_check(name, trace, consts, p, modulus, half, c, tolerance, prune):
     """modulus(x)^p <= (2^p c^p/delta) * integral over |y-x| <= half of |u|^p
     at every half-interior grid point; prune says whether to bound the
-    ratios first (see _first_worst)."""
+    ratios first (see _ratio_check)."""
     if not (1.0 <= p < np.inf):
         raise ValueError("p must lie in [1, inf)")
-    xs = trace.xs
-    inner = _interior_indices(xs, half)
-    if inner.stop == inner.start:
-        raise TraceTooShort(f"no grid point is {half}-interior to the trace")
-    factor = 2.0 ** p * c ** p / consts.delta
-    powers = modulus[inner] ** p
+    factor = _finite(f"2^p C^p/delta at p={p:g}", lambda: 2.0 ** p * c ** p / consts.delta)
 
-    def ratios(at):
-        rhs = factor * _window_integrals(trace, p, at, half)
-        num = powers if isinstance(at, slice) else powers[at - inner.start]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(rhs > 0, num / rhs, np.inf)
+    def rhs(at):
+        return factor * _window_integrals(trace, p, at, half)
 
-    def bounds():
+    def inner_rhs(inner, k):
         # the integral over nodes i - k .. i + k is at most the window's,
         # unless the window drowns (see _window_integrals): cum is monotone
-        k = _inner_radius(xs, half, inner)
-        if k < 0:
-            return None
         cum = trace.cum_abs_u(p)
-        s, e = inner.start, inner.stop
-        part = cum[s + k:e + k] - cum[s - k:e - k]
-        rhs = factor * part
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where((part > _drowned(cum)) & (rhs > 0), powers / rhs, np.inf)
+        part = cum[inner.start + k:inner.stop + k] - cum[inner.start - k:inner.stop - k]
+        return np.where(part > _drowned(cum), factor * part, 0.0)
 
-    x, worst = _first_worst(xs, inner, ratios, bounds if prune else None)
-    return _outcome(f"{name}_p{p:g}", inner.stop - inner.start, worst, x, tolerance)
+    return _ratio_check(f"{name}_p{p:g}", trace.xs, half, modulus ** p, rhs,
+                        inner_rhs if prune else None, tolerance)
 
 
 def check_local_lp(
@@ -441,31 +425,22 @@ def check_weighted(
     if a >= b:
         raise ValueError("empty window")
     half = consts.k_radius + consts.delta
-    bound = weight.admissibility_bound(half)
-    if not math.isfinite(bound):
-        raise InadmissibleWeight("weight ratio bound is not finite")
+    bound = _finite("weight ratio bound", lambda: weight.admissibility_bound(half),
+                    InadmissibleWeight)
     xs = trace.xs
     if xs[0] > a - half + 1e-9 or xs[-1] < b + half - 1e-9:
         raise TraceTooShort("trace does not cover the enlarged window")
-    w = weight.values(xs)
+    w = _finite("weight on the trace", lambda: weight.values(xs), InadmissibleWeight)
     cum_u = cumtrapz(trace.abs_u ** p * w, xs)
     cum_du = cumtrapz(trace.abs_du ** p * w, xs)
-
-    def _seg(cum, lo, hi, snap_out):
-        if snap_out:
-            i0 = max(int(np.searchsorted(xs, lo, side="right")) - 1, 0)
-            i1 = min(int(np.searchsorted(xs, hi, side="left")), len(xs) - 1)
-        else:
-            i0 = int(np.searchsorted(xs, lo, side="left"))
-            i1 = int(np.searchsorted(xs, hi, side="right")) - 1
-            if i1 <= i0:  # the integral would be 0 or negative: a spurious pass
-                raise TraceTooShort(f"window ({lo},{hi}) holds fewer than two grid nodes")
-        return float(cum[i1] - cum[i0])
-
-    lhs = _seg(cum_du, a, b, snap_out=False)
-    rhs_int = _seg(cum_u, a - half, b + half, snap_out=True)
-    factor = (2.0 ** p * consts.c_bound ** p / consts.delta) * bound * 2.0 * half
-    rhs = factor * rhs_int
+    lo, hi = windows(xs, a, b, False)  # inward for the LHS, outward for the RHS
+    if hi - lo < 2:  # the integral would be 0 or negative: a spurious pass
+        raise TraceTooShort(f"window ({a},{b}) holds fewer than two grid nodes")
+    r0, r1 = windows(xs, a - half, b + half, True)
+    lhs = float(cum_du[hi - 1] - cum_du[lo])
+    factor = _finite(f"2^p C^p/delta B 2(K+delta) at p={p:g}", lambda: (
+        2.0 ** p * consts.c_bound ** p / consts.delta) * bound * 2.0 * half)
+    rhs = factor * float(cum_u[min(r1, len(xs) - 1)] - cum_u[r0])
     ratio = lhs / rhs if rhs > 0 else np.inf
     notes = f"admissibility_bound={bound:.6g}; p={p:g}; window=({a},{b})"
     return _outcome(f"weighted_p{p:g}", len(xs), ratio, a, tolerance, notes)

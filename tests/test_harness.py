@@ -344,6 +344,28 @@ class TestSuiteExecution:
         assert len(first["outcomes"]) == 3
         assert run_scenario(scn) == first
 
+    @pytest.mark.parametrize("check, reason", [
+        ({"name": "local_lp", "p": 2000}, "2^p C^p/delta at p=2000 is not finite"),
+        ({"name": "derivative_lp", "p": 2000}, "2^p C^p/delta at p=2000 is not finite"),
+        ({"name": "weighted", "p": 2000}, "2^p C^p/delta B 2(K+delta) at p=2000 is not finite"),
+        ({"name": "weighted", "weight": {"kind": "exponential", "rate": 1e6}},
+         "weight ratio bound is not finite"),
+        ({"name": "weighted", "weight": {"kind": "exponential", "rate": 700}},
+         "weight ratio bound is not finite"),
+        ({"name": "weighted", "weight": {"kind": "exponential", "rate": 300}},
+         "weight on the trace is not finite"),
+    ], ids=["local_lp", "derivative_lp", "weighted_p2000", "rate_1e6", "rate_700", "rate_300"])
+    def test_overflowing_constant_skips_its_check(self, check, reason):
+        # the check lands in skipped, naming what overflows, and the rest of
+        # the scenario runs; no RuntimeWarning escapes
+        doc = {"scenarios": [dict(HEALTHY_FREE, checks=[*HEALTHY_FREE["checks"], check])]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            entry = run_suite(doc).entries[0]
+        assert entry["ok"] and [o["name"] for o in entry["outcomes"]] == [
+            "derivative_bound", "persistence"]
+        assert entry["skipped"] == [{"name": check["name"], "reason": reason}]
+
     def test_skippable_checks_reported_not_fatal(self):
         # K-interior empty on a short span: the check is skipped, suite still ok
         doc = {

@@ -71,6 +71,19 @@ class TestDerivativeBound:
         assert not out.passed
         assert 1.29 < out.worst_ratio < 1.31
 
+    @pytest.mark.parametrize("prune", [0, 10 ** 9])
+    def test_subnormal_window_max_reads_inf(self, monkeypatch, prune):
+        # past x = 22.5 the window max of e^{-33x} is subnormal, so C * max
+        # underflows to 0 while the max does not: the ratio is inf, never
+        # 0/0 = NaN where |u'| underflows too
+        monkeypatch.setattr(verifier, "PRUNE_NODES", prune)
+        xs = np.arange(401) / 16.0
+        trace = analytic_trace(xs, lambda x: np.exp(-33 * x), lambda x: -33 * np.exp(-33 * x),
+                               1.0)
+        consts = SimpleNamespace(k_radius=1 / 16, c_bound=0.5, delta=1 / 16)
+        out = check_derivative_bound(trace, consts)
+        assert out.worst_ratio == np.inf and out.witness_x == 22.625 and not out.passed
+
     def test_trace_too_short(self, sin_consts, free_potential):
         tr = propagate_exact(free_potential, 1.0, InitialData(0.0, 0.0, 1.0), 0.5, 0.01)
         with pytest.raises(TraceTooShort):
@@ -349,8 +362,7 @@ class TestOutcomeInvariants:
             lambda t: check_persistence(t, consts),
         ]
         for check in checks:
-            fresh = SolutionTrace(xs.copy(), u.copy(), du.copy(), trace.energy, trace.method,
-                                  trace.max_step)
+            fresh = SolutionTrace(xs.copy(), u.copy(), du.copy(), trace.energy, trace.method)
             assert check(trace).to_dict() == check(fresh).to_dict()
 
     def test_global_lp_corollary(self, sin_trace, sin_consts):
@@ -554,7 +566,29 @@ def _loop_lp_check(trace, consts, p, derivative, tolerance=1e-6):
 
 def _copy(trace):
     """The trace with nothing kept yet."""
-    return SolutionTrace(trace.xs, trace.u, trace.du, trace.energy, trace.method, trace.max_step)
+    return SolutionTrace(trace.xs, trace.u, trace.du, trace.energy, trace.method)
+
+
+def _loop_weighted(trace, consts, p, weight, window, tolerance=1e-6):
+    """check_weighted with scalar searches: the LHS window snapped inward,
+    the RHS window outward."""
+    xs = trace.xs
+    a, b = window
+    half = consts.k_radius + consts.delta
+    bound = weight.admissibility_bound(half)
+    w = weight.values(xs)
+    cum_u = cumtrapz(np.abs(trace.u) ** p * w, xs)
+    cum_du = cumtrapz(np.abs(trace.du) ** p * w, xs)
+    i0 = int(np.searchsorted(xs, a, side="left"))
+    i1 = int(np.searchsorted(xs, b, side="right")) - 1
+    j0 = max(int(np.searchsorted(xs, a - half, side="right")) - 1, 0)
+    j1 = min(int(np.searchsorted(xs, b + half, side="left")), len(xs) - 1)
+    lhs = float(cum_du[i1] - cum_du[i0])
+    factor = (2.0 ** p * consts.c_bound ** p / consts.delta) * bound * 2.0 * half
+    rhs = factor * float(cum_u[j1] - cum_u[j0])
+    ratio = lhs / rhs if rhs > 0 else np.inf
+    notes = f"admissibility_bound={bound:.6g}; p={p:g}; window=({a},{b})"
+    return _outcome(f"weighted_p{p:g}", len(xs), ratio, a, tolerance, notes)
 
 
 class TestLoopOracles:
@@ -577,6 +611,17 @@ class TestLoopOracles:
         for prune in (0, 10 ** 9):
             monkeypatch.setattr(verifier, "PRUNE_NODES", prune)
             assert check(_copy(trace), consts, p).to_dict() == want
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("weight", [WeightSpec.exponential(0.7),
+                                        WeightSpec.polynomial(-1.5)])
+    def test_weighted_equals_loop(self, oracle_case, weight, p):
+        # window ends off the grid, so each snap direction matters
+        trace, consts = oracle_case
+        xs, half = trace.xs, consts.k_radius + consts.delta
+        window = (xs[0] + half + 0.1234, xs[-1] - half - 0.0567)
+        want = _loop_weighted(trace, consts, p, weight, window).to_dict()
+        assert check_weighted(_copy(trace), consts, p, weight, window).to_dict() == want
 
     def test_persistence_equals_loop(self, oracle_case):
         trace, consts = oracle_case
@@ -746,11 +791,11 @@ class TestWindowPruning:
         # search their windows
         trace, consts = (sin_trace, sin_consts) if case == "sin" else _random_step_trace()
         searched = []
-        inner_extreme, inner_outward = verifier._window_extreme, verifier.outward_windows
+        inner_extreme, inner_windows = verifier._window_extreme, verifier.windows
         monkeypatch.setattr(verifier, "_window_extreme",
                             lambda a, lo, hi, op: searched.append(len(lo)) or inner_extreme(a, lo, hi, op))
-        monkeypatch.setattr(verifier, "outward_windows",
-                            lambda xs, x, r: searched.append(len(x)) or inner_outward(xs, x, r))
+        monkeypatch.setattr(verifier, "windows", lambda xs, a, b, outward: searched.append(len(a))
+                            or inner_windows(xs, a, b, outward))
         monkeypatch.setattr(verifier, "PRUNE_NODES", 0)
         n = len(trace.xs)
         for check in (check_derivative_bound, lambda t, c: check_derivative_lp(t, c, 2.0)):
