@@ -231,7 +231,7 @@ def _ratio_check(name, xs, r, num, rhs, inner_rhs, tolerance):
 
 
 def _finite(what, f, error=PreconditionFailed):
-    """f(), a check's constant or weight; error naming it as what if it overflows."""
+    """f(), a check's constant or weight; raises error, naming what, if it overflows."""
     try:
         with np.errstate(over="ignore"):
             value = f()
