@@ -3,7 +3,7 @@ one-dimensional Schrodinger operators with piecewise-constant potentials."""
 
 __version__ = "0.1.0"
 
-from .constants import Energy, EstimateConstants, constants_for
+from .constants import EstimateConstants, constants_for, energy_of
 from .errors import (
     ConfigError,
     DegenerateConstants,

@@ -142,9 +142,9 @@ def _cmd_prufer(args):
     trace = scenario_trace(scn)
     k = args.k
     if k is None:
-        if scn.energy.re <= 0 or scn.energy.im != 0:
+        if scn.energy.real <= 0 or scn.energy.imag != 0:
             raise ConfigError("need E = k^2 > 0 real, or pass --k", f"{scn.id}.energy")
-        k = math.sqrt(scn.energy.re)
+        k = math.sqrt(scn.energy.real)
     ptrace = prufer_decompose(trace, k)
     if args.out:
         ptrace.to_csv(args.out)

@@ -1,47 +1,26 @@
 """Explicit estimate constants derived from C1 and the energy.
 
-With C2 = C1 + |E| the derivative bound uses C = C2 + 2*sqrt(C2) and window
-radius K = 1/sqrt(C2); the persistence-of-modulus bound uses
-delta = -1/2 + sqrt(1/4 + 1/(2*C2)), equivalently the positive root of
-C2*d*(d+1) = 1/2.
+An energy is a complex, read by energy_of at every library entry.  The
+constants see it only through |E|: with C2 = C1 + |E| the derivative bound
+uses C = C2 + 2*sqrt(C2) and window radius K = 1/sqrt(C2); the
+persistence-of-modulus bound uses delta = -1/2 + sqrt(1/4 + 1/(2*C2)),
+equivalently the positive root of C2*d*(d+1) = 1/2.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import DegenerateConstants
 
 
-@dataclass(frozen=True)
-class Energy:
-    """Complex spectral parameter."""
-
-    re: float
-    im: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("energy components must be finite")
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.as_complex)
-
-    @classmethod
-    def of(cls, value) -> "Energy":
-        if isinstance(value, Energy):
-            return value
-        z = complex(value)
-        return cls(z.real, z.imag)
-
-    def to_dict(self):
-        return {"re": self.re, "im": self.im}
+def energy_of(value) -> complex:
+    """The energy value as a complex; ValueError if a part is not finite."""
+    if not cmath.isfinite(energy := complex(value)):
+        raise ValueError("energy components must be finite")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -49,7 +28,7 @@ class EstimateConstants:
     """Bundle (C1, E, C2, C, K, delta); the L^p exponent is per-check."""
 
     c1: float
-    energy: Energy
+    energy: complex
     c2: float
     c_bound: float
     k_radius: float
@@ -59,7 +38,7 @@ class EstimateConstants:
         """Re-assert the defining identities (used when echoing into reports)."""
         scale = max(1.0, self.c2)
         # equality with c1 + |E| unless a caller-supplied floor lifted c2
-        assert self.c2 >= self.c1 + self.energy.modulus - tol * scale
+        assert self.c2 >= self.c1 + abs(self.energy) - tol * scale
         assert abs(self.c_bound - (self.c2 + 2 * math.sqrt(self.c2))) <= tol * max(1.0, self.c_bound)
         assert abs(self.k_radius - 1 / math.sqrt(self.c2)) <= tol * max(1.0, self.k_radius)
         assert abs(self.c2 * self.delta * (self.delta + 1) - 0.5) <= tol
@@ -68,7 +47,7 @@ class EstimateConstants:
     def to_dict(self):
         return {
             "c1": self.c1,
-            "energy": self.energy.to_dict(),
+            "energy": {"re": self.energy.real, "im": self.energy.imag},
             "c2": self.c2,
             "c_bound": self.c_bound,
             "k_radius": self.k_radius,
@@ -88,8 +67,8 @@ def constants_for(c1: float, energy, c2_floor: float = 0.0) -> EstimateConstants
         raise ValueError("c1 must be finite and nonnegative")
     if c2_floor < 0:
         raise ValueError("c2_floor must be nonnegative")
-    energy = Energy.of(energy)
-    c2 = max(c1 + energy.modulus, float(c2_floor))
+    energy = energy_of(energy)
+    c2 = max(c1 + abs(energy), float(c2_floor))
     if c2 <= 0.0:
         raise DegenerateConstants(
             "C2 = C1 + |E| = 0; K and delta are unbounded (set a c2_floor to proceed)"

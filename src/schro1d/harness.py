@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .constants import Energy, constants_for
+from .constants import constants_for
 from .errors import (
     ConfigError,
-    DegenerateConstants,
     InadmissibleWeight,
     NoEligiblePoints,
     PreconditionFailed,
@@ -54,7 +53,7 @@ class Scenario:
 
     id: str
     potential: PiecewisePotential
-    energy: Energy
+    energy: complex
     init: InitialData
     span: tuple
     max_step: float
@@ -110,7 +109,7 @@ _FIELDS = {
     # scenario (an absent "span" is its potential's support); "seed" also of
     # the suite and, defaulting to the scenario's, of a lemma31 check
     "id": (None, _same, lambda s: isinstance(s, str) and s != ""),
-    "energy": (0.0, lambda e: Energy.of(_complex(e)), lambda e: e.modulus <= _C2_MAX),
+    "energy": (0.0, _complex, lambda e: abs(e) <= _C2_MAX),
     "init": ({}, _same, lambda i: isinstance(i, dict)),
     "x0": (None, _number, math.isfinite),
     "u0": (1.0, _complex, cmath.isfinite),
@@ -281,25 +280,23 @@ def _parse_check(spec, scn, path):
 
 def run_scenario(scn: Scenario, c2_floor: float = 0.0) -> dict:
     """One report entry.  A solver error raised while computing the constants
-    or the trace (any Schro1dError but a ConfigError, or a DegenerateConstants,
-    whose escape is the suite-wide C2 floor) makes an entry with ok false, the
-    error and no outcomes, so the rest of the suite still runs; an error is
-    never an expected failure.  Every check spec is parsed first, so a
-    malformed check raises its ConfigError even where the trace fails."""
+    or the trace (a DegenerateConstants where C2 = 0 and no c2_floor lifts it,
+    an OverflowAtX) makes an entry with ok false, the error and no outcomes,
+    so the rest of the suite still runs; an error is never an expected
+    failure.  Every check spec is parsed first, so a malformed check raises
+    its ConfigError even where the trace fails."""
     runners = [_parse_check(spec, scn, f"{scn.id}.checks[{i}]")
                for i, spec in enumerate(scn.checks)]
     entry = {"id": scn.id, "expected": scn.expected, "constants": None,
              "described_interval": list(scn.potential.support)}
+    profile = c1_sup(scn.potential)
+    if profile.supremum + abs(scn.energy) > _C2_MAX:
+        raise ConfigError(f"C1 + |E| exceeds {_C2_MAX:g}", f"{scn.id}.potential")
     try:
-        profile = c1_sup(scn.potential)
-        if profile.supremum + scn.energy.modulus > _C2_MAX:
-            raise ConfigError(f"C1 + |E| exceeds {_C2_MAX:g}", f"{scn.id}.potential")
         consts = constants_for(profile.supremum, scn.energy, c2_floor)
         consts.validate()
         entry["constants"] = {**consts.to_dict(), "c1_argmax": profile.argmax}
         trace = scenario_trace(scn)
-    except (ConfigError, DegenerateConstants):
-        raise
     except Schro1dError as err:
         error = {"type": type(err).__name__, "x": getattr(err, "x", None),
                  "magnitude": getattr(err, "magnitude", None)}

@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import Energy
+from .constants import energy_of
 from .errors import NotRealSolution, OverflowAtX
 from .potential import PiecewisePotential
 
@@ -90,7 +90,7 @@ class SolutionTrace:
     xs: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    energy: Energy
+    energy: complex
     method: str
     _cum_abs_u: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -166,7 +166,7 @@ class TransferMatrix:
     entries: np.ndarray
     x_from: float
     x_to: float
-    energy: Energy
+    energy: complex
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex).reshape(2, 2)
@@ -429,7 +429,7 @@ def _kernel_columns(V, energy, x0, x_end, u0, du0, step):
         V, x0, x_end, du0 = V.reflected(), -x0, -x_end, -du0
     xs, edge_idx = build_grid(V, x0, x_end, step)
     mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
-    qs = V.value_at(mids) - energy.as_complex
+    qs = V.value_at(mids) - energy
     with np.errstate(over="ignore", invalid="ignore"):
         us, dus = _exact_kernel(xs, edge_idx, qs, u0, du0)
         aus, adus = np.abs(us), np.abs(dus)
@@ -445,7 +445,7 @@ def _traces(V, E, x0, x_end, u0, du0, step):
     """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end,
     keeping the moduli of the run; traces of a reflected run are reflected
     back, their moduli as reversed views."""
-    energy = Energy.of(E)
+    energy = energy_of(E)
     xs, us, dus, aus, adus, reflected = _kernel_columns(V, energy, x0, x_end, u0, du0, step)
     traces = []
     for u, du, au, adu in zip(us, dus, aus, adus):
@@ -495,7 +495,7 @@ def transfer_matrix(
     still fills every node and `_kernel_columns` guards them, so an overflow
     raises the OverflowAtX that `basis_traces` would.
     """
-    energy = Energy.of(E)
+    energy = energy_of(E)
     x = float(x)
     y = float(y)
     if not (math.isfinite(x) and math.isfinite(y)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import Energy
+from .constants import energy_of
 from .errors import GridTooCoarse, NotRealSolution
 from .potential import PiecewisePotential
 from .solver import SolutionTrace, basis_traces, cumtrapz
@@ -51,7 +51,7 @@ class SimonStolzCurve:
     norm_T: np.ndarray
     integrand: np.ndarray
     cumulative: np.ndarray
-    energy: Energy
+    energy: complex
 
     def to_csv(self, path):
         header = "x,norm_T,integrand,cumulative"
@@ -63,8 +63,8 @@ def simon_stolz_curve(
     V: PiecewisePotential, E, X: float, step: float
 ) -> SimonStolzCurve:
     """Trapezoid cumulative of 1/||T(E,x,0)||^2 for real E on [0, X]."""
-    energy = Energy.of(E)
-    if energy.im != 0.0:
+    energy = energy_of(E)
+    if energy.imag != 0.0:
         raise ValueError("the transfer-matrix integral diagnostic requires real E")
     X = float(X)
     if X < 0:
@@ -112,7 +112,7 @@ def prufer_decompose(trace: SolutionTrace, k: float) -> PruferTrace:
         raise ValueError("k must be positive")
     e = trace.energy
     tol = 1e-12 * max(1.0, k * k)
-    if abs(e.im) > tol or abs(e.re - k * k) > tol:
+    if abs(e.imag) > tol or abs(e.real - k * k) > tol:
         raise ValueError(f"trace energy {e} does not match E = k^2 = {k * k}")
     ur, dur = trace.real_parts()
     R = np.sqrt(dur * dur + k * k * ur * ur) / k

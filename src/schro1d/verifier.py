@@ -18,8 +18,8 @@ Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
 through `_window_extreme`, a sparse-table range query that is exact, and
 window integrals of |u|^p are differences of the trace's cumulative integral.
-Windows whose integral drowns in the rounding of that sum (deep tails) are
-summed again from one array of np.trapezoid's own terms.
+Windows whose integral drowns in the rounding of that sum (deep tails), the
+weighted check's too, are summed again from np.trapezoid's own terms.
 
 Every window's node range comes from `solver.windows`; its `outward`
 argument says how [a, b] snaps to nodes.  derivative_bound takes the max over
@@ -32,8 +32,7 @@ one routine, `_ratio_check`: past PRUNE_NODES interior nodes (a measured
 cost), derivative_bound and derivative_lp bound every ratio from the inner
 window of nodes i - k .. i + k, k = floor(r / h_max) - 1, and take exact
 windows only where a bound can reach the worst ratio.  A check whose
-constant 2^p C^p/delta, weight ratio bound or weight overflows is skipped
-with an error that names it.
+constant, weight, |u|^p, |u'|^p or RHS overflows is skipped, naming it.
 
 The randomized sweep of the core inequality (`sample_lemma31`) is a batched
 rejection sampler.  Every attempt takes three doubles from the generator (the
@@ -62,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import Energy, EstimateConstants
+from .constants import EstimateConstants, energy_of
 from .errors import (
     InadmissibleWeight,
     NoEligiblePoints,
@@ -130,7 +129,7 @@ def _outcome(name, n, worst, witness, tol, notes=""):
 def analytic_trace(xs, u_fn, du_fn, energy) -> SolutionTrace:
     """Wrap closed-form u, u' samples as a trace (method 'analytic')."""
     xs = np.asarray(xs, dtype=float)
-    return SolutionTrace(xs, u_fn(xs), du_fn(xs), Energy.of(energy), "analytic")
+    return SolutionTrace(xs, u_fn(xs), du_fn(xs), energy_of(energy), "analytic")
 
 
 def _raise_level(table, level, to, op):
@@ -231,13 +230,14 @@ def _ratio_check(name, xs, r, num, rhs, inner_rhs, tolerance):
 
 
 def _finite(what, f, error=PreconditionFailed):
-    """f(), a check's constant or weight; raises error, naming what, if it overflows."""
+    """f(), a check's constant, weight, power or integral; raises error,
+    naming what, if it overflows."""
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             value = f()
     except OverflowError:
         value = math.inf
-    if not np.isfinite(value).all():
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise error(f"{what} is not finite")
     return value
 
@@ -295,23 +295,24 @@ def _window_integrals(trace, p, at, half_width):
     upper bounds).  A slice of nodes reads the trace's window bounds for h,
     an index array searches its own."""
     xs = trace.xs
-    cum = trace.cum_abs_u(p)
     if isinstance(at, slice):
         i0, i1 = (b[at] for b in trace.window_bounds(half_width))
     else:
         i0, i1 = windows(xs, xs[at] - half_width, xs[at] + half_width, True)
-    i1 = np.minimum(i1, len(xs) - 1)
+    return _integrals(lambda: trace.abs_u ** p, xs, trace.cum_abs_u(p), i0,
+                      np.minimum(i1, len(xs) - 1))
+
+
+def _integrals(f, xs, cum, i0, i1):
+    """cum[i1] - cum[i0], cum = cumtrapz(f(), xs); a window that drowns in the
+    rounding of cum is summed from its own trapezoid terms, which gives
+    np.trapezoid(f()[i0:i1 + 1], xs[i0:i1 + 1]) bit for bit."""
     out = cum[i1] - cum[i0]
-    # the global cumsum has absolute error ~ulp(total); recompute windows
-    # whose value drowns in it (deep tails) directly on the slice
-    suspicious = np.flatnonzero(out <= _drowned(cum))
-    if suspicious.size:
-        # np.trapezoid's own terms: summing a slice of them is, bit for bit,
-        # np.trapezoid(|u|^p[i0:i1 + 1], xs[i0:i1 + 1])
-        fvals = trace.abs_u ** p
+    drowned = np.flatnonzero(out <= _drowned(cum))
+    if drowned.size:
+        fvals = f()
         terms = np.diff(xs) * (fvals[1:] + fvals[:-1]) / 2.0
-        for j, a, b in zip(suspicious.tolist(), i0[suspicious].tolist(),
-                           i1[suspicious].tolist()):
+        for j, a, b in zip(drowned.tolist(), i0[drowned].tolist(), i1[drowned].tolist()):
             out[j] = terms[a:b].sum()
     return out
 
@@ -321,25 +322,28 @@ def _drowned(cum):
     return 1e-9 * max(cum[-1], 0.0)
 
 
-def _lp_check(name, trace, consts, p, modulus, half, c, tolerance, prune):
+def _lp_check(name, trace, consts, p, modulus, label, half, c, tolerance, prune):
     """modulus(x)^p <= (2^p c^p/delta) * integral over |y-x| <= half of |u|^p
-    at every half-interior grid point; prune says whether to bound the
-    ratios first (see _ratio_check)."""
+    at every half-interior grid point, label naming the modulus; prune says
+    whether to bound the ratios first (see _ratio_check).  Every RHS is at
+    most the constant times the trace's integral of |u|^p."""
     if not (1.0 <= p < np.inf):
         raise ValueError("p must lie in [1, inf)")
     factor = _finite(f"2^p C^p/delta at p={p:g}", lambda: 2.0 ** p * c ** p / consts.delta)
+    num = _finite(f"{label}^p at p={p:g}", lambda: modulus ** p)
+    _finite(f"2^p C^p/delta int |u|^p at p={p:g}", lambda: factor * trace.cum_abs_u(p)[-1])
 
     def rhs(at):
         return factor * _window_integrals(trace, p, at, half)
 
     def inner_rhs(inner, k):
         # the integral over nodes i - k .. i + k is at most the window's,
-        # unless the window drowns (see _window_integrals): cum is monotone
+        # unless the window drowns (see _integrals): cum is monotone
         cum = trace.cum_abs_u(p)
         part = cum[inner.start + k:inner.stop + k] - cum[inner.start - k:inner.stop - k]
         return np.where(part > _drowned(cum), factor * part, 0.0)
 
-    return _ratio_check(f"{name}_p{p:g}", trace.xs, half, modulus ** p, rhs,
+    return _ratio_check(f"{name}_p{p:g}", trace.xs, half, num, rhs,
                         inner_rhs if prune else None, tolerance)
 
 
@@ -352,8 +356,8 @@ def check_local_lp(
     """|u(x)|^p <= (2^p/delta) * integral_{x-delta}^{x+delta} |u|^p."""
     # c = 1 leaves the constant 2^p/delta bit for bit
     # never pruned: away from its zeros, sin x has the same ratio everywhere
-    return _lp_check("local_lp", trace, consts, p, trace.abs_u, consts.delta, 1.0, tolerance,
-                     False)
+    return _lp_check("local_lp", trace, consts, p, trace.abs_u, "|u|", consts.delta, 1.0,
+                     tolerance, False)
 
 
 def check_derivative_lp(
@@ -363,7 +367,7 @@ def check_derivative_lp(
     tolerance: float = DEFAULT_TOL,
 ) -> CheckOutcome:
     """|u'(x)|^p <= (2^p C^p/delta) * integral over |y-x| <= K+delta of |u|^p."""
-    return _lp_check("derivative_lp", trace, consts, p, trace.abs_du,
+    return _lp_check("derivative_lp", trace, consts, p, trace.abs_du, "|u'|",
                      consts.k_radius + consts.delta, consts.c_bound, tolerance, True)
 
 
@@ -377,14 +381,6 @@ class WeightSpec:
     kind: str
     rate: float = 0.0
     exponent: float = 0.0
-
-    @classmethod
-    def exponential(cls, rate):
-        return cls(kind="exponential", rate=float(rate))
-
-    @classmethod
-    def polynomial(cls, exponent):
-        return cls(kind="polynomial", exponent=float(exponent))
 
     def values(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -418,6 +414,9 @@ def check_weighted(
 
       int_a^b |u'|^p w <= (2^p C^p/delta) * B * 2(K+delta)
                           * int_{a-K-delta}^{b+K+delta} |u|^p w
+
+    Each integral is a difference of a running integral, or its own trapezoid
+    terms where it drowns in that (`_integrals`).
     """
     if not (1.0 <= p < np.inf):
         raise ValueError("p must lie in [1, inf)")
@@ -431,16 +430,21 @@ def check_weighted(
     if xs[0] > a - half + 1e-9 or xs[-1] < b + half - 1e-9:
         raise TraceTooShort("trace does not cover the enlarged window")
     w = _finite("weight on the trace", lambda: weight.values(xs), InadmissibleWeight)
-    cum_u = cumtrapz(trace.abs_u ** p * w, xs)
-    cum_du = cumtrapz(trace.abs_du ** p * w, xs)
+
+    def integral(label, modulus, lo, hi):  # of modulus^p w over the nodes lo .. hi
+        f = lambda: modulus ** p * w
+        cum = _finite(f"{label}^p w at p={p:g}", lambda: cumtrapz(f(), xs))
+        return float(_integrals(f, xs, cum, np.array([lo]), np.array([hi]))[0])
+
     lo, hi = windows(xs, a, b, False)  # inward for the LHS, outward for the RHS
     if hi - lo < 2:  # the integral would be 0 or negative: a spurious pass
         raise TraceTooShort(f"window ({a},{b}) holds fewer than two grid nodes")
     r0, r1 = windows(xs, a - half, b + half, True)
-    lhs = float(cum_du[hi - 1] - cum_du[lo])
     factor = _finite(f"2^p C^p/delta B 2(K+delta) at p={p:g}", lambda: (
         2.0 ** p * consts.c_bound ** p / consts.delta) * bound * 2.0 * half)
-    rhs = factor * float(cum_u[min(r1, len(xs) - 1)] - cum_u[r0])
+    rhs = _finite(f"2^p C^p/delta B 2(K+delta) int |u|^p w at p={p:g}",
+                  lambda: factor * integral("|u|", trace.abs_u, r0, min(r1, len(xs) - 1)))
+    lhs = integral("|u'|", trace.abs_du, lo, hi - 1)
     ratio = lhs / rhs if rhs > 0 else np.inf
     notes = f"admissibility_bound={bound:.6g}; p={p:g}; window=({a},{b})"
     return _outcome(f"weighted_p{p:g}", len(xs), ratio, a, tolerance, notes)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from schro1d import (
-    Energy,
     InitialData,
     PiecewisePotential,
     constants_for,
@@ -41,7 +40,7 @@ def riemann_c1(V, step=1e-4):
 def frobenius_integrand(V, E, X, step):
     """Simon-Stolz integrand 1/||T(E,x,0)||^2 with the Frobenius norm in
     place of the operator 2-norm, for the norm-robustness checks."""
-    t1, t2 = basis_traces(V, Energy.of(E), 0.0, X, step)
+    t1, t2 = basis_traces(V, E, 0.0, X, step)
     f = (np.abs(t1.u) ** 2 + np.abs(t2.u) ** 2
          + np.abs(t1.du) ** 2 + np.abs(t2.du) ** 2)
     return t1.xs, 1.0 / f

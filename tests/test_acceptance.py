@@ -219,14 +219,14 @@ def test_acceptance_06_transfer_matrix_integral_free_case(free_potential):
 def test_acceptance_07_prufer_identities():
     scenarios = [
         s for s in sweep_scenarios(n_scenarios=50, seed=1, lemma_samples=1000)
-        if s.energy.im == 0.0
+        if s.energy.imag == 0.0
     ]
     assert scenarios, "the sweep must contain real-energy scenarios"
     worst_point = 0.0
     worst_window = 0.0
     for scn in scenarios:
         trace = scenario_trace(scn)
-        k = math.sqrt(scn.energy.re)
+        k = math.sqrt(scn.energy.real)
         pt = prufer_decompose(trace, k)
         ur, dur = trace.real_parts()
         lhs = k * k * pt.R ** 2
@@ -266,8 +266,8 @@ def test_acceptance_09_negative_controls(sin_trace, sin_consts):
         "derivative_bound": (lambda k: check_derivative_bound(sin_trace, k), 1.0),
         "derivative_lp_p1": (lambda k: check_derivative_lp(sin_trace, k, 1.0), 1.0),
         "derivative_lp_p2": (lambda k: check_derivative_lp(sin_trace, k, 2.0), 2.0),
-        "weighted_p2": (lambda k: check_weighted(sin_trace, k, 2.0, WeightSpec.exponential(0.5),
-                                                 (2.0, 18.0)), 2.0),
+        "weighted_p2": (lambda k: check_weighted(
+            sin_trace, k, 2.0, WeightSpec("exponential", rate=0.5), (2.0, 18.0)), 2.0),
     }
     ok, details = True, []
     for name, (check, p) in checks.items():

@@ -5,7 +5,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schro1d import DegenerateConstants, Energy, constants_for
+from schro1d import (
+    DegenerateConstants,
+    InitialData,
+    PiecewisePotential,
+    constants_for,
+    energy_of,
+    parse_scenario,
+    propagate_exact,
+    simon_stolz_curve,
+    transfer_matrix,
+)
+from schro1d.solver import basis_traces
+from schro1d.verifier import analytic_trace
+
+FREE = PiecewisePotential((0.0, 1.0), (0.0,))
+# every library entry that takes an energy, called with E
+ENTRIES = {
+    "constants_for": lambda E: constants_for(0.0, E),
+    "propagate_exact": lambda E: propagate_exact(FREE, E, InitialData(0.0, 1.0, 0.0), 1.0, 0.1),
+    "basis_traces": lambda E: basis_traces(FREE, E, 0.0, 1.0, 0.1)[0],
+    "transfer_matrix": lambda E: transfer_matrix(FREE, E, 1.0, 0.0, 0.1),
+    "simon_stolz_curve": lambda E: simon_stolz_curve(FREE, E, 1.0, 0.1),
+    "analytic_trace": lambda E: analytic_trace([0.0, 1.0], np.cos, np.sin, E),
+}
 
 
 def test_spot_values_unit_c2():
@@ -42,12 +65,34 @@ def test_rejects_negative_c1():
 
 
 def test_energy_parsing():
-    assert Energy.of(2 + 1j) == Energy(2.0, 1.0)
+    assert energy_of(2 + 1j) == complex(2.0, 1.0)
+    assert type(energy_of(np.float64(3.0))) is complex and energy_of(3) == 3.0
     with pytest.raises(TypeError):  # a config's {"re", "im"} is read by the harness
-        Energy.of({"re": 3})
-    assert Energy.of(Energy(1, 2)).modulus == pytest.approx(math.sqrt(5))
-    with pytest.raises(ValueError):
-        Energy(math.inf, 0.0)
+        energy_of({"re": 3})
+    assert abs(energy_of(energy_of(1 + 2j))) == pytest.approx(math.sqrt(5))
+    for bad in (math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            energy_of(bad)
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES)
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, -math.inf)],
+                         ids=["nan", "inf"])
+def test_every_entry_rejects_a_non_finite_energy(entry, bad):
+    with pytest.raises(ValueError, match="energy components must be finite"):
+        entry(bad)
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES)
+def test_every_energy_is_a_complex(entry):
+    energy = entry(np.float64(2.0)).energy
+    assert type(energy) is complex and energy == 2.0
+
+
+def test_scenario_energy_is_a_complex():
+    scn = parse_scenario({"id": "free", "potential": {"breakpoints": [0.0, 1.0], "values": [0.0]},
+                          "energy": {"re": 2.0, "im": -1.0}})
+    assert type(scn.energy) is complex and scn.energy == 2.0 - 1.0j
 
 
 @given(st.floats(1e-6, 1e6))
@@ -70,11 +115,11 @@ def test_monotonicity_over_log_grid():
 
 @given(st.floats(0, 10), st.floats(-5, 5), st.floats(-5, 5))
 def test_energy_enters_only_via_modulus(c1, re, im):
-    e = Energy(re, im)
-    if c1 + e.modulus == 0:
+    e = complex(re, im)
+    if c1 + abs(e) == 0:
         return
     a = constants_for(c1, e)
-    b = constants_for(c1, e.modulus)
+    b = constants_for(c1, abs(e))
     assert (a.c2, a.c_bound, a.k_radius, a.delta) == (b.c2, b.c_bound, b.k_radius, b.delta)
 
 

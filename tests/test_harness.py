@@ -7,7 +7,6 @@ import pytest
 
 from schro1d import (
     ConfigError,
-    DegenerateConstants,
     PiecewisePotential,
     default_suite_path,
     parse_potential,
@@ -50,7 +49,7 @@ class TestParsing:
         scn = parse_scenario(SQUARE_WELL_SCENARIO)
         assert scn.id == "well"
         assert scn.span == (0.0, 3.0)
-        assert scn.energy.re == 1.0
+        assert scn.energy.real == 1.0
         assert len(scn.checks) == 2
 
     def test_parse_scenario_rejects_mismatched_init(self):
@@ -88,6 +87,8 @@ HEALTHY_FREE = {
     "span": [0.0, 10.0],
     "checks": [{"name": "derivative_bound"}, {"name": "persistence"}],
 }
+# grows as cosh x, to 1.1e4, without reaching the overflow guard
+GROWING_FREE = dict(HEALTHY_FREE, id="free-growing", energy=-1.0)
 OVERFLOWING_FREE = {
     "id": "free-overflow",
     "potential": {"breakpoints": [0.0, 400.0], "values": [0.0]},
@@ -173,11 +174,22 @@ class TestSuiteExecution:
                 }
             ]
         }
-        with pytest.raises(DegenerateConstants):
-            run_suite(doc)
+        (entry,) = run_suite(doc).entries
+        assert entry["ok"] is False and entry["constants"] is None
+        assert entry["error"] == {"type": "DegenerateConstants", "x": None, "magnitude": None}
         report = run_suite(doc, c2_floor=1.0)
         assert report.all_ok
         assert report.entries[0]["constants"]["c2"] == 1.0
+
+    def test_degenerate_scenario_fails_alone(self):
+        # C2 = 0 beside a healthy scenario: an error entry, the healthy one ok
+        degenerate = dict(HEALTHY_FREE, id="free-zero-energy", energy=0.0)
+        report = run_suite({"scenarios": [HEALTHY_FREE, degenerate]})
+        assert not report.all_ok
+        healthy, failed = report.entries
+        assert healthy == run_suite({"scenarios": [HEALTHY_FREE]}).entries[0] and healthy["ok"]
+        assert failed["error"]["type"] == "DegenerateConstants" and not failed["ok"]
+        assert failed["outcomes"] == [] and failed["skipped"] == []
 
     @pytest.mark.parametrize("expected", ["pass", "expected_fail"])
     def test_solver_error_isolated_to_its_entry(self, expected):
@@ -344,21 +356,34 @@ class TestSuiteExecution:
         assert len(first["outcomes"]) == 3
         assert run_scenario(scn) == first
 
-    @pytest.mark.parametrize("check, reason", [
-        ({"name": "local_lp", "p": 2000}, "2^p C^p/delta at p=2000 is not finite"),
-        ({"name": "derivative_lp", "p": 2000}, "2^p C^p/delta at p=2000 is not finite"),
-        ({"name": "weighted", "p": 2000}, "2^p C^p/delta B 2(K+delta) at p=2000 is not finite"),
-        ({"name": "weighted", "weight": {"kind": "exponential", "rate": 1e6}},
+    @pytest.mark.parametrize("scenario, check, reason", [
+        (HEALTHY_FREE, {"name": "local_lp", "p": 2000}, "2^p C^p/delta at p=2000 is not finite"),
+        (HEALTHY_FREE, {"name": "derivative_lp", "p": 2000},
+         "2^p C^p/delta at p=2000 is not finite"),
+        (HEALTHY_FREE, {"name": "weighted", "p": 2000},
+         "2^p C^p/delta B 2(K+delta) at p=2000 is not finite"),
+        (HEALTHY_FREE, {"name": "weighted", "weight": {"kind": "exponential", "rate": 1e6}},
          "weight ratio bound is not finite"),
-        ({"name": "weighted", "weight": {"kind": "exponential", "rate": 700}},
+        (HEALTHY_FREE, {"name": "weighted", "weight": {"kind": "exponential", "rate": 700}},
          "weight ratio bound is not finite"),
-        ({"name": "weighted", "weight": {"kind": "exponential", "rate": 300}},
+        (HEALTHY_FREE, {"name": "weighted", "weight": {"kind": "exponential", "rate": 300}},
          "weight on the trace is not finite"),
-    ], ids=["local_lp", "derivative_lp", "weighted_p2000", "rate_1e6", "rate_700", "rate_300"])
-    def test_overflowing_constant_skips_its_check(self, check, reason):
+        # |u| = cosh x reaches 1.1e4, so at p = 100 its power overflows, and
+        # at p = 75 the constant times the integral of |u|^p
+        (GROWING_FREE, {"name": "local_lp", "p": 100}, "|u|^p at p=100 is not finite"),
+        (GROWING_FREE, {"name": "derivative_lp", "p": 100}, "|u'|^p at p=100 is not finite"),
+        (GROWING_FREE, {"name": "weighted", "p": 100}, "|u|^p w at p=100 is not finite"),
+        (GROWING_FREE, {"name": "local_lp", "p": 75},
+         "2^p C^p/delta int |u|^p at p=75 is not finite"),
+        (GROWING_FREE, {"name": "weighted", "p": 75},
+         "2^p C^p/delta B 2(K+delta) int |u|^p w at p=75 is not finite"),
+    ], ids=["local_lp", "derivative_lp", "weighted_p2000", "rate_1e6", "rate_700", "rate_300",
+            "growing_local_lp", "growing_derivative_lp", "growing_weighted",
+            "growing_local_lp_p75", "growing_weighted_p75"])
+    def test_overflowing_constant_skips_its_check(self, scenario, check, reason):
         # the check lands in skipped, naming what overflows, and the rest of
         # the scenario runs; no RuntimeWarning escapes
-        doc = {"scenarios": [dict(HEALTHY_FREE, checks=[*HEALTHY_FREE["checks"], check])]}
+        doc = {"scenarios": [dict(scenario, checks=[*scenario["checks"], check])]}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             entry = run_suite(doc).entries[0]

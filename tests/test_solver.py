@@ -16,7 +16,6 @@ from schro1d import (
     transfer_matrix,
 )
 from schro1d import harness, solver, verifier
-from schro1d.constants import Energy
 from schro1d.solver import (
     OVERFLOW_GUARD,
     SERIES_THRESHOLD,
@@ -185,7 +184,7 @@ class TestTransferMatrix:
     def test_rejects_non_finite_entries(self):
         for bad in (np.nan, np.inf, complex(0.0, np.nan)):
             with pytest.raises(ValueError, match="finite"):
-                solver.TransferMatrix([[1.0, bad], [0.0, 1.0]], 0.0, 1.0, Energy(1.0, 0.0))
+                solver.TransferMatrix([[1.0, bad], [0.0, 1.0]], 0.0, 1.0, 1.0 + 0j)
 
     def test_determinant_conservation_complex_energy(self, square_well):
         T = transfer_matrix(square_well, 2j, 2.0, 0.0, 0.01)
@@ -434,7 +433,7 @@ def _exact_nodes(V, E, x0, x_end, step):
         V, x0, x_end = V.reflected(), -x0, -x_end
     xs, edge_idx = build_grid(V, x0, x_end, step)
     mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
-    qs = V.value_at(mids) - Energy.of(E).as_complex
+    qs = V.value_at(mids) - complex(E)
     growth = np.abs(np.sqrt(qs).real)
     row_node = np.append(np.sort(solver._block_anchors(xs, edge_idx, growth)), len(xs) - 1)
     q = qs[np.searchsorted(edge_idx, row_node[:-1], side="right") - 1]

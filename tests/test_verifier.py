@@ -30,7 +30,7 @@ from schro1d import (
     propagate_exact,
     sample_lemma31,
 )
-from schro1d import verifier
+from schro1d import solver, verifier
 from schro1d.verifier import (
     ZERO_BAND,
     CheckOutcome,
@@ -194,20 +194,20 @@ class TestDerivativeLp:
 
 class TestWeighted:
     def test_unit_weight_reduces_to_integrated_bound(self, sin_trace, sin_consts):
-        w = WeightSpec.exponential(0.0)
+        w = WeightSpec("exponential", rate=0.0)
         assert w.admissibility_bound(1.366) == 1.0
         out = check_weighted(sin_trace, sin_consts, 2.0, w, (2.0, 18.0))
         assert out.passed
         assert out.worst_ratio <= 1.0
 
     def test_exponential_weight_bound_closed_form(self, sin_consts):
-        w = WeightSpec.exponential(1.0)
+        w = WeightSpec("exponential", rate=1.0)
         h = sin_consts.k_radius + sin_consts.delta  # ~1.366
         assert w.admissibility_bound(h) == pytest.approx(math.exp(h), rel=1e-14)
         assert w.admissibility_bound(1.366) == pytest.approx(3.920, abs=2e-3)
 
     def test_polynomial_weight_bound_vs_grid_oracle(self):
-        w = WeightSpec.polynomial(2.0)
+        w = WeightSpec("polynomial", exponent=2.0)
         h = 1.366
         closed = w.admissibility_bound(h)
         xs = np.linspace(-10, 10, 4001)
@@ -222,7 +222,7 @@ class TestWeighted:
 
     def test_weighted_check_exponential(self, sin_trace, sin_consts):
         out = check_weighted(sin_trace, sin_consts, 2.0,
-                             WeightSpec.exponential(0.5), (2.0, 18.0))
+                             WeightSpec("exponential", rate=0.5), (2.0, 18.0))
         assert out.passed
 
     @pytest.mark.parametrize("window", [(0.01, 0.05), (0.0, 0.05)])
@@ -231,8 +231,36 @@ class TestWeighted:
         # snap used to give an LHS of 0 or below, and so a spurious pass
         tr = analytic_trace(np.linspace(-20.0, 20.0, 401), np.sin, np.cos, 1.0)
         with pytest.raises(TraceTooShort):
-            check_weighted(tr, constants_for(0.0, 1.0), 2.0, WeightSpec.exponential(0.5),
+            check_weighted(tr, constants_for(0.0, 1.0), 2.0, WeightSpec("exponential", rate=0.5),
                            window)
+
+
+    @staticmethod
+    def _decaying_trace():
+        # e^{-x} sampled every 1e-3 on [0, 40] at E = -1: far-out windows
+        # drown in the rounding of the running integrals over the whole grid
+        xs = np.linspace(0.0, 40.0, 40001)
+        trace = analytic_trace(xs, lambda x: np.exp(-x), lambda x: -np.exp(-x), -1.0)
+        return trace, constants_for(0.0, -1.0), WeightSpec("exponential", rate=0.0)
+
+    @pytest.mark.parametrize("window", [(12.0, 17.0), (20.0, 25.0), (30.0, 35.0)])
+    def test_drowned_windows_are_summed_from_their_own_terms(self, window):
+        trace, consts, w = self._decaying_trace()
+        xs, (a, b) = trace.xs, window
+        half = consts.k_radius + consts.delta
+        lo, hi = solver.windows(xs, a, b, False)
+        r0, r1 = solver.windows(xs, a - half, b + half, True)
+        lhs = np.trapezoid(trace.abs_du[lo:hi] ** 2, xs[lo:hi])
+        rhs = np.trapezoid(trace.abs_u[r0:r1 + 1] ** 2, xs[r0:r1 + 1])
+        expected = lhs / ((4.0 * consts.c_bound ** 2 / consts.delta) * 2.0 * half * rhs)
+        ratio = check_weighted(trace, consts, 2.0, w, window).worst_ratio
+        assert ratio == pytest.approx(expected, rel=1e-12)
+        assert ratio == pytest.approx(2.41734818166e-4, rel=1e-11)
+
+    def test_window_that_does_not_drown_keeps_its_value(self):
+        trace, consts, w = self._decaying_trace()
+        assert check_weighted(trace, consts, 2.0, w, (5.0, 10.0)).worst_ratio == (
+            2.4173481814869965e-4)
 
 
 class TestDecay:
@@ -358,7 +386,7 @@ class TestOutcomeInvariants:
             lambda t: check_local_lp(t, consts, 1.0),
             lambda t: check_derivative_lp(t, consts, 2.0),
             lambda t: check_derivative_lp(t, consts, 1.0),
-            lambda t: check_weighted(t, consts, 2.0, WeightSpec.exponential(0.5), window),
+            lambda t: check_weighted(t, consts, 2.0, WeightSpec("exponential", rate=0.5), window),
             lambda t: check_persistence(t, consts),
         ]
         for check in checks:
@@ -368,7 +396,7 @@ class TestOutcomeInvariants:
     def test_global_lp_corollary(self, sin_trace, sin_consts):
         # integrated form of the derivative bound with unit weight
         out = check_weighted(sin_trace, sin_consts, 1.0,
-                             WeightSpec.exponential(0.0), (2.0, 18.0))
+                             WeightSpec("exponential", rate=0.0), (2.0, 18.0))
         assert out.worst_ratio <= 1.0
 
 
@@ -613,8 +641,8 @@ class TestLoopOracles:
             assert check(_copy(trace), consts, p).to_dict() == want
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    @pytest.mark.parametrize("weight", [WeightSpec.exponential(0.7),
-                                        WeightSpec.polynomial(-1.5)])
+    @pytest.mark.parametrize("weight", [WeightSpec("exponential", rate=0.7),
+                                        WeightSpec("polynomial", exponent=-1.5)])
     def test_weighted_equals_loop(self, oracle_case, weight, p):
         # window ends off the grid, so each snap direction matters
         trace, consts = oracle_case
