@@ -20,7 +20,6 @@ from .potential import (
     PiecewisePotential,
     WindowIntegralProfile,
     c1_sup,
-    negative_part_integral,
     window_integral,
 )
 from .solver import (
@@ -44,7 +43,6 @@ from .verifier import (
     check_decay,
     check_derivative_bound,
     check_derivative_lp,
-    check_lemma31,
     check_local_lp,
     check_persistence,
     check_weighted,

@@ -16,7 +16,6 @@ harness.FAMILIES reads and tests each field, a builder what relates two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,24 +92,6 @@ class WindowIntegralProfile:
 
     supremum: float
     argmax: float
-
-
-def _check_interval(a, b):
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration endpoints must be finite")
-    if a > b:
-        raise ValueError(f"empty interval: a={a} > b={b}")
-
-
-def negative_part_integral(V: PiecewisePotential, a: float, b: float) -> float:
-    """Exact integral of V_- over [a, b] (zero extension outside the cells)."""
-    _check_interval(float(a), float(b))
-    bp = V.breakpoints
-    vminus = V.negative_values
-    lo = np.maximum(bp[:-1], a)
-    hi = np.minimum(bp[1:], b)
-    lengths = np.maximum(hi - lo, 0.0)
-    return float(np.dot(lengths, vminus))
 
 
 def _cumulative_vminus(V: PiecewisePotential):

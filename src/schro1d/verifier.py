@@ -16,8 +16,8 @@ and the window bounds for each radius from its trace (`SolutionTrace.abs_u`,
 
 Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
-through `_window_extreme`, a sparse-table range query that is exact, and
-window integrals of |u|^p are differences of the trace's cumulative integral.
+through `_window_extreme`, a sparse-table range query or, for a few short
+windows, one reduceat, both exact, and window integrals of |u|^p are differences of the trace's cumulative integral.
 Windows whose integral drowns in the rounding of that sum (deep tails), the
 weighted check's too, are summed again from np.trapezoid's own terms.
 
@@ -34,24 +34,16 @@ window of nodes i - k .. i + k, k = floor(r / h_max) - 1, and take exact
 windows only where a bound can reach the worst ratio.  A check whose
 constant, weight, |u|^p, |u'|^p or RHS overflows is skipped, naming it.
 
-The randomized sweep of the core inequality (`sample_lemma31`) is a batched
-rejection sampler.  Every attempt takes three doubles from the generator (the
-pick of x, the gap to y and the phase of omega), so a batch of k attempts
-draws rng.random((k, 3)) and the stream does not depend on the batch sizes.
-Then numpy snaps y, forms omega and tests the sign hypothesis
-(`_lemma31_hypothesis`, shared with `check_lemma31`): a negative endpoint
-value rejects a triple at once.  When the remaining windows hold more nodes
-than 2 len(u) log2 of the longest window (a rough count of the reads of a min
-and a max table over Re u), with each window counted SCAN_NODES nodes longer
-and the tables CERTIFY_NODES more for their fixed costs, they are first
-certified in bulk: a lower bound on Re[conj(omega) u] over each window, from
-the window min or max of Re u and Im u, is compared with the threshold after
-a slack of 2^-48 |omega| max|u| that covers every rounding of the scan
-(`_lemma31_certified`).  Certified windows are accepted unscanned; the
-others, or all of them below that size, scan their window until the n-th
-acceptance.  Batch sizes follow the acceptance rate so far, so the generator
-may advance past the last counted attempt; the report counts attempts up to
-the n-th acceptance and is the same as for one attempt at a time.
+The sweep of the core inequality (`sample_lemma31`) draws n node pairs
+(x, y) and takes at each the worst ratio over every omega that satisfies the
+sign hypothesis Re[conj(omega) u] >= 0 at the nodes of [x, y], in closed form
+(`_lemma31_worst`).  The admissible phases of omega form an arc, read from
+window extremes of the unwrapped phase of u; each node's bound is widened by
+asin(eps/|u|) or more, eps = 1e-10 max|u|, so every omega with
+Re[conj(omega) u] >= -eps |omega| at the nodes is covered.  The arc is exact
+at the node level unless two consecutive nodes have phases within their
+widenings of opposite: there a principal phase step of +-pi picks one of two
+slivers of admissible phases, and on a real trace both give the same ratios.
 """
 
 from __future__ import annotations
@@ -72,11 +64,6 @@ from .solver import SolutionTrace, cumtrapz, windows
 
 DEFAULT_TOL = 1e-6
 ZERO_BAND = 1e-3  # relative threshold below which u(x) counts as a zero
-# fixed costs of the lemma31 sign test, in nodes scanned at about 1.4 ns a
-# node: about 4 us to scan one window, about 240 us to certify a batch
-# (numpy 2.4, 2 vCPU x86-64)
-SCAN_NODES = 3000
-CERTIFY_NODES = 175_000
 # interior nodes above which derivative_bound and derivative_lp bound every
 # ratio before taking exact windows: about where the bound's fixed passes
 # cost what the searches it saves do (numpy 2.4, 2 vCPU x86-64)
@@ -145,34 +132,67 @@ def _window_extreme(a, lo, hi, op):
     """op-reduction of a[lo[j]:hi[j]] for every query j, op being np.maximum
     or np.minimum; every window must be nonempty.
 
-    Sparse-table range query (Bender & Farach-Colton, LATIN 2000): level k
-    holds the reduction of every run of 2^k consecutive entries, and a window
-    of length n with 2^k <= n < 2^(k+1) is covered by its first and last such
-    runs.  Levels are built one at a time and dropped once passed, so memory
-    stays O(len(a) + len(lo)); only the levels that hold queries are read, and
-    when all queries share one level they are answered without masks.  max
-    and min are exact, so the result equals the per-window reduction bit for
-    bit, except that a zero extreme of a window holding both +0.0 and -0.0
-    may carry either sign (the order-dependent case of np.max too; moduli
-    hold no -0.0).
+    The windows go to a sparse table (`_table_extreme`) unless the windows
+    and the span they cover hold fewer elements than the table's levels,
+    which a few short windows over a long array do: then one reduceat reads
+    them in place (`_reduceat_extreme`).  max and min are exact, so either
+    result equals the per-window reduction bit for bit, except that a zero
+    extreme of a window holding both +0.0 and -0.0 may carry either sign (the
+    order-dependent case of np.max too; moduli hold no -0.0).
     """
     lo = np.asarray(lo, dtype=np.intp)
     hi = np.asarray(hi, dtype=np.intp)
     if np.any(hi <= lo):
         raise ValueError("every window must be nonempty")
+    a = np.asarray(a)
+    length = hi - lo
+    levels = int(length.max(initial=0)).bit_length() - 1
+    if int(length.sum()) + int(hi.max(initial=0) - lo.min(initial=0)) < levels * len(a):
+        return _reduceat_extreme(a, lo, hi, op)
+    return _table_extreme(a, lo, hi, op)
+
+
+def _table_extreme(a, lo, hi, op):
+    """_window_extreme by a sparse-table range query (Bender & Farach-Colton,
+    LATIN 2000): level k holds the reduction of every run of 2^k consecutive
+    entries, and a window of length n with 2^k <= n < 2^(k+1) is covered by
+    its first and last such runs.  Levels are built one at a time and dropped
+    once passed, so memory stays O(len(a) + len(lo)); only the levels that
+    hold queries are read, each for a slice of the queries sorted by level."""
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(length)), exact for ints
     counts = np.bincount(level)
-    table = np.asarray(a)
-    out = np.empty(lo.shape, dtype=table.dtype)
-    built = 0
-    for k in np.flatnonzero(counts).tolist():
+    held = np.flatnonzero(counts).tolist()
+    # a radix sort of the levels, needed only where more than one holds queries
+    order = np.argsort(level.astype(np.uint8), kind="stable") if len(held) > 1 else slice(None)
+    lo, hi = lo[order], hi[order]
+    by_level = np.empty(lo.shape, dtype=a.dtype)
+    table, built, start = a, 0, 0
+    for k in held:
         table = _raise_level(table, built, k, op)
         built = k
-        if counts[k] == len(lo):  # one level holds every query
-            return op(table[lo], table[hi - (1 << k)])
-        sel = level == k
-        part = table[lo[sel]]
-        out[sel] = op(part, table[hi[sel] - (1 << k)], out=part)
+        stop = start + int(counts[k])
+        op(table[lo[start:stop]], table[hi[start:stop] - (1 << k)], out=by_level[start:stop])
+        start = stop
+    out = np.empty_like(by_level)
+    out[order] = by_level
+    return out
+
+
+def _reduceat_extreme(a, lo, hi, op):
+    """_window_extreme by one op.reduceat over a[:max hi]: the windows sorted
+    by lo, their bounds interleaved, each hi held below that end, whose last
+    element then joins the windows that end there.  The odd segments of
+    reduceat, from one window's hi to the next lo, read only the gaps between
+    windows and are dropped."""
+    order = np.argsort(lo, kind="stable")
+    end = int(hi.max(initial=0))
+    bounds = np.empty(2 * len(lo), dtype=np.intp)
+    bounds[0::2] = lo[order]
+    bounds[1::2] = np.minimum(hi[order], end - 1)
+    out = np.empty(lo.shape, dtype=a.dtype)
+    out[order] = op.reduceat(a[:end], bounds)[0::2]
+    last = np.flatnonzero(hi == end)
+    out[last] = op(out[last], a[end - 1:end])
     return out
 
 
@@ -231,10 +251,10 @@ def _ratio_check(name, xs, r, num, rhs, inner_rhs, tolerance):
 
 def _finite(what, f, error=PreconditionFailed):
     """f(), a check's constant, weight, power or integral; raises error,
-    naming what, if it overflows."""
+    naming what, if it overflows.  The caller silences numpy's overflow and
+    invalid warnings around its calls, once per check."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = f()
+        value = f()
     except OverflowError:
         value = math.inf
     if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
@@ -329,9 +349,10 @@ def _lp_check(name, trace, consts, p, modulus, label, half, c, tolerance, prune)
     most the constant times the trace's integral of |u|^p."""
     if not (1.0 <= p < np.inf):
         raise ValueError("p must lie in [1, inf)")
-    factor = _finite(f"2^p C^p/delta at p={p:g}", lambda: 2.0 ** p * c ** p / consts.delta)
-    num = _finite(f"{label}^p at p={p:g}", lambda: modulus ** p)
-    _finite(f"2^p C^p/delta int |u|^p at p={p:g}", lambda: factor * trace.cum_abs_u(p)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = _finite(f"2^p C^p/delta at p={p:g}", lambda: 2.0 ** p * c ** p / consts.delta)
+        num = _finite(f"{label}^p at p={p:g}", lambda: modulus ** p)
+        _finite(f"2^p C^p/delta int |u|^p at p={p:g}", lambda: factor * trace.cum_abs_u(p)[-1])
 
     def rhs(at):
         return factor * _window_integrals(trace, p, at, half)
@@ -424,27 +445,28 @@ def check_weighted(
     if a >= b:
         raise ValueError("empty window")
     half = consts.k_radius + consts.delta
-    bound = _finite("weight ratio bound", lambda: weight.admissibility_bound(half),
-                    InadmissibleWeight)
     xs = trace.xs
-    if xs[0] > a - half + 1e-9 or xs[-1] < b + half - 1e-9:
-        raise TraceTooShort("trace does not cover the enlarged window")
-    w = _finite("weight on the trace", lambda: weight.values(xs), InadmissibleWeight)
 
     def integral(label, modulus, lo, hi):  # of modulus^p w over the nodes lo .. hi
         f = lambda: modulus ** p * w
         cum = _finite(f"{label}^p w at p={p:g}", lambda: cumtrapz(f(), xs))
         return float(_integrals(f, xs, cum, np.array([lo]), np.array([hi]))[0])
 
-    lo, hi = windows(xs, a, b, False)  # inward for the LHS, outward for the RHS
-    if hi - lo < 2:  # the integral would be 0 or negative: a spurious pass
-        raise TraceTooShort(f"window ({a},{b}) holds fewer than two grid nodes")
-    r0, r1 = windows(xs, a - half, b + half, True)
-    factor = _finite(f"2^p C^p/delta B 2(K+delta) at p={p:g}", lambda: (
-        2.0 ** p * consts.c_bound ** p / consts.delta) * bound * 2.0 * half)
-    rhs = _finite(f"2^p C^p/delta B 2(K+delta) int |u|^p w at p={p:g}",
-                  lambda: factor * integral("|u|", trace.abs_u, r0, min(r1, len(xs) - 1)))
-    lhs = integral("|u'|", trace.abs_du, lo, hi - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _finite("weight ratio bound", lambda: weight.admissibility_bound(half),
+                        InadmissibleWeight)
+        if xs[0] > a - half + 1e-9 or xs[-1] < b + half - 1e-9:
+            raise TraceTooShort("trace does not cover the enlarged window")
+        w = _finite("weight on the trace", lambda: weight.values(xs), InadmissibleWeight)
+        lo, hi = windows(xs, a, b, False)  # inward for the LHS, outward for the RHS
+        if hi - lo < 2:  # the integral would be 0 or negative: a spurious pass
+            raise TraceTooShort(f"window ({a},{b}) holds fewer than two grid nodes")
+        r0, r1 = windows(xs, a - half, b + half, True)
+        factor = _finite(f"2^p C^p/delta B 2(K+delta) at p={p:g}", lambda: (
+            2.0 ** p * consts.c_bound ** p / consts.delta) * bound * 2.0 * half)
+        rhs = _finite(f"2^p C^p/delta B 2(K+delta) int |u|^p w at p={p:g}",
+                      lambda: factor * integral("|u|", trace.abs_u, r0, min(r1, len(xs) - 1)))
+        lhs = integral("|u'|", trace.abs_du, lo, hi - 1)
     ratio = lhs / rhs if rhs > 0 else np.inf
     notes = f"admissibility_bound={bound:.6g}; p={p:g}; window=({a},{b})"
     return _outcome(f"weighted_p{p:g}", len(xs), ratio, a, tolerance, notes)
@@ -485,151 +507,54 @@ def _snap_indices(xs, x):
     return np.where(np.abs(xs[right] - x) < np.abs(xs[left] - x), right, left)
 
 
-def _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
-    """Hypothesis test of the core inequality for a batch of triples
-    (omega = om_r + i om_i, x = xs[ix], y = xs[iy]); scale_u is max |u| over
-    the trace.  Returns (zero, ok, terms):
+def _lemma31_worst(trace, c2, ix, iy):
+    """(admissible, ratio, phi) of the core inequality at the node pairs
+    x = xs[ix] < y = xs[iy]: whether some omega = e^{i phi} satisfies the sign
+    hypothesis at the nodes of [x, y], up to the tolerance below, and the
+    largest ratio over those omega, with a phi that attains it.
 
-      zero   marks the triples with u(x) = 0;
-      ok     marks, in batch order, the triples with u(x) != 0 and
-             Re[conj(omega) u] >= 0 on [ix, iy], up to the need-th one;
-             the triples after it are left unmarked and unscanned;
-      terms  (|omega|, Re[conj(omega) u] at ix and iy, Re[conj(omega) u']
-             at ix) for every triple.
-
-    Every value is computed as the per-triple scalar expressions compute it:
-    Re[conj(omega) u] through numpy's complex multiply (which may use FMA),
-    Re[conj(omega) u'] and |omega| = hypot in real arithmetic.  A triple
-    whose endpoint value is below the threshold fails without a scan (the
-    endpoints are part of the window).  When the remaining windows hold more
-    nodes in total, each counted SCAN_NODES longer for the fixed cost of its
-    scan, than 2 len(u) bit_length(longest window) + CERTIFY_NODES, they are
-    first certified in bulk (`_lemma31_certified`): a certified window passes
-    its scan, so it is accepted unscanned.  The size rule is a rough cost
-    estimate in nodes scanned, not an exact comparison: it counts the reads
-    of one min and one max table over Re u, not the two more tables over
-    Im u that a complex trace needs.  A single triple, or a few short
-    windows, are cheaper to scan.  The uncertified windows scan in batch
-    order, and scanning stops once the certified and scanned acceptances
-    ahead of a candidate reach need.
+    Node t admits |phi - theta_t| <= pi/2 + w_t, theta_t the phase of u there
+    and w_t = (pi/2) eps/|u_t| >= asin(eps/|u_t|), eps = 1e-10 max|u|: every
+    omega with Re[conj(omega) u_t] >= -eps |omega|.  A node with |u| <= eps
+    admits every phi and is left out of the unwrapping of theta (the sum of
+    the principal phase steps between the nodes kept).  So the admissible phi
+    form the arc [window max of theta - pi/2 - w, window min of theta + pi/2
+    + w].  With D = u(y) - u(x) - (y-x) u'(x), the ratio 1 - C2 - Re[e^{-i
+    phi} D] / (M (y-x)(y-x+1)), M the max of |u| over the nodes of [x, y], is
+    largest at phi = arg D + pi if the arc holds it (mod 2 pi), otherwise at
+    the end of the arc where Re[e^{-i phi} D] is smaller (the low end on a
+    tie).
     """
-    abs_om = np.hypot(om_r, om_i)
-    conj_om = np.empty(len(om_r), dtype=complex)
-    conj_om.real, conj_om.imag = om_r, -om_i
-    g_x = np.real(conj_om * u[ix])
-    g_y = np.real(conj_om * u[iy])
-    du_x = om_r * du[ix].real + om_i * du[ix].imag
-    thr = -1e-10 * abs_om * scale_u
-    zero = au[ix] <= 1e-13 * scale_u
-    ok = np.zeros(len(om_r), dtype=bool)
-    cand = np.flatnonzero(~zero & ~(g_x < thr) & ~(g_y < thr))
-    lo, hi = ix[cand].tolist(), iy[cand].tolist()
-    ahead = [0] * len(cand)  # certified acceptances before each candidate
-    # the size rule in nodes scanned (a rough estimate: Re u tables only) in
-    # plain Python, and the longest window only when it can matter: most
-    # batches are small.  scan is the scans' cost less the fixed cost of
-    # certifying.
-    scan = sum(hi) - sum(lo) + (1 + SCAN_NODES) * len(lo) - CERTIFY_NODES
-    longest = max(map(int.__sub__, hi, lo)) + 1 if scan > 2 * len(u) else 1
-    tables = scan > 2 * len(u) * longest.bit_length()
-    if tables:
-        certified = _lemma31_certified(u, om_r[cand], om_i[cand], thr[cand],
-                                       abs_om[cand] * scale_u, ix[cand], iy[cand])
-        ok[cand[certified]] = True
-        ahead = np.cumsum(certified)[~certified].tolist()
-        cand = cand[~certified]
-        lo, hi = ix[cand].tolist(), iy[cand].tolist()
-    found = 0
-    for k, before, w, a, b, t in zip(cand.tolist(), ahead, conj_om[cand], lo, hi,
-                                     thr[cand].tolist()):
-        if before + found >= need:
-            break
-        if not np.minimum.reduce((w * u[a:b + 1]).real) < t:
-            ok[k] = True
-            found += 1
-    if tables:  # unmark the certified acceptances past the need-th
-        ok[np.flatnonzero(ok)[need:]] = False
-    return zero, ok, (abs_om, g_x, g_y, du_x)
-
-
-def _lemma31_certified(u, om_r, om_i, thr, scale, lo, hi):
-    """Marks the windows [lo, hi] (inclusive) whose scan of Re[conj(omega) u]
-    provably stays at or above thr, found without scanning them; scale is
-    |omega| max|u|.
-
-    The certificate.  At each node the scan computes v = Re[conj(omega) u]
-    from A = fl(om_r u_r) and B = fl(om_i u_i), as fl(A + B) or, with FMA, as
-    fl(om_r u_r + B) or fl(A + om_i u_i).  With r = 2^-53, and |om_r u_r|,
-    |om_i u_i| and |om_r u_r + om_i u_i| at most scale, every form gives
-    v >= A + B - 2 r scale.  fl(om x) is monotone in x, so A and B are at
-    least their minima over the window, which come from the window min or max
-    of u_r and u_i by the sign of om_r and om_i.  The bound L = fl(A_min +
-    B_min) and the test fl(L - s) >= thr each lose at most about 2 r scale
-    more, so a certified window has v >= thr + s - 6.1 r scale at every node,
-    and the slack s = 2^-48 scale = 32 r scale covers that five times over.
-    For a real trace B = 0 and L is the exact minimum of the scan.  Below the
-    normal range rounding errors are absolute, not relative, so nothing is
-    certified when scale is subnormal; a NaN bound certifies nothing either.
-    """
-    parts = [(om_r, u.real)]
-    if u.imag.any():  # on a real trace the imaginary products are all zero
-        parts.append((om_i, u.imag))
-    bound = 0.0
-    for om, part in parts:
-        grows = om >= 0  # fl(om x) grows with x: its window minimum is at min x
-        ext = np.empty(len(om))
-        ext[grows] = _window_extreme(part, lo[grows], hi[grows] + 1, np.minimum)
-        ext[~grows] = _window_extreme(part, lo[~grows], hi[~grows] + 1, np.maximum)
-        bound = bound + om * ext
-    return (bound - 2.0 ** -48 * scale >= thr) & (scale >= np.finfo(float).tiny)
-
-
-def _lemma31_ratios(xs, au, c2, ix, iy, abs_omega, g_x, g_y, du_x):
-    """(ratio, slack, scale) of the core inequality, vectorized over triples
-    whose _lemma31_hypothesis terms are given."""
+    xs, u, du, au = trace.xs, trace.u, trace.du, trace.abs_u
+    scale = float(np.max(au))
+    eps = 1e-10 * scale
+    keep = au > eps
+    kept = slice(None) if keep.all() else np.flatnonzero(keep)
+    v = u[kept] / scale  # 1e-10 < |v| <= 1: the products below stay normal
+    reach = (np.pi / 2 * eps) / au[kept] + np.pi / 2  # pi/2 + w
+    theta = np.empty(len(v))
+    theta[0] = np.angle(v[0])
+    step = theta[1:]  # a view: theta is their running sum
+    step[:] = np.angle(v[1:] * np.conj(v[:-1]))
+    # a step within the widenings of +-pi may go either way round: such steps
+    # alternate, as they do where a real trace changes sign
+    turn = np.flatnonzero(np.abs(step) >= 2.0 * np.pi - reach[1:] - reach[:-1])
+    step[turn] = np.mod(step[turn], 2.0 * np.pi) - 2.0 * np.pi * (np.arange(len(turn)) % 2)
+    np.cumsum(theta, out=theta)
+    low, high = np.full(len(u), -np.inf), np.full(len(u), np.inf)
+    low[kept], high[kept] = theta - reach, theta + reach
+    low = _window_extreme(low, ix, iy + 1, np.maximum)
+    high = _window_extreme(high, ix, iy + 1, np.minimum)
     M = _window_extreme(au, ix, iy + 1, np.maximum)  # M >= |u(x)| > 0
     dx = xs[iy] - xs[ix]
-    penalty = c2 * dx * (dx + 1.0) * abs_omega * M
-    rhs = g_x + dx * du_x - penalty
-    scale = abs_omega * M * np.maximum(dx * (dx + 1.0), 1e-12)
-    slack = g_y - rhs
-    return 1.0 - slack / scale, slack, scale
-
-
-def check_lemma31(
-    trace: SolutionTrace,
-    consts: EstimateConstants,
-    omega: complex,
-    x: float,
-    y: float,
-    tolerance: float = DEFAULT_TOL,
-) -> CheckOutcome:
-    """Core integral inequality: when Re[conj(w) u] >= 0 on [x, y],
-
-      Re[conj(w) u(y)] >= Re[conj(w) u(x)] + (y-x) Re[conj(w) u'(x)]
-                          - C2 (y-x)(y-x+1) |w| max_{[x,y]} |u|.
-
-    x, y are snapped to grid nodes, and max |u| is the max over the nodes of
-    [x, y], never above the true max: the check is conservative at these
-    nodes, given the trace's values.
-    """
-    omega = complex(omega)
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    xs, u, du, au = trace.xs, trace.u, trace.du, trace.abs_u
-    ix, iy = _snap_indices(xs, np.array([x, y], dtype=float))[:, None]
-    if ix[0] > iy[0]:
-        raise ValueError("need x <= y within the trace")
-    zero, ok, terms = _lemma31_hypothesis(u, du, au, float(np.max(au)), np.array([omega.real]),
-                                          np.array([omega.imag]), ix, iy, 1)
-    if zero[0]:
-        raise PreconditionFailed("u(x) = 0 at the requested point")
-    if not ok[0]:
-        raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
-    ratio, slack, scale = (float(v[0]) for v in _lemma31_ratios(
-        xs, au, consts.c2, ix, iy, *terms))
-    notes = f"slack={slack:.6g}; scale={scale:.6g}"
-    return _outcome("lemma31", iy[0] - ix[0] + 1, ratio, xs[ix[0]], tolerance, notes)
+    D = u[iy] - u[ix] - dx * du[ix]
+    at_low = D.real * np.cos(low) + D.imag * np.sin(low)  # Re[e^{-i low} D]
+    at_high = D.real * np.cos(high) + D.imag * np.sin(high)
+    turn = np.mod(np.angle(D) + np.pi - low, 2.0 * np.pi)  # from low to arg D + pi
+    inside = turn <= high - low
+    phi = np.where(inside, low + turn, np.where(at_low <= at_high, low, high))
+    least = np.where(inside, -np.abs(D), np.minimum(at_low, at_high))
+    return low <= high, 1.0 - c2 - least / (M * dx * (dx + 1.0)), phi
 
 
 def sample_lemma31(
@@ -640,54 +565,31 @@ def sample_lemma31(
     max_gap: float = 1.5,
     tolerance: float = DEFAULT_TOL,
 ) -> CheckOutcome:
-    """Randomized sweep of the core inequality: n triples (omega, x, y) with
-    the sign hypothesis satisfied (rejection sampling, omega biased toward
-    the phase of u(x) so acceptance is likely).
+    """Randomized sweep of the core inequality: its worst ratio over every
+    admissible omega (`_lemma31_worst`) at n random node pairs (x, y).
 
-    Each attempt takes three doubles r = rng.random(3), in order.  x = xs[ix]
-    is the node good[min(floor(r0 len(good)), len(good) - 1)] of the nodes
-    good where |u| > 1e-3 max|u|; the gap max_gap r1 snaps y = xs[iy] to the
-    node nearest x + gap (the next node if that is ix); the phase r2 - 0.5
-    turns omega away from u(x)/|u(x)|.  x at the last node has no next node
-    and fails.  At most 200 n attempts are made, in batches that draw
-    rng.random((k, 3)), one row per attempt: the same doubles as k calls of
-    rng.random(3).  Attempts are counted up to the n-th acceptance, but rng
-    may have advanced past it, by an amount that depends on the batch sizes.
+    The pairs come from rng.random((n, 2)), one row (r0, r1) per pair: x =
+    xs[ix] is the node good[min(floor(r0 len(good)), len(good) - 1)] of the
+    nodes good where |u| > 1e-3 max|u|, and y = xs[iy] the node nearest x +
+    max_gap r1, at least the next node.  An x at the last node makes no pair.
+    The outcome covers the admissible pairs (accepted) of the n drawn
+    (attempts); with none, NoEligiblePoints.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    xs, u, du, au = trace.xs, trace.u, trace.du, trace.abs_u
-    scale_u = float(np.max(au))
-    good = np.flatnonzero(au > 1e-3 * scale_u)
+    xs, au = trace.xs, trace.abs_u
+    good = np.flatnonzero(au > 1e-3 * float(np.max(au)))
     if good.size < 2:
         raise NoEligiblePoints("trace has no usable points for sampling")
-    parts = []  # (ix, iy, *terms) of the accepted triples of each batch
-    accepted = attempts = 0
-    limit = 200 * n
-    while accepted < n and attempts < limit:
-        rate = accepted / attempts if accepted else (0.05 if attempts else 1.0)
-        k = min(math.ceil((n - accepted) / rate) + 16, limit - attempts)
-        draws = rng.random((k, 3))
-        ix = good[np.minimum((draws[:, 0] * len(good)).astype(np.intp), len(good) - 1)]
-        tried = np.flatnonzero(ix != len(xs) - 1)  # the attempts whose x has a next node
-        ix = ix[tried]
-        iy = _snap_indices(xs, xs[ix] + max_gap * draws[tried, 1])
-        iy = np.maximum(iy, ix + 1)  # y is at least the next node
-        phase = (draws[tried, 2] - 0.5).tolist()
-        c = np.array([math.cos(t) for t in phase])
-        s = np.array([math.sin(t) for t in phase])
-        unit = u[ix] / au[ix]
-        om_r = unit.real * c - unit.imag * s  # omega = unit * (c + i s)
-        om_i = unit.real * s + unit.imag * c
-        _, ok, terms = _lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, n - accepted)
-        hits = tried[ok]
-        accepted += hits.size
-        attempts += int(hits[-1]) + 1 if accepted == n else k
-        parts.append((ix[ok], iy[ok], *(t[ok] for t in terms)))
-    if accepted == 0:
-        raise NoEligiblePoints("no sampled triple satisfied the hypothesis")
-    ix, iy, *terms = (np.concatenate(col) for col in zip(*parts))
-    ratios = _lemma31_ratios(xs, au, consts.c2, ix, iy, *terms)[0]
+    draws = rng.random((n, 2))
+    ix = good[np.minimum((draws[:, 0] * len(good)).astype(np.intp), len(good) - 1)]
+    paired = ix != len(xs) - 1  # an x at the last node has no next node
+    ix = ix[paired]
+    iy = np.maximum(_snap_indices(xs, xs[ix] + max_gap * draws[paired, 1]), ix + 1)
+    admissible, ratios, _ = _lemma31_worst(trace, consts.c2, ix, iy)
+    if not admissible.any():
+        raise NoEligiblePoints("no sampled pair admits an omega")
+    ix, ratios = ix[admissible], ratios[admissible]
     j = int(np.argmax(ratios))  # first of the ties
-    notes = f"accepted={accepted}; attempts={attempts}"
-    return _outcome("lemma31_sweep", accepted, ratios[j], xs[ix[j]], tolerance, notes)
+    notes = f"accepted={ratios.size}; attempts={n}"
+    return _outcome("lemma31_sweep", ratios.size, ratios[j], xs[ix[j]], tolerance, notes)

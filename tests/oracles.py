@@ -1,19 +1,23 @@
-"""Independent oracles for the solver, used only by the tests.
+"""Independent oracles for the solver and the potential, used only by the tests.
 
 A classical fixed-step RK4 integrator cross-checks the closed-form kernel:
 `propagate_rk` runs `solver.propagate_exact` with `_rk_kernel` in place of
 `solver._exact_kernel`, so it shares the grid, the reflection of backward runs
 and the overflow guard, and only the flow between nodes differs.
+`negative_part_integral` integrates V_- cell by cell, apart from the
+cumulative knots that `potential.window_integral` interpolates.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 
 from schro1d import solver
+from schro1d.potential import PiecewisePotential
 from schro1d.solver import InitialData, SolutionTrace
 
 
@@ -75,3 +79,15 @@ def wronskian(t1: SolutionTrace, t2: SolutionTrace) -> np.ndarray:
     if len(t1.xs) != len(t2.xs) or np.max(np.abs(t1.xs - t2.xs)) > 0:
         raise ValueError("traces must share the same grid")
     return t1.u * t2.du - t1.du * t2.u
+
+
+def negative_part_integral(V: PiecewisePotential, a: float, b: float) -> float:
+    """Exact integral of V_- over [a, b] (zero extension outside the cells)."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration endpoints must be finite")
+    if a > b:
+        raise ValueError(f"empty interval: a={a} > b={b}")
+    bp = V.breakpoints
+    lo = np.maximum(bp[:-1], a)
+    hi = np.minimum(bp[1:], b)
+    return float(np.dot(np.maximum(hi - lo, 0.0), V.negative_values))

@@ -8,10 +8,10 @@ from schro1d import (
     PiecewisePotential,
     c1_sup,
     make_family,
-    negative_part_integral,
     window_integral,
 )
 from conftest import riemann_c1, riemann_negative_integral
+from oracles import negative_part_integral
 
 
 @st.composite

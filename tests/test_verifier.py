@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
+import functools
 import math
-import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from schro1d import (
     InitialData,
     NoEligiblePoints,
-    PreconditionFailed,
+    PiecewisePotential,
     SolutionTrace,
     TraceTooShort,
     WeightSpec,
@@ -21,7 +23,6 @@ from schro1d import (
     check_decay,
     check_derivative_bound,
     check_derivative_lp,
-    check_lemma31,
     check_local_lp,
     check_persistence,
     check_weighted,
@@ -35,9 +36,11 @@ from schro1d.verifier import (
     ZERO_BAND,
     CheckOutcome,
     _interior_indices,
+    _lemma31_worst,
     _outcome,
-    _lemma31_hypothesis,
+    _reduceat_extreme,
     _snap_indices,
+    _table_extreme,
     _window_extreme,
     _window_integrals,
 )
@@ -288,24 +291,73 @@ class TestDecay:
             check_decay(sin_trace, 0.6, 10.0)
 
 
+def _pair(trace, x, y):
+    """The nodes nearest to x and to y, as one-element index arrays."""
+    return _snap_indices(trace.xs, np.array([x])), _snap_indices(trace.xs, np.array([y]))
+
+
 class TestLemma31:
     def test_trigonometric_example(self, sin_trace, sin_consts):
-        out = check_lemma31(sin_trace, sin_consts, 1.0, math.pi / 4, math.pi / 3)
-        assert out.passed
+        # sin > 0 on [pi/4, pi/3] and D = sin(pi/3) - sin(pi/4) - dx cos(pi/4)
+        # < 0, so the worst omega is 1 (phi = 0, inside the arc |phi| <= pi/2)
+        ok, ratio, phi = _lemma31_worst(sin_trace, sin_consts.c2,
+                                        *_pair(sin_trace, math.pi / 4, math.pi / 3))
+        assert ok[0] and abs(phi[0]) < 1e-12
         # slack = lhs - rhs ~ 0.8660 - 0.6061; scale = dx(dx+1) max|sin|
         dx = math.pi / 3 - math.pi / 4
         scale = dx * (dx + 1) * math.sin(math.pi / 3)
         expected_ratio = 1.0 - (0.8660 - 0.6061) / scale
-        assert out.worst_ratio == pytest.approx(expected_ratio, abs=0.02)
+        assert ratio[0] == pytest.approx(expected_ratio, abs=0.02)
 
     def test_degenerate_interval(self, sin_trace, sin_consts):
-        out = check_lemma31(sin_trace, sin_consts, 1.0, 1.0, 1.0)
-        assert out.passed  # collapses to 0 >= 0
+        # one grid step from x = 1: D = O(h^2), so the ratio is 1 - C2 = 0 up to O(h)
+        ix = _pair(sin_trace, 1.0, 1.0)[0]
+        ok, ratio, _ = _lemma31_worst(sin_trace, sin_consts.c2, ix, ix + 1)
+        assert ok[0] and abs(ratio[0] - (1.0 - sin_consts.c2)) < 0.01
 
-    def test_precondition_violation_raises(self, sin_trace, sin_consts):
-        # Re[conj(omega) u] = sin changes sign across pi
-        with pytest.raises(PreconditionFailed):
-            check_lemma31(sin_trace, sin_consts, 1.0, 2.0, 4.0)
+    def test_precondition_violation_raises(self):
+        # three nodes a turn: every window of three nodes or more spans 4 pi/3
+        # of phase, more than a half-circle, so it admits no omega.  With
+        # seed 3 every drawn gap 20 r1 is at least 1.5, so every y lies two
+        # nodes or more after its x
+        xs = np.arange(40.0)
+        tr = analytic_trace(xs, lambda x: np.exp(2j * np.pi * x / 3),
+                            lambda x: 2j * np.pi / 3 * np.exp(2j * np.pi * x / 3), 1.0)
+        ok = _lemma31_worst(tr, 1.0, np.array([0, 0, 5]), np.array([1, 2, 30]))[0]
+        assert ok.tolist() == [True, False, False]
+        assert (np.random.default_rng(3).random((5, 2))[:, 1] * 20.0 >= 1.5).all()
+        with pytest.raises(NoEligiblePoints, match="no sampled pair admits an omega"):
+            sample_lemma31(tr, constants_for(1.0, 1.0), 5, np.random.default_rng(3), 20.0)
+
+    def test_signed_zeros_keep_a_real_trace_admissible(self):
+        # u = +-1 with imaginary parts +0.0 and -0.0 mixed: each sign change
+        # is a phase step of +pi or -pi by the sign of a zero.  Taken as
+        # they come, two steps the same way apart would cut every arc of a
+        # window holding both; omega = i admits every window
+        k = np.arange(60)
+        u = np.empty(len(k), dtype=complex)
+        u.real, u.imag = (-1.0) ** k, np.where(k % 3 == 0, -0.0, 0.0)
+        assert np.signbit(u.imag).any() and not u.imag.any()
+        tr = analytic_trace(0.1 * k, lambda x: u, lambda x: np.zeros_like(u), 1.0)
+        ix = np.arange(50)
+        ok, ratio, _ = _lemma31_worst(tr, 0.5, ix, ix + 10)
+        assert ok.all()
+        assert np.all(np.abs(ratio - 0.5) < 1e-6)  # 1 - C2, as Re[-i D] = 0
+
+    def test_fast_rotation_and_zero_data_warn_nothing(self, sin_trace, sin_consts):
+        # exp(40ix) turns 0.4 rad a step, so only windows of a few nodes admit
+        # an omega; the sin trace starts at u(0) = 0, a node the phases leave out
+        fast, consts = _lemma31_case("fast_rotating")
+        assert sin_trace.u[0] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sample_lemma31(fast, consts, 400, np.random.default_rng(3))
+            on_sin = sample_lemma31(sin_trace, sin_consts, 400, np.random.default_rng(4))
+        assert 0 < out.points_checked < 100
+        _assert_same_sweep(out, *_loop_sample_lemma31(fast, consts, 400, np.random.default_rng(3)))
+        # a real trace admits omega = i on every window (and no x drawn with
+        # seed 4 is the last node)
+        assert on_sin.points_checked == 400
 
     def test_randomized_sweep_no_violations(self):
         rng = np.random.default_rng(17)
@@ -456,61 +508,120 @@ def _snap_index(xs, x):
     return i if abs(xs[i] - x) < abs(xs[i - 1] - x) else i - 1
 
 
-def _loop_lemma31(trace, consts, omega, x, y, tolerance=1e-6):
-    omega = complex(omega)
-    xs = trace.xs
-    ix = _snap_index(xs, float(x))
-    iy = _snap_index(xs, float(y))
-    au = np.abs(trace.u)
-    scale_u = float(np.max(au))
-    if au[ix] <= 1e-13 * scale_u:
-        raise PreconditionFailed("u(x) = 0 at the requested point")
-    g = np.real(np.conj(omega) * trace.u)
-    if np.min(g[ix:iy + 1]) < -1e-10 * abs(omega) * scale_u:
-        raise PreconditionFailed("Re[conj(omega) u] changes sign on [x, y]")
-    dx = float(xs[iy] - xs[ix])
+def _loop_lemma31(trace, c2, ix, iy):
+    """(admissible, ratio) of the core inequality at the pair (ix, iy), one
+    node at a time: the arcs of phases that the nodes with |u| > eps admit,
+    pi/2 (1 + eps/|u|) either side of their phase, intersected on the circle
+    relative to the phase of u(x) (so both slivers that two opposite nodes
+    leave are kept), and the least of Re[e^{-i phi} D] over each piece."""
+    u, au = trace.u, np.abs(trace.u)
+    eps = 1e-10 * float(np.max(au))
+    ref = complex(u[ix]) / float(au[ix])
+    turn = 2.0 * math.pi
+    pieces = [(-math.pi, math.pi)]
+    for t in range(ix, iy + 1):
+        if au[t] <= eps:
+            continue
+        reach = math.pi / 2 * (1.0 + eps / float(au[t]))
+        lo = (cmath.phase(complex(u[t]) * ref.conjugate()) - reach + math.pi) % turn - math.pi
+        hi = lo + 2.0 * reach
+        arcs = [(lo, hi)] if hi <= math.pi else [(lo, math.pi), (-math.pi, hi - turn)]
+        pieces = [(max(a, c), min(b, d)) for a, b in pieces for c, d in arcs
+                  if max(a, c) <= min(b, d)]
+    if not pieces:
+        return False, math.nan
+    dx = float(trace.xs[iy] - trace.xs[ix])
+    D = complex(u[iy] - u[ix] - dx * trace.du[ix]) * ref.conjugate()  # in the frame of u(x)
+    least = math.inf
+    for a, b in pieces:
+        if (cmath.phase(D) + math.pi - a) % turn <= b - a:
+            least = min(least, -abs(D))
+        else:
+            least = min(least, *(D.real * math.cos(p) + D.imag * math.sin(p) for p in (a, b)))
     M = float(np.max(au[ix:iy + 1]))
-    lhs = float(g[iy])
-    drift = dx * float(np.real(np.conj(omega) * trace.du[ix]))
-    penalty = consts.c2 * dx * (dx + 1.0) * abs(omega) * M
-    rhs = float(g[ix]) + drift - penalty
-    scale = abs(omega) * M * max(dx * (dx + 1.0), 1e-12)
-    slack = lhs - rhs
-    ratio = 1.0 - slack / scale
-    notes = f"slack={slack:.6g}; scale={scale:.6g}"
-    return _outcome("lemma31", iy - ix + 1, ratio, xs[ix], tolerance, notes)
+    return True, 1.0 - c2 - least / (M * dx * (dx + 1.0))
 
 
 def _loop_sample_lemma31(trace, consts, n, rng, max_gap=1.5, tolerance=1e-6):
+    """sample_lemma31 one pair at a time, each pair from rng.random(2); with
+    the outcome, the x of every pair whose ratio is within rounding of the
+    worst (ties broken by rounding, which differs between the two)."""
     xs = trace.xs
     au = np.abs(trace.u)
-    floor = 1e-3 * float(np.max(au))
-    good = np.flatnonzero(au > floor)
-    accepted = 0
-    worst = -np.inf
-    worst_x = xs[good[0]]
-    attempts = 0
-    limit = 200 * n
-    while accepted < n and attempts < limit:
-        attempts += 1
-        r0, r1, r2 = rng.random(3).tolist()  # the pick, the gap and the phase
+    good = np.flatnonzero(au > 1e-3 * float(np.max(au)))
+    pairs = []  # (x, ratio) of the admissible pairs
+    for _ in range(n):
+        r0, r1 = rng.random(2).tolist()  # the pick and the gap
         ix = int(good[min(math.floor(r0 * len(good)), len(good) - 1)])
-        iy = _snap_index(xs, xs[ix] + max_gap * r1)
-        if iy <= ix:
-            iy = min(ix + 1, len(xs) - 1)
-            if iy == ix:
-                continue
-        phase = r2 - 0.5
-        omega = trace.u[ix] / au[ix] * complex(math.cos(phase), math.sin(phase))
-        try:
-            out = _loop_lemma31(trace, consts, omega, xs[ix], xs[iy], tolerance)
-        except PreconditionFailed:
+        if ix == len(xs) - 1:
             continue
-        accepted += 1
-        if out.worst_ratio > worst:
-            worst, worst_x = out.worst_ratio, out.witness_x
-    notes = f"accepted={accepted}; attempts={attempts}"
-    return _outcome("lemma31_sweep", accepted, worst, worst_x, tolerance, notes)
+        iy = max(_snap_index(xs, xs[ix] + max_gap * r1), ix + 1)
+        ok, ratio = _loop_lemma31(trace, consts.c2, ix, iy)
+        if ok:
+            pairs.append((xs[ix], ratio))
+    worst, worst_x = -np.inf, xs[good[0]]
+    for x, ratio in pairs:
+        if ratio > worst:
+            worst, worst_x = ratio, x
+    notes = f"accepted={len(pairs)}; attempts={n}"
+    near = {x for x, ratio in pairs if ratio >= worst - 1e-12 * (1.0 + abs(worst))}
+    return _outcome("lemma31_sweep", len(pairs), worst, worst_x, tolerance, notes), near
+
+
+def _assert_same_sweep(got, ref, near):
+    """The same outcome, the worst ratio up to rounding and the witness one
+    of the pairs within rounding of it."""
+    got, ref = got.to_dict(), ref.to_dict()
+    assert got.pop("worst_ratio") == pytest.approx(ref.pop("worst_ratio"), rel=1e-12, abs=1e-12)
+    assert got.pop("witness_x") in near
+    ref.pop("witness_x")
+    assert got == ref
+
+
+def _scan_lemma31(trace, c2, ix, iy, angles=4096):
+    """The largest ratio over `angles` equally spaced phi whose omega =
+    e^{i phi} passes the node-level hypothesis Re[conj(omega) u] >= -1e-10
+    max|u| on the nodes of [x, y], or -inf where none does."""
+    u, au, xs = trace.u, np.abs(trace.u), trace.xs
+    phi = 2.0 * np.pi * np.arange(angles) / angles
+    rot = np.stack([np.cos(phi), np.sin(phi)], axis=1)  # Re[e^{-i phi} z] = rot @ (Re z, Im z)
+    window = u[ix:iy + 1]
+    ok = np.min(rot @ np.stack([window.real, window.imag]), axis=1) >= -1e-10 * np.max(au)
+    dx = xs[iy] - xs[ix]
+    D = u[iy] - u[ix] - dx * trace.du[ix]
+    ratio = 1.0 - c2 - rot @ np.array([D.real, D.imag]) / (np.max(au[ix:iy + 1]) * dx * (dx + 1.0))
+    return float(np.max(ratio[ok], initial=-np.inf))
+
+
+def _assert_closed_form_is_worst(trace, c2, ix, iy):
+    """At every pair the closed form is at least the scan's worst ratio (up
+    to rounding), admits the pair wherever the scan does, and is attained at
+    its phi, which the tolerance arc admits: Re[e^{-i phi} u] >= -(pi/2) eps
+    at the nodes."""
+    xs, u, au = trace.xs, trace.u, np.abs(trace.u)
+    ok, ratio, phi = _lemma31_worst(trace, c2, ix, iy)
+    for k, (a, b) in enumerate(zip(ix.tolist(), iy.tolist())):
+        scanned = _scan_lemma31(trace, c2, a, b)
+        assert ok[k] or scanned == -np.inf
+        if not ok[k]:
+            continue
+        assert scanned <= ratio[k] + 1e-12 * (1.0 + abs(ratio[k]))
+        w = np.exp(-1j * phi[k])
+        assert np.min((w * u[a:b + 1]).real) >= -2e-10 * np.max(au)
+        dx = xs[b] - xs[a]
+        at_phi = 1.0 - c2 - (w * (u[b] - u[a] - dx * trace.du[a])).real / (
+            np.max(au[a:b + 1]) * dx * (dx + 1.0))
+        assert at_phi == pytest.approx(ratio[k], rel=1e-12, abs=1e-12)
+    return ok
+
+
+def _random_pairs(trace, n, seed, longest=300):
+    """n pairs of nodes, x where |u| > 1e-3 max|u|, up to `longest` nodes apart."""
+    rng = np.random.default_rng(seed)
+    au = np.abs(trace.u)
+    good = np.flatnonzero(au[:-1] > 1e-3 * np.max(au))
+    ix = rng.choice(good, n)
+    return ix, np.minimum(ix + rng.integers(1, longest, n), len(au) - 1)
 
 
 def _random_step_trace():
@@ -546,6 +657,34 @@ def _sampler_trace(name):
 
 _SAMPLER_TRACES = {name: _sampler_trace(name)
                    for name in ("short", "sign_flips", "rotating", "fast_rotating")}
+
+
+def _zero_node_trace():
+    """u = (x - 5) e^{0.3ix}: complex, and exactly 0 at the node x = 5."""
+    xs = np.linspace(0.0, 10.0, 1001)
+    return (analytic_trace(xs, lambda x: (x - 5.0) * np.exp(0.3j * x),
+                           lambda x: (1.0 + 0.3j * (x - 5.0)) * np.exp(0.3j * x), 0.09),
+            constants_for(0.0, 0.09))
+
+
+@functools.cache
+def _lemma31_case(name):
+    """(trace, constants) of the lemma31 oracle tests, by name."""
+    if name == "sin":
+        V = PiecewisePotential((0.0, 20.0), (0.0,))
+        return (propagate_exact(V, 1.0, InitialData(0.0, 0.0, 1.0), 20.0, 0.005),
+                constants_for(0.0, 1.0))
+    if name == "harmonic":
+        xs = np.linspace(-6.0, 6.0, 6001)
+        return (analytic_trace(xs, lambda x: np.exp(-x * x / 2.0),
+                               lambda x: -x * np.exp(-x * x / 2.0), 1.0), constants_for(0.0, 1.0))
+    if name == "zero_node":
+        return _zero_node_trace()
+    if name == "random_step_complex":
+        return _random_step_trace()
+    if name == "spike_lattice":
+        return _spike_lattice_trace()
+    return _SAMPLER_TRACES[name]
 
 
 @pytest.fixture(params=["sin", "harmonic", "random_step_complex", "spike_lattice", "constant"])
@@ -658,9 +797,8 @@ class TestLoopOracles:
 
     def test_sample_lemma31_equals_loop(self, oracle_case):
         trace, consts = oracle_case
-        got = sample_lemma31(trace, consts, 400, np.random.default_rng(11)).to_dict()
-        ref = _loop_sample_lemma31(trace, consts, 400, np.random.default_rng(11)).to_dict()
-        assert got == ref
+        got = sample_lemma31(trace, consts, 200, np.random.default_rng(11))
+        _assert_same_sweep(got, *_loop_sample_lemma31(trace, consts, 200, np.random.default_rng(11)))
 
     @settings(max_examples=80, deadline=None)
     @given(name=st.sampled_from(sorted(_SAMPLER_TRACES)), n=st.integers(1, 60),
@@ -669,24 +807,27 @@ class TestLoopOracles:
         trace, consts = _SAMPLER_TRACES[name]
         try:
             ref = _loop_sample_lemma31(trace, consts, n, np.random.default_rng(seed), max_gap)
-        except ValueError:  # the loop accepted no triple in 200 n attempts
+        except ValueError:  # the loop found no admissible pair
             with pytest.raises(NoEligiblePoints):
                 sample_lemma31(trace, consts, n, np.random.default_rng(seed), max_gap)
             return
         got = sample_lemma31(trace, consts, n, np.random.default_rng(seed), max_gap)
-        assert got.to_dict() == ref.to_dict()
+        _assert_same_sweep(got, *ref)
 
     def test_sample_lemma31_first_of_ties(self):
-        # u constant and C2 so small that the penalty vanishes against u:
-        # every accepted triple's ratio is exactly 1, so the witness is the x
-        # of the first accepted triple
+        # u constant, so D = 0, and C2 so small that 1 - C2 rounds to 1:
+        # every pair's ratio is exactly 1, and the witness is the x of the
+        # first pair drawn
         xs = np.linspace(0.0, 10.0, 2001)
         tr = analytic_trace(xs, lambda x: np.full_like(x, 2.0), np.zeros_like, 0.0)
         consts = constants_for(0.0, 1e-30)
         got = sample_lemma31(tr, consts, 400, np.random.default_rng(11))
-        ref = _loop_sample_lemma31(tr, consts, 400, np.random.default_rng(11))
-        assert got.worst_ratio == 1.0
-        assert got.to_dict() == ref.to_dict()
+        first = min(int(np.random.default_rng(11).random(2)[0] * len(xs)), len(xs) - 1)
+        assert first < len(xs) - 1  # the first draw makes a pair
+        assert got.worst_ratio == 1.0 and got.points_checked == 400
+        assert got.witness_x == xs[first]
+        ref, near = _loop_sample_lemma31(tr, consts, 400, np.random.default_rng(11))
+        assert got.to_dict() == ref.to_dict() and len(near) > 1
 
     @settings(max_examples=100, deadline=None)
     @given(xs=arrays(np.float64, st.integers(1, 40), elements=st.floats(-10, 10), unique=True),
@@ -698,23 +839,20 @@ class TestLoopOracles:
         assert _snap_indices(xs, x).tolist() == [_snap_index(xs, float(v)) for v in x]
 
     def test_lemma31_equals_loop(self, oracle_case):
+        # the closed form against a loop over 4096 phases of omega
         trace, consts = oracle_case
-        xs = trace.xs
-        rng = np.random.default_rng(5)
-        compared = 0
-        for _ in range(200):
-            x = float(rng.uniform(xs[0], xs[-1]))
-            y = min(x + float(rng.uniform(0.0, 1.5)), float(xs[-1]))
-            omega = complex(rng.normal(), rng.normal())
-            try:
-                ref = _loop_lemma31(trace, consts, omega, x, y).to_dict()
-            except PreconditionFailed as err:
-                with pytest.raises(PreconditionFailed, match=re.escape(str(err))):
-                    check_lemma31(trace, consts, omega, x, y)
-                continue
-            assert check_lemma31(trace, consts, omega, x, y).to_dict() == ref
-            compared += 1
-        assert compared >= 20
+        ok = _assert_closed_form_is_worst(trace, consts.c2, *_random_pairs(trace, 30, 5))
+        assert ok.any()
+
+    def test_lemma31_equals_loop_zero_node(self):
+        # windows around the node where u = 0, which admits every phase, and
+        # random ones
+        trace, consts = _zero_node_trace()
+        ix, iy = _random_pairs(trace, 30, 5)
+        ix, iy = np.append(ix, [499, 495, 400]), np.append(iy, [501, 505, 600])
+        assert trace.u[500] == 0.0
+        ok = _assert_closed_form_is_worst(trace, consts.c2, ix, iy)
+        assert ok[-3:].all()
 
 
 _WINDOW_CHECKS = {
@@ -850,8 +988,9 @@ class TestWindowPruning:
         assert all(b.dtype == np.int32 and len(b) == len(trace.xs) for b in seen[0][1])
 
 
-def _loop_lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
-    """The hypothesis test with a scan of every candidate window, verbatim."""
+def _old_lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
+    """The hypothesis test of the former sampler, which drew omega: with a
+    scan of every candidate window, verbatim.  Returns (zero, ok, terms)."""
     abs_om = np.hypot(om_r, om_i)
     conj_om = np.empty(len(om_r), dtype=complex)
     conj_om.real, conj_om.imag = om_r, -om_i
@@ -873,157 +1012,95 @@ def _loop_lemma31_hypothesis(u, du, au, scale_u, om_r, om_i, ix, iy, need):
     return zero, ok, (abs_om, g_x, g_y, du_x)
 
 
-class _ScanCounter(np.ndarray):
-    """A view of u that counts the window scans, which are its slices."""
+def _old_lemma31_ratios(xs, au, c2, ix, iy, abs_omega, g_x, g_y, du_x):
+    """The former sampler's ratio of each accepted (omega, x, y), verbatim."""
+    M = _window_extreme(au, ix, iy + 1, np.maximum)  # M >= |u(x)| > 0
+    dx = xs[iy] - xs[ix]
+    penalty = c2 * dx * (dx + 1.0) * abs_omega * M
+    rhs = g_x + dx * du_x - penalty
+    scale = abs_omega * M * np.maximum(dx * (dx + 1.0), 1e-12)
+    slack = g_y - rhs
+    return 1.0 - slack / scale, slack, scale
 
-    scans = 0
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            self.scans += 1
-        return super().__getitem__(key)
+def _assert_closed_form_bounds_old(trace, c2, om, ix, iy, need=10 ** 9):
+    """Every (omega, x, y) that the former hypothesis accepts, up to its
+    need-th, is admissible in the closed form, with a ratio at most the
+    closed form's, up to rounding.  Returns the acceptances."""
+    u, au = trace.u, np.abs(trace.u)
+    zero, ok, terms = _old_lemma31_hypothesis(u, trace.du, au, float(np.max(au)), om.real.copy(),
+                                              om.imag.copy(), ix, iy, need)
+    old = _old_lemma31_ratios(trace.xs, au, c2, ix[ok], iy[ok], *(t[ok] for t in terms))[0]
+    admissible, ratio, _ = _lemma31_worst(trace, c2, ix[ok], iy[ok])
+    assert admissible.all()
+    assert np.all(old <= ratio + 1e-12 * (1.0 + np.abs(ratio)))
+    return ok
 
 
 @pytest.fixture
 def table_arrays(monkeypatch):
     """The arrays that sparse tables are built over while the test runs."""
     seen = []
-    inner = verifier._window_extreme
+    inner = verifier._table_extreme
 
     def spy(a, lo, hi, op):
         seen.append(a)
         return inner(a, lo, hi, op)
 
-    monkeypatch.setattr(verifier, "_window_extreme", spy)
+    monkeypatch.setattr(verifier, "_table_extreme", spy)
     return seen
 
 
-def _certificate_case(n_padding):
-    """A real trace with hand-placed features, and windows over it: n_padding
-    plain windows up to 250 nodes long, with omega near +-1, and ten short
-    windows around features.  Eight of those must be scanned: an interior
-    sign change (rejected), and a minimum inside the slack at an interior
-    node, at the last node and at the first node (accepted), each once where
-    u > 0 (omega = 1) and once where u < 0 (omega = -1).  The other two have
-    a sign change just outside the window, and are certified.  Returns (u,
-    omega, windows, the positions of the eight in the window order)."""
-    n = 3000
-    x = 0.01 * np.arange(n)
-    u = np.concatenate([1.0 + 0.5 * np.sin(x[:1200]), -1.0 - 0.5 * np.sin(x[1200:2400]),
-                        np.ones(300), -np.ones(300)])
-    scale = float(np.max(np.abs(u)))
-    in_slack = -1e-10 * scale + 2.0 ** -49 * scale  # thr + half the slack
-    rng = np.random.default_rng(0)
-    windows, om = [], []
-    for sign, base in ((1.0, 2400), (-1.0, 2700)):
-        u[base + 10] = -0.3 * sign
-        u[[base + 30, base + 50, base + 60]] = sign * in_slack
-        u[[base + 79, base + 91]] = -0.3 * sign
-        for lo, hi, scan in ((5, 15, True), (25, 35, True), (40, 50, True), (60, 70, True),
-                             (80, 90, False)):
-            windows.append((base + lo, base + hi, scan))
-            om.append((sign, 0.0))
-    for k in range(n_padding):
-        sign, start = (1.0, 0) if k % 2 else (-1.0, 1200)
-        lo = start + int(rng.integers(0, 950))
-        phase = rng.uniform(-0.5, 0.5)
-        windows.append((lo, lo + int(rng.integers(100, 250)), False))
-        om.append((sign * math.cos(phase), sign * math.sin(phase)))
-    order = rng.permutation(len(windows))
-    windows = [windows[k] for k in order]
-    scanned = [pos for pos, w in enumerate(windows) if w[2]]
-    om = np.array([om[k] for k in order])
-    return u.astype(complex), om, np.array([w[:2] for w in windows]), scanned
-
-
-def _run_hypothesis(u, om, windows, need):
-    """(_lemma31_hypothesis, its loop oracle, the number of scans made)."""
-    counted = u.view(_ScanCounter)
-    du = np.roll(u, 1) * (0.5 - 0.25j)
-    au = np.abs(u)
-    args = (au, float(np.max(au)), om[:, 0].copy(), om[:, 1].copy(),
-            windows[:, 0].copy(), windows[:, 1].copy(), need)
-    got = _lemma31_hypothesis(counted, du, *args)
-    want = _loop_lemma31_hypothesis(u, du, *args)
-    return got, want, counted.scans
-
-
-def _assert_same_hypothesis(got, want):
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    for a, b in zip(got[2], want[2]):
-        assert a.tobytes() == b.tobytes()
-
-
-def _stop(ok, need):
-    """Position of the need-th acceptance (the last one scanned at most)."""
-    acc = np.flatnonzero(ok)
-    return acc[need - 1] if len(acc) >= need else len(ok)
-
-
 class TestLemma31Certificate:
-    @pytest.mark.parametrize("need", [1, 60, 200, 10 ** 6])
-    def test_table_branch_scans_only_uncertified(self, table_arrays, need):
-        u, om, windows, scanned = _certificate_case(400)
-        got, want, scans = _run_hypothesis(u, om, windows, need)
-        _assert_same_hypothesis(got, want)
-        assert any(np.shares_memory(a, u) for a in table_arrays)  # tables over u
-        stop = _stop(want[1], need)
-        assert scans == sum(pos <= stop for pos in scanned)
-        if need == 10 ** 6:
-            assert scans == 8 and np.count_nonzero(~want[1]) == 2  # the two dips
-
-    @pytest.mark.parametrize("need", [1, 4, 10 ** 6])
-    def test_scan_branch_scans_every_candidate(self, table_arrays, need):
-        u, om, windows, _ = _certificate_case(4)  # 14 windows, 250 nodes at most
-        got, want, scans = _run_hypothesis(u, om, windows, need)
-        _assert_same_hypothesis(got, want)
-        assert not table_arrays
-        assert scans == min(_stop(want[1], need) + 1, len(windows))
-
     @pytest.mark.parametrize("need", [1, 100, 10 ** 6])
-    def test_complex_trace(self, table_arrays, need):
+    def test_complex_trace(self, need):
         # a phase swinging by 1.2 rad, and omega turned up to 1 rad away from
-        # it: some windows change sign inside, the others pass
+        # it: the former hypothesis rejects some windows for their omega.
+        # The closed form bounds every acceptance up to the need-th, and
+        # admits every window, since the phase spans less than pi
         n = 3000
         x = 0.01 * np.arange(n)
         u = (1.0 + 0.3 * np.sin(x)) * np.exp(1.2j * np.sin(2.0 * x))
+        trace = analytic_trace(x, lambda _: u, lambda _: np.roll(u, 1) * (0.5 - 0.25j), 1.0)
         rng = np.random.default_rng(1)
         lo = rng.integers(0, n - 250, 800)
-        windows = np.stack([lo, lo + rng.integers(100, 250, 800)], axis=1)
-        turn = np.exp(1j * rng.uniform(-1.0, 1.0, 800)) * u[lo] / np.abs(u[lo])
-        om = np.stack([turn.real, turn.imag], axis=1)
-        got, want, scans = _run_hypothesis(u, om, windows, need)
-        _assert_same_hypothesis(got, want)
-        assert any(np.shares_memory(a, u) for a in table_arrays)
-        assert scans < _stop(want[1], need) + 1  # some windows certified
-        if need == 10 ** 6:  # interior sign changes occur, and each is scanned
-            abs_om, g_x, g_y, _ = want[2]
-            thr = -1e-10 * abs_om * np.max(np.abs(u))
-            interior = np.count_nonzero(~want[1] & (g_x >= thr) & (g_y >= thr))
-            assert 0 < interior <= scans
-
-    def test_subnormal_scale_certifies_nothing(self, table_arrays):
-        # relative rounding bounds fail below the normal range
-        u, om, windows, _ = _certificate_case(400)
-        u *= 1e-300 * 1e-10
-        got, want, scans = _run_hypothesis(u, om, windows, 10 ** 6)
-        _assert_same_hypothesis(got, want)
-        assert any(np.shares_memory(a, u) for a in table_arrays)
-        zero, ok, (abs_om, g_x, g_y, _) = want
-        thr = -1e-10 * abs_om * np.max(np.abs(u))
-        assert scans == np.count_nonzero(~zero & (g_x >= thr) & (g_y >= thr)) > 300
+        hi = lo + rng.integers(100, 250, 800)
+        om = np.exp(1j * rng.uniform(-1.0, 1.0, 800)) * u[lo] / np.abs(u[lo])
+        ok = _assert_closed_form_bounds_old(trace, 1.0, om, lo, hi, need)
+        assert np.count_nonzero(ok) == min(need, np.count_nonzero(
+            _old_lemma31_hypothesis(u, trace.du, np.abs(u), float(np.max(np.abs(u))),
+                                    om.real.copy(), om.imag.copy(), lo, hi, 10 ** 9)[1]))
+        if need == 10 ** 6:
+            assert 0 < np.count_nonzero(ok) < len(lo)
+        assert _lemma31_worst(trace, 1.0, lo, hi)[0].all()
 
     @pytest.mark.parametrize("name, n, tables", [
         ("spike_lattice", 400, True), ("random_step_complex", 400, True),
         ("spike_lattice", 3, False), ("random_step_complex", 3, False),
     ])
     def test_sample_lemma31_equals_loop(self, table_arrays, name, n, tables):
-        trace, consts = _spike_lattice_trace() if name == "spike_lattice" else _random_step_trace()
-        got = sample_lemma31(trace, consts, n, np.random.default_rng(23)).to_dict()
-        ref = _loop_sample_lemma31(trace, consts, n, np.random.default_rng(23)).to_dict()
-        assert got == ref
-        assert any(np.shares_memory(a, trace.u) for a in table_arrays) == tables
+        # many windows read sparse tables over the trace; a few are reduced
+        # in place
+        trace, consts = _lemma31_case(name)
+        got = sample_lemma31(trace, consts, n, np.random.default_rng(23))
+        _assert_same_sweep(got, *_loop_sample_lemma31(trace, consts, n, np.random.default_rng(23)))
+        assert any(np.shares_memory(a, trace.abs_u) for a in table_arrays) == tables
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["sin", "harmonic", "random_step_complex", "spike_lattice",
+                                 "zero_node", "rotating", "fast_rotating"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_bounds_every_accepted_omega(self, name, seed):
+        # the former sampler's omega, within 0.5 rad of the phase of u(x),
+        # and omega of any phase, eight per pair
+        trace, consts = _lemma31_case(name)
+        ix, iy = _random_pairs(trace, 40, seed, longest=150)
+        ix, iy = np.repeat(ix, 8), np.repeat(iy, 8)
+        rng = np.random.default_rng(seed)
+        turn = np.where(np.arange(len(ix)) % 2, rng.uniform(-0.5, 0.5, len(ix)),
+                        rng.uniform(-np.pi, np.pi, len(ix)))
+        om = np.exp(1j * turn) * trace.u[ix] / np.abs(trace.u[ix])
+        _assert_closed_form_bounds_old(trace, consts.c2, om, ix, iy)
 
 
 @st.composite
@@ -1049,19 +1126,45 @@ class TestWindowExtreme:
     @given(_windows())
     def test_equals_brute_force(self, case):
         a, lo, hi = case
-        # all the windows; those of one shared level (answered without
-        # masks); and those of every other level that holds any, so that
-        # levels between them are built but hold no query
+        # all the windows; those of one shared level; and those of every
+        # other level that holds any, so that levels between them are built
+        # but hold no query.  Through either path and the choice between them
         level = np.frexp(hi - lo)[1] - 1
         held = np.unique(level)
         for sel in (level >= 0, level == held[-1], np.isin(level, held[::2])):
             for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
-                got = _window_extreme(a, lo[sel], hi[sel], op)
                 want = np.array([reduce(a[i:j]) for i, j in zip(lo[sel], hi[sel])])
-                assert got.dtype == a.dtype
-                assert np.array_equal(got, want)
-                if not np.any(np.signbit(a) & (a == 0.0)):  # no -0.0: bitwise too
-                    assert got.tobytes() == want.tobytes()
+                for extreme in (_window_extreme, _table_extreme, _reduceat_extreme):
+                    got = extreme(a, lo[sel], hi[sel], op)
+                    assert got.dtype == a.dtype
+                    assert np.array_equal(got, want)
+                    if not np.any(np.signbit(a) & (a == 0.0)):  # no -0.0: bitwise too
+                        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([40, 3, 17, 3, 90], [60, 9, 18, 100, 91]),  # unsorted and overlapping
+        ([0, 5, 99, 5], [1, 6, 100, 6]),  # single nodes, the last one among them
+        ([10, 0, 60, 99], [100, 100, 100, 100]),  # ending at len(a)
+        ([], []),  # no window
+    ])
+    def test_reduceat_equals_table(self, lo, hi):
+        a = np.random.default_rng(0).normal(size=100)
+        lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+        for op in (np.maximum, np.minimum):
+            want = _table_extreme(a, lo, hi, op)
+            assert want.dtype == a.dtype and len(want) == len(lo)
+            assert _reduceat_extreme(a, lo, hi, op).tobytes() == want.tobytes()
+            assert _window_extreme(a, lo, hi, op).tobytes() == want.tobytes()
+
+    def test_few_short_windows_read_in_place(self, monkeypatch):
+        # two windows of 45 elements over 1000 read fewer than the 5 levels
+        # of 1000 a table would build; 225 such windows read more
+        a = np.arange(1000.0)
+        for path in ("_table_extreme", "_reduceat_extreme"):
+            with monkeypatch.context() as mp:
+                mp.setattr(verifier, path, None)  # calling the other path fails
+                lo = np.arange(0, 900, 450 if path == "_table_extreme" else 4)
+                assert _window_extreme(a, lo, lo + 45, np.maximum).tolist() == (lo + 44).tolist()
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
