@@ -17,7 +17,8 @@ and the window bounds for each radius from its trace (`SolutionTrace.abs_u`,
 Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
 through `_window_extreme`, a sparse-table range query or, for a few short
-windows, one reduceat, both exact, and window integrals of |u|^p are differences of the trace's cumulative integral.
+windows, one reduceat, both exact, and window integrals of |u|^p are
+differences of the trace's cumulative integral.
 Windows whose integral drowns in the rounding of that sum (deep tails), the
 weighted check's too, are summed again from np.trapezoid's own terms.
 
@@ -40,10 +41,11 @@ sign hypothesis Re[conj(omega) u] >= 0 at the nodes of [x, y], in closed form
 (`_lemma31_worst`).  The admissible phases of omega form an arc, read from
 window extremes of the unwrapped phase of u; each node's bound is widened by
 asin(eps/|u|) or more, eps = 1e-10 max|u|, so every omega with
-Re[conj(omega) u] >= -eps |omega| at the nodes is covered.  The arc is exact
-at the node level unless two consecutive nodes have phases within their
-widenings of opposite: there a principal phase step of +-pi picks one of two
-slivers of admissible phases, and on a real trace both give the same ratios.
+Re[conj(omega) u] >= -eps |omega| at the nodes is covered.  Every phase in
+the arc is admissible, and the arc holds them all unless two consecutive
+nodes have phases within their widenings of opposite: such steps are
+unwrapped alternately up and down, which is exact where a real trace changes
+sign, and there both slivers of admissible phases give the same ratios.
 """
 
 from __future__ import annotations
@@ -173,6 +175,8 @@ def _table_extreme(a, lo, hi, op):
         stop = start + int(counts[k])
         op(table[lo[start:stop]], table[hi[start:stop] - (1 << k)], out=by_level[start:stop])
         start = stop
+    if len(held) < 2:
+        return by_level
     out = np.empty_like(by_level)
     out[order] = by_level
     return out
@@ -516,8 +520,9 @@ def _lemma31_worst(trace, c2, ix, iy):
     Node t admits |phi - theta_t| <= pi/2 + w_t, theta_t the phase of u there
     and w_t = (pi/2) eps/|u_t| >= asin(eps/|u_t|), eps = 1e-10 max|u|: every
     omega with Re[conj(omega) u_t] >= -eps |omega|.  A node with |u| <= eps
-    admits every phi and is left out of the unwrapping of theta (the sum of
-    the principal phase steps between the nodes kept).  So the admissible phi
+    admits every phi and is left out of the unwrapping of theta, the running
+    sum of the principal phase steps between the nodes kept (a step within
+    w_t + w_t+1 of +-pi is taken up and down in turn).  So the admissible phi
     form the arc [window max of theta - pi/2 - w, window min of theta + pi/2
     + w].  With D = u(y) - u(x) - (y-x) u'(x), the ratio 1 - C2 - Re[e^{-i
     phi} D] / (M (y-x)(y-x+1)), M the max of |u| over the nodes of [x, y], is
@@ -526,23 +531,29 @@ def _lemma31_worst(trace, c2, ix, iy):
     tie).
     """
     xs, u, du, au = trace.xs, trace.u, trace.du, trace.abs_u
-    scale = float(np.max(au))
-    eps = 1e-10 * scale
+    eps = 1e-10 * float(np.max(au))
     keep = au > eps
     kept = slice(None) if keep.all() else np.flatnonzero(keep)
-    v = u[kept] / scale  # 1e-10 < |v| <= 1: the products below stay normal
-    reach = (np.pi / 2 * eps) / au[kept] + np.pi / 2  # pi/2 + w
-    theta = np.empty(len(v))
-    theta[0] = np.angle(v[0])
-    step = theta[1:]  # a view: theta is their running sum
-    step[:] = np.angle(v[1:] * np.conj(v[:-1]))
+    # the arrays below are as long as the trace, so they are few and updated
+    # in place
+    theta = np.angle(u[kept])
+    step = np.mod(np.diff(theta) + np.pi, 2.0 * np.pi) - np.pi  # principal, in [-pi, pi)
+    reach = (np.pi / 2 * eps) / au[kept]  # w
     # a step within the widenings of +-pi may go either way round: such steps
     # alternate, as they do where a real trace changes sign
-    turn = np.flatnonzero(np.abs(step) >= 2.0 * np.pi - reach[1:] - reach[:-1])
-    step[turn] = np.mod(step[turn], 2.0 * np.pi) - 2.0 * np.pi * (np.arange(len(turn)) % 2)
+    flip = np.flatnonzero(np.abs(step) + reach[1:] + reach[:-1] >= np.pi)
+    step[flip] = np.mod(step[flip], 2.0 * np.pi) - 2.0 * np.pi * (np.arange(len(flip)) % 2)
+    theta[1:] = step
+    del step
     np.cumsum(theta, out=theta)
-    low, high = np.full(len(u), -np.inf), np.full(len(u), np.inf)
-    low[kept], high[kept] = theta - reach, theta + reach
+    reach += np.pi / 2  # pi/2 + w
+    high = theta + reach
+    low = np.subtract(theta, reach, out=theta)
+    del theta, reach
+    if not isinstance(kept, slice):  # a dropped node admits every phi
+        part = low, high
+        low, high = np.full(len(u), -np.inf), np.full(len(u), np.inf)
+        low[kept], high[kept] = part
     low = _window_extreme(low, ix, iy + 1, np.maximum)
     high = _window_extreme(high, ix, iy + 1, np.minimum)
     M = _window_extreme(au, ix, iy + 1, np.maximum)  # M >= |u(x)| > 0
@@ -583,6 +594,7 @@ def sample_lemma31(
         raise NoEligiblePoints("trace has no usable points for sampling")
     draws = rng.random((n, 2))
     ix = good[np.minimum((draws[:, 0] * len(good)).astype(np.intp), len(good) - 1)]
+    del good  # as long as the trace, like the arrays of _lemma31_worst
     paired = ix != len(xs) - 1  # an x at the last node has no next node
     ix = ix[paired]
     iy = np.maximum(_snap_indices(xs, xs[ix] + max_gap * draws[paired, 1]), ix + 1)

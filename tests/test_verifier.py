@@ -354,7 +354,8 @@ class TestLemma31:
             out = sample_lemma31(fast, consts, 400, np.random.default_rng(3))
             on_sin = sample_lemma31(sin_trace, sin_consts, 400, np.random.default_rng(4))
         assert 0 < out.points_checked < 100
-        _assert_same_sweep(out, *_loop_sample_lemma31(fast, consts, 400, np.random.default_rng(3)))
+        ref = _loop_sample_lemma31(fast, consts, 400, np.random.default_rng(3))
+        _assert_same_sweep(out, *ref)
         # a real trace admits omega = i on every window (and no x drawn with
         # seed 4 is the last node)
         assert on_sin.points_checked == 400
@@ -589,7 +590,8 @@ def _scan_lemma31(trace, c2, ix, iy, angles=4096):
     ok = np.min(rot @ np.stack([window.real, window.imag]), axis=1) >= -1e-10 * np.max(au)
     dx = xs[iy] - xs[ix]
     D = u[iy] - u[ix] - dx * trace.du[ix]
-    ratio = 1.0 - c2 - rot @ np.array([D.real, D.imag]) / (np.max(au[ix:iy + 1]) * dx * (dx + 1.0))
+    M = np.max(au[ix:iy + 1])
+    ratio = 1.0 - c2 - rot @ np.array([D.real, D.imag]) / (M * dx * (dx + 1.0))
     return float(np.max(ratio[ok], initial=-np.inf))
 
 
@@ -798,7 +800,8 @@ class TestLoopOracles:
     def test_sample_lemma31_equals_loop(self, oracle_case):
         trace, consts = oracle_case
         got = sample_lemma31(trace, consts, 200, np.random.default_rng(11))
-        _assert_same_sweep(got, *_loop_sample_lemma31(trace, consts, 200, np.random.default_rng(11)))
+        _assert_same_sweep(got, *_loop_sample_lemma31(trace, consts, 200,
+                                                      np.random.default_rng(11)))
 
     @settings(max_examples=80, deadline=None)
     @given(name=st.sampled_from(sorted(_SAMPLER_TRACES)), n=st.integers(1, 60),
@@ -1083,7 +1086,8 @@ class TestLemma31Certificate:
         # in place
         trace, consts = _lemma31_case(name)
         got = sample_lemma31(trace, consts, n, np.random.default_rng(23))
-        _assert_same_sweep(got, *_loop_sample_lemma31(trace, consts, n, np.random.default_rng(23)))
+        _assert_same_sweep(got, *_loop_sample_lemma31(trace, consts, n,
+                                                      np.random.default_rng(23)))
         assert any(np.shares_memory(a, trace.abs_u) for a in table_arrays) == tables
 
     @settings(max_examples=40, deadline=None)
@@ -1164,7 +1168,8 @@ class TestWindowExtreme:
             with monkeypatch.context() as mp:
                 mp.setattr(verifier, path, None)  # calling the other path fails
                 lo = np.arange(0, 900, 450 if path == "_table_extreme" else 4)
-                assert _window_extreme(a, lo, lo + 45, np.maximum).tolist() == (lo + 44).tolist()
+                got = _window_extreme(a, lo, lo + 45, np.maximum)
+                assert got.tolist() == (lo + 44).tolist()
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
