@@ -401,6 +401,8 @@ def sweep_document(families=ALL_FAMILIES, n_scenarios: int = 50, seed: int = 1,
     A span is left out: it is the potential's support."""
     if n_scenarios < 1:
         raise ConfigError("need at least one scenario", "scenarios")
+    if not families:
+        raise ConfigError("need at least one family", "families")
     seed = _field({"seed": seed}, "seed")
     rng = np.random.default_rng(seed)
     per_scn = math.ceil(lemma_samples / n_scenarios)

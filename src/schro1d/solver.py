@@ -12,9 +12,10 @@ square root; near q = 0 they are evaluated by series to avoid cancellation.
 
 The propagator runs forward only, over a batch of initial-data columns.
 Backward propagation runs forward on the reflected potential V(-x), from -x0
-with data (u0, -u0'), and reflects the traces back.  A transfer matrix runs
-the two basis solutions as the two columns of one kernel pass and reads the
-kernel's last node; it builds no trace.
+with data (u0, -u0'), and `_kernel_columns` reflects the columns back, so
+nothing after it knows the run was reflected.  A transfer matrix runs the
+two basis solutions as the two columns of one kernel pass and reads the
+node at x; it builds no trace.
 
 The exact propagator works in whole-array passes, with Python loops only
 where the work is sequential:
@@ -82,9 +83,8 @@ class SolutionTrace:
     """Grid samples of one solution: xs strictly increasing, u and u' at xs.
 
     |u|, |u'|, the running integral of |u|^p for each p and the window bounds
-    for each radius are computed on first use (a propagated trace gets |u|
-    and |u'| from its run) and kept for every check: mutate no trace after
-    its first check.
+    for each radius are computed on first use and kept for every check:
+    mutate no trace after its first check.
     """
 
     xs: np.ndarray
@@ -145,11 +145,6 @@ class SolutionTrace:
         if not self.is_real(tol):
             raise NotRealSolution("imaginary parts exceed tolerance")
         return self.u.real.copy(), self.du.real.copy()
-
-    def reflected(self) -> "SolutionTrace":
-        """Trace of x -> u(-x); pairs with the reflected potential."""
-        return SolutionTrace(-self.xs[::-1], self.u[::-1], -self.du[::-1],
-                             self.energy, self.method)
 
     def to_csv(self, path):
         header = "x,re_u,im_u,re_du,im_du"
@@ -249,7 +244,7 @@ def build_grid(V: PiecewisePotential, a: float, b: float, max_step: float):
     Segment [l, r] gets n = ceil((r - l)/max_step) steps and the nodes
     k*((r - l)/n) + l for k < n, which is what np.linspace(l, r, n + 1)
     computes, bit for bit."""
-    if max_step <= 0:
+    if not max_step > 0:
         raise ValueError("max_step must be positive")
     tol = 1e-12 * (1.0 + max(abs(a), abs(b)))
     bp = V.breakpoints
@@ -409,19 +404,21 @@ def _kernel_columns(V, energy, x0, x_end, u0, du0, step):
     """Run `_exact_kernel` on the data columns (u0[k], du0[k]) at x0 toward
     x_end.
 
-    Returns the grid, the columns (us, dus) and whether the run was
-    reflected.  The kernel only runs forward: for x_end < x0 it runs on the
-    reflected potential, from -x0 with data (u0, -du0), so the grid holds -x
-    and dus holds -u'(-x).
+    Returns the increasing grid between x0 and x_end and the columns
+    (us, dus) of u and u' on it.  The kernel only runs forward: for
+    x_end < x0 it runs on the reflected potential, from -x0 with data
+    (u0, -du0), and its grid and columns are reflected back here, as
+    (-xs, u, -u') read from the last node to the first.
 
     The kernel computes every node, with overflow silenced; an OverflowAtX
     is then raised at the first node over the overflow guard or not finite,
     with x in the caller's coordinates.  The nodes before it are those a
     kernel stopping there would compute, and a scan group grows by at most
-    e^GROUP_GROWTH, so that node is over the guard but finite.  The guard's
-    moduli |us| and |dus| are returned too, for the traces to keep.
+    e^GROUP_GROWTH, so that node is over the guard but finite.
     """
     x_end = float(x_end)
+    if not (math.isfinite(x0) and math.isfinite(x_end)):
+        raise ValueError("endpoints must be finite")
     if x_end == x0:
         raise ValueError("x_end must differ from init.x0")
     reflected = x_end < x0
@@ -432,30 +429,21 @@ def _kernel_columns(V, energy, x0, x_end, u0, du0, step):
     qs = V.value_at(mids) - energy
     with np.errstate(over="ignore", invalid="ignore"):
         us, dus = _exact_kernel(xs, edge_idx, qs, u0, du0)
-        aus, adus = np.abs(us), np.abs(dus)
-        mag = np.maximum(aus, adus).max(axis=0)
+        mag = np.maximum(np.abs(us), np.abs(dus)).max(axis=0)
         bad = np.flatnonzero(~(mag <= OVERFLOW_GUARD))
     if bad.size:
         x = float(xs[bad[0]])
         raise OverflowAtX(-x if reflected else x, float(mag[bad[0]]))
-    return xs, us, dus, aus, adus, reflected
+    if reflected:
+        return -xs[::-1], us[:, ::-1], -dus[:, ::-1]
+    return xs, us, dus
 
 
 def _traces(V, E, x0, x_end, u0, du0, step):
-    """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end,
-    keeping the moduli of the run; traces of a reflected run are reflected
-    back, their moduli as reversed views."""
+    """One trace per data column (u0[k], du0[k]) at x0, propagated to x_end."""
     energy = energy_of(E)
-    xs, us, dus, aus, adus, reflected = _kernel_columns(V, energy, x0, x_end, u0, du0, step)
-    traces = []
-    for u, du, au, adu in zip(us, dus, aus, adus):
-        trace = SolutionTrace(xs, u, du, energy, "exact_cell")
-        if reflected:
-            trace = trace.reflected()
-            au, adu = au[::-1], adu[::-1]
-        trace.abs_u, trace.abs_du = au, adu
-        traces.append(trace)
-    return traces
+    xs, us, dus = _kernel_columns(V, energy, x0, x_end, u0, du0, step)
+    return [SolutionTrace(xs, u, du, energy, "exact_cell") for u, du in zip(us, dus)]
 
 
 def propagate_exact(
@@ -490,10 +478,10 @@ def transfer_matrix(
     """T(E, x, y): maps Cauchy data at y to Cauchy data at x.
 
     The basis data (1, 0) and (0, 1) at y run toward x as the two columns of
-    one kernel pass (on the reflected potential when x < y), and T is read
-    from the kernel's last node, which is x; no trace is built.  The kernel
-    still fills every node and `_kernel_columns` guards them, so an overflow
-    raises the OverflowAtX that `basis_traces` would.
+    one kernel pass, and T is read from the columns' node at x (the last one
+    when x > y, else the first); no trace is built.  The kernel still fills
+    every node and `_kernel_columns` guards them, so an overflow raises the
+    OverflowAtX that `basis_traces` would.
     """
     energy = energy_of(E)
     x = float(x)
@@ -503,7 +491,6 @@ def transfer_matrix(
     if x == y:
         return TransferMatrix(np.eye(2, dtype=complex), y, x, energy)
     u0, du0 = np.eye(2, dtype=complex)
-    _, us, dus, _, _, reflected = _kernel_columns(V, energy, y, x, u0, du0, max_step)
-    # the kernel's last node is x; a reflected run holds -u'(x) there
-    entries = np.array([us[:, -1], -dus[:, -1] if reflected else dus[:, -1]])
-    return TransferMatrix(entries, y, x, energy)
+    _, us, dus = _kernel_columns(V, energy, y, x, u0, du0, max_step)
+    i = -1 if x > y else 0
+    return TransferMatrix(np.array([us[:, i], dus[:, i]]), y, x, energy)

@@ -450,6 +450,11 @@ class TestDeterminism:
         expected = random_sweep(n_scenarios=3, seed=1).to_json(include_wall_time=False)
         assert run_suite(str(path)).to_json(include_wall_time=False) == expected
 
+    def test_sweep_document_needs_a_family(self):
+        with pytest.raises(ConfigError, match="need at least one family") as exc:
+            sweep_document(families=())
+        assert exc.value.path == "families"
+
     def test_entries_sorted_by_id(self):
         a = parse_scenario(dict(SQUARE_WELL_SCENARIO, id="zzz"))
         b = parse_scenario(dict(SQUARE_WELL_SCENARIO, id="aaa"))

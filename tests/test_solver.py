@@ -13,6 +13,7 @@ from schro1d import (
     PiecewisePotential,
     make_family,
     propagate_exact,
+    simon_stolz_curve,
     transfer_matrix,
 )
 from schro1d import harness, solver, verifier
@@ -99,16 +100,34 @@ class TestExactPropagator:
 
     @pytest.mark.parametrize("x0, x_end", [(0.0, 8.0), (8.0, 0.0)])
     def test_traces_keep_the_moduli_of_their_run(self, x0, x_end):
-        # the overflow guard's |u| and |u'| are the traces': the moduli of
-        # the run's contiguous columns, reversed for a reflected run
-        flip = slice(None, None, 1 if x0 < x_end else -1)
+        # every trace's |u| and |u'| are its own moduli, bit for bit, in
+        # either direction: a backward trace holds a reversed view of the
+        # run, whose np.abs may differ in the last bit from the run's
         traces = [propagate_exact(_LATTICE_THEN_FREE, 1 + 0.5j, InitialData(x0, 1.0, 0.3j),
                                   x_end, 1e-2),
                   *basis_traces(_LATTICE_THEN_FREE, 1.0, x0, x_end, 1e-2)]
         for tr in traces:
-            for kept, values in ((tr.abs_u, tr.u), (tr.abs_du, tr.du)):
-                run = np.ascontiguousarray(values[flip])
-                assert kept.tobytes() == np.abs(run)[flip].tobytes()
+            assert tr.abs_u.tobytes() == np.abs(tr.u).tobytes()
+            assert tr.abs_du.tobytes() == np.abs(tr.du).tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda V: propagate_exact(V, 1.0, InitialData(0.0, 1.0, 0.0), math.nan, 0.01),
+        lambda V: propagate_exact(V, 1.0, InitialData(0.0, 1.0, 0.0), 1.0, math.nan),
+        lambda V: basis_traces(V, 1.0, 0.0, math.inf, 0.01),
+        lambda V: basis_traces(V, 1.0, math.nan, 1.0, 0.01),
+        lambda V: basis_traces(V, 1.0, 1.0, 0.0, math.nan),
+        lambda V: simon_stolz_curve(V, 1.0, math.nan, 0.01),
+        # x == y would otherwise give the identity
+        lambda V: transfer_matrix(V, 1.0, math.inf, math.inf, 0.01),
+        lambda V: transfer_matrix(V, 1.0, 0.0, 1.0, math.nan),
+    ], ids=["propagate_to_nan", "propagate_step_nan", "basis_to_inf", "basis_from_nan",
+            "basis_step_nan", "simon_stolz_to_nan", "transfer_inf_to_inf",
+            "transfer_step_nan"])
+    def test_rejects_non_finite_endpoint_or_step(self, free_potential, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite|positive"):
+                call(free_potential)
 
     def test_real_inputs_stay_real(self):
         V = make_family("random_step", {"cells": 10, "low": -2, "high": 2, "seed": 5})
