@@ -16,12 +16,7 @@ from .errors import (
     Schro1dError,
     TraceTooShort,
 )
-from .potential import (
-    PiecewisePotential,
-    WindowIntegralProfile,
-    c1_sup,
-    window_integral,
-)
+from .potential import PiecewisePotential, WindowIntegralProfile, c1_sup
 from .solver import (
     InitialData,
     SolutionTrace,

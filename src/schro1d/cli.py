@@ -79,10 +79,7 @@ def _load(args, **options):
 def _cmd_solve(args):
     scn = parse_scenario(_load(args, max_step=args.max_step), "scenario")
     trace = scenario_trace(scn)
-    if args.out:
-        trace.to_csv(args.out)
-    else:
-        trace.to_csv(sys.stdout)
+    trace.to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -130,10 +127,7 @@ def _cmd_simon_stolz(args):
     doc = _load(args, energy=args.energy, x_max=args.x_max, step=args.max_step)
     curve = simon_stolz_curve(_potential(doc),
                               *[_field(doc, key, fields=CURVE_FIELDS) for key in CURVE_FIELDS])
-    if args.out:
-        curve.to_csv(args.out)
-    else:
-        curve.to_csv(sys.stdout)
+    curve.to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -146,10 +140,7 @@ def _cmd_prufer(args):
             raise ConfigError("need E = k^2 > 0 real, or pass --k", f"{scn.id}.energy")
         k = math.sqrt(scn.energy.real)
     ptrace = prufer_decompose(trace, k)
-    if args.out:
-        ptrace.to_csv(args.out)
-    else:
-        ptrace.to_csv(sys.stdout)
+    ptrace.to_csv(args.out or sys.stdout)
     return 0
 
 

@@ -64,11 +64,6 @@ class PiecewisePotential:
         """Described interval [x_0, x_n], as Python floats; V vanishes outside it."""
         return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
-    @property
-    def negative_values(self):
-        """Cell values of the negative part V_-(x) = max(-V(x), 0)."""
-        return np.maximum(-self.values, 0.0)
-
     def value_at(self, x):
         """Evaluate V at x (scalar or array); right-continuous on cells,
         zero outside the described interval."""
@@ -94,24 +89,6 @@ class WindowIntegralProfile:
     argmax: float
 
 
-def _cumulative_vminus(V: PiecewisePotential):
-    """Knots and values of G(t) = integral_{x_0}^{t} V_-, piecewise linear."""
-    bp = V.breakpoints
-    widths = np.diff(bp)
-    cum = np.concatenate([[0.0], np.cumsum(widths * V.negative_values)])
-    return bp, cum
-
-
-def window_integral(V: PiecewisePotential, x, length: float = 1.0):
-    """F(x) = integral over [x, x+length] of V_-, vectorized in x."""
-    bp, cum = _cumulative_vminus(V)
-    x = np.asarray(x, dtype=float)
-    g_hi = np.interp(x + length, bp, cum, left=0.0, right=cum[-1])
-    g_lo = np.interp(x, bp, cum, left=0.0, right=cum[-1])
-    out = g_hi - g_lo
-    return out if out.ndim else float(out)
-
-
 def c1_sup(V: PiecewisePotential) -> WindowIntegralProfile:
     """Exact supremum of the unit-window integral of V_-.
 
@@ -121,9 +98,12 @@ def c1_sup(V: PiecewisePotential) -> WindowIntegralProfile:
     Ties are broken toward the smallest abscissa.
     """
     bp = V.breakpoints
+    # G(t) = integral_{x_0}^{t} V_-, linear between its knots bp
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(bp) * np.maximum(-V.values, 0.0))])
     lo, hi = bp[0] - 1.0, bp[-1]
     cands = np.unique(np.clip(np.concatenate([bp, bp - 1.0]), lo, hi))
-    F = window_integral(V, cands)
+    F = (np.interp(cands + 1.0, bp, cum, left=0.0, right=cum[-1])
+         - np.interp(cands, bp, cum, left=0.0, right=cum[-1]))
     sup = float(np.max(F))
     tol = 1e-12 * (1.0 + abs(sup))
     arg = float(cands[np.flatnonzero(F >= sup - tol)[0]])

@@ -135,7 +135,7 @@ class SolutionTrace:
         return float(max(np.max(self.abs_u), np.max(self.abs_du), 1e-300))
 
     def is_real(self, tol: float = 1e-10) -> bool:
-        scale = max(1.0, self.magnitude_scale())
+        scale = self.magnitude_scale()
         return bool(
             np.max(np.abs(self.u.imag)) <= tol * scale
             and np.max(np.abs(self.du.imag)) <= tol * scale

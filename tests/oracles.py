@@ -4,8 +4,9 @@ A classical fixed-step RK4 integrator cross-checks the closed-form kernel:
 `propagate_rk` runs `solver.propagate_exact` with `_rk_kernel` in place of
 `solver._exact_kernel`, so it shares the grid, the reflection of backward runs
 and the overflow guard, and only the flow between nodes differs.
-`negative_part_integral` integrates V_- cell by cell, apart from the
-cumulative knots that `potential.window_integral` interpolates.
+`negative_part_integral` integrates V_- cell by cell, and `window_integral`
+interpolates its cumulative knots, the unit-window integral whose supremum
+`potential.c1_sup` takes.
 """
 
 from __future__ import annotations
@@ -90,4 +91,15 @@ def negative_part_integral(V: PiecewisePotential, a: float, b: float) -> float:
     bp = V.breakpoints
     lo = np.maximum(bp[:-1], a)
     hi = np.minimum(bp[1:], b)
-    return float(np.dot(np.maximum(hi - lo, 0.0), V.negative_values))
+    return float(np.dot(np.maximum(hi - lo, 0.0), np.maximum(-V.values, 0.0)))
+
+
+def window_integral(V: PiecewisePotential, x, length: float = 1.0):
+    """F(x) = integral over [x, x+length] of V_-, vectorized in x."""
+    bp = V.breakpoints
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(bp) * np.maximum(-V.values, 0.0))])
+    x = np.asarray(x, dtype=float)
+    g_hi = np.interp(x + length, bp, cum, left=0.0, right=cum[-1])
+    g_lo = np.interp(x, bp, cum, left=0.0, right=cum[-1])
+    out = g_hi - g_lo
+    return out if out.ndim else float(out)

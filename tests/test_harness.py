@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import schro1d
 from schro1d import (
     ConfigError,
     PiecewisePotential,
@@ -107,6 +110,20 @@ SQUARE_WELL = {"family": "square_well", "depth": 2.0, "width": 3.0}
 RANDOM_STEP = {"family": "random_step", "cells": 12, "low": -2.0, "high": 2.0}
 
 
+def _run_twice(tmp_path, *argv):
+    """The text that the CLI command argv writes to --out, after checking that
+    it exits 0 with no RuntimeWarning and writes the same bytes twice."""
+    written = []
+    for run in ("a", "b"):
+        out = tmp_path / f"out_{run}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    return written[0].decode()
+
+
 def _overflowing_suite(**fields):
     """A suite of OVERFLOWING_FREE with fields set."""
     return {"scenarios": [dict(OVERFLOWING_FREE, **fields)]}
@@ -182,9 +199,12 @@ class TestSuiteExecution:
         assert report.entries[0]["constants"]["c2"] == 1.0
 
     def test_degenerate_scenario_fails_alone(self):
-        # C2 = 0 beside a healthy scenario: an error entry, the healthy one ok
+        # C2 = 0 beside a healthy scenario: an error entry, the healthy one ok,
+        # and no RuntimeWarning escapes
         degenerate = dict(HEALTHY_FREE, id="free-zero-energy", energy=0.0)
-        report = run_suite({"scenarios": [HEALTHY_FREE, degenerate]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_suite({"scenarios": [HEALTHY_FREE, degenerate]})
         assert not report.all_ok
         healthy, failed = report.entries
         assert healthy == run_suite({"scenarios": [HEALTHY_FREE]}).entries[0] and healthy["ok"]
@@ -450,6 +470,24 @@ class TestDeterminism:
         expected = random_sweep(n_scenarios=3, seed=1).to_json(include_wall_time=False)
         assert run_suite(str(path)).to_json(include_wall_time=False) == expected
 
+    def test_sweep_reports_match_across_processes(self, tmp_path):
+        # two processes that hash strings differently write the same sweep
+        # report through the -m entry point, and neither leaks a RuntimeWarning
+        src = os.path.dirname(os.path.dirname(schro1d.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        reports = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"sweep_{hash_seed}.json"
+            subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "schro1d.cli", "sweep",
+                 "--n", "50", "--seed", "1", "--out", str(out)],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+                check=True, capture_output=True)
+            report = json.loads(out.read_text())
+            report.pop("wall_time_s")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_sweep_document_needs_a_family(self):
         with pytest.raises(ConfigError, match="need at least one family") as exc:
             sweep_document(families=())
@@ -473,15 +511,16 @@ class TestCli:
     def test_solve_csv(self, tmp_path):
         cfg = tmp_path / "scn.json"
         cfg.write_text(json.dumps(SQUARE_WELL_SCENARIO))
-        out = tmp_path / "trace.csv"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+        lines = _run_twice(tmp_path, "solve", "--config", str(cfg)).splitlines()
         assert lines[0] == "x,re_u,im_u,re_du,im_du"
         assert len(lines) > 100
 
     def test_verify_default_suite_exit_zero(self, tmp_path, capsys):
+        # free-sin starts at u(0) = 0, where lemma31's phases must not warn
         out = tmp_path / "report.json"
-        assert main(["verify", "--out", str(out)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", "--out", str(out)]) == 0
         assert "suite PASSED" in capsys.readouterr().out
         report = json.loads(out.read_text())
         assert report["all_ok"]
@@ -501,10 +540,14 @@ class TestCli:
         assert "FAILED" in capsys.readouterr().out
 
     def test_verify_writes_report_past_solver_error(self, tmp_path, capsys):
+        # the kernels compute past the overflow guard, and no RuntimeWarning
+        # escapes
         cfg = tmp_path / "suite.json"
         cfg.write_text(json.dumps({"scenarios": [HEALTHY_FREE, OVERFLOWING_FREE]}))
         out = tmp_path / "report.json"
-        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
         assert "error OverflowAtX: x=346.09" in capsys.readouterr().out
         healthy, failed = json.loads(out.read_text())["scenarios"]
         assert healthy["ok"] and healthy["outcomes"]
@@ -527,22 +570,23 @@ class TestCli:
         assert len(report["scenarios"]) == 3
 
     def test_simon_stolz_csv(self, tmp_path):
+        # a free cell, and a lattice of 5000 spike cells
         cfg = tmp_path / "pot.json"
         cfg.write_text(json.dumps({"breakpoints": [0.0, 1.0], "values": [0.0]}))
-        out = tmp_path / "curve.csv"
-        code = main(
-            ["simon-stolz", "--config", str(cfg), "--energy", "1.0",
-             "--x-max", "4.0", "--out", str(out)]
-        )
-        assert code == 0
-        assert out.read_text().splitlines()[0] == "x,norm_T,integrand,cumulative"
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps({
+            "potential": {"family": "spike_lattice", "span": 5.0, "cell": 0.001},
+            "energy": 1.0, "x_max": 5.0, "step": 0.001}))
+        for argv in (["--config", str(cfg), "--energy", "1.0", "--x-max", "4.0"],
+                     ["--config", str(lattice)]):
+            csv = _run_twice(tmp_path, "simon-stolz", *argv)
+            assert csv.splitlines()[0] == "x,norm_T,integrand,cumulative"
 
     def test_prufer_csv(self, tmp_path):
         cfg = tmp_path / "scn.json"
         cfg.write_text(json.dumps(SQUARE_WELL_SCENARIO))
-        out = tmp_path / "prufer.csv"
-        assert main(["prufer", "--config", str(cfg), "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[0] == "x,R,theta"
+        csv = _run_twice(tmp_path, "prufer", "--config", str(cfg))
+        assert csv.splitlines()[0] == "x,R,theta"
 
     def test_bad_option_is_config_error(self, tmp_path, capsys):
         # an option stands in for its config field and meets the same test

@@ -8,10 +8,9 @@ from schro1d import (
     PiecewisePotential,
     c1_sup,
     make_family,
-    window_integral,
 )
 from conftest import riemann_c1, riemann_negative_integral
-from oracles import negative_part_integral
+from oracles import negative_part_integral, window_integral
 
 
 @st.composite

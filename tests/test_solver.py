@@ -67,13 +67,15 @@ class TestExactPropagator:
 
     @pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])
     def test_overflow_guard_reports_abscissa(self, propagate):
-        # growth rate 10 over [0, 40] blows past the guard in either direction;
-        # x is reported in the caller's coordinates, at the first node over
-        # the guard.  The kernels compute past that node, so no overflow or
-        # invalid-value warning may escape
-        V = PiecewisePotential((0.0, 40.0), (0.0,))
-        for x0, du0, x_end, x in ((0.0, 10.0, 40.0, 34.31),
-                                  (40.0, -10.0, 0.0, 5.689999999999998)):
+        # growth rate 10 blows past the guard in either direction; x is
+        # reported in the caller's coordinates, at the first node over the
+        # guard.  The kernels compute past that node, over [0, 80] on to inf,
+        # so no overflow or invalid-value warning may escape
+        for x_max, x0, du0, x_end, x in ((40.0, 0.0, 10.0, 40.0, 34.31),
+                                         (40.0, 40.0, -10.0, 0.0, 5.689999999999998),
+                                         (80.0, 0.0, 10.0, 80.0, 34.31),
+                                         (80.0, 80.0, -10.0, 0.0, 45.69)):
+            V = PiecewisePotential((0.0, x_max), (0.0,))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(OverflowAtX) as exc:
@@ -581,8 +583,8 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("x0, du0, x_end", [(0.0, 10.0, 40.0), (40.0, -10.0, 0.0)])
     def test_overflow_parity(self, monkeypatch, x0, du0, x_end):
-        # the inputs of test_overflow_guard_reports_abscissa; no overflow or
-        # invalid-value warning may escape
+        # the [0, 40] inputs of test_overflow_guard_reports_abscissa; no
+        # overflow or invalid-value warning may escape
         V = PiecewisePotential((0.0, 40.0), (0.0,))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

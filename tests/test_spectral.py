@@ -132,9 +132,13 @@ class TestPrufer:
             prufer_decompose(sin_trace, 2.0)
 
     def test_rejects_complex_solution(self, square_well):
-        tr = propagate_exact(square_well, 1.0, InitialData(0.0, 1.0, 1j), 3.0, 0.01)
-        with pytest.raises(NotRealSolution):
-            prufer_decompose(tr, 1.0)
+        # the imaginary parts are measured against the trace's own amplitude,
+        # so a small complex solution is as complex as a large one
+        for amplitude in (1.0, 1e-11, 1e-200):
+            tr = propagate_exact(square_well, 1.0,
+                                 InitialData(0.0, amplitude, amplitude * 1j), 3.0, 0.01)
+            with pytest.raises(NotRealSolution):
+                prufer_decompose(tr, 1.0)
 
     def test_grid_too_coarse(self, free_potential):
         # phase advances by ~2.5 rad per step at k=5 with step 0.5
