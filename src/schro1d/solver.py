@@ -29,7 +29,9 @@ where the work is sequential:
    carry the data from group start to group start, and every group is then
    stepped block by block from its start, all groups at once.  The group
    axis is the innermost one, so each step is two ufunc calls whose inner
-   loop runs over all groups (see `_anchor_scan`);
+   loop runs over all groups (see `_anchor_scan`).  Its work arrays are cut
+   from a buffer kept per thread, up to SCAN_WORKSPACE_BYTES, since fresh
+   arrays of a lattice's size are faulted in from the OS on every call;
 4. fill: every node is evaluated from the anchor of its block, a chunk of
    nodes per pass.  Series or closed form is chosen once per block.  A
    chunk whose nodes are all anchors is copied from the scan rows, which
@@ -42,6 +44,7 @@ after the kernel (see `_kernel_columns`).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -55,6 +58,9 @@ OVERFLOW_GUARD = 1e150
 SERIES_THRESHOLD = 1e-8
 GROUP_GROWTH = 2.0  # bound on sum |Re sqrt(q)| h over one group of the anchor scan
 _FILL_CHUNK = 2048  # nodes filled per pass, to bound temporaries
+SCAN_WORKSPACE_BYTES = 1 << 22  # per thread: 4 MiB, about 13,800 blocks at two columns
+
+_workspace = threading.local()  # the buffer of `_scan_arrays`, one per thread
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,12 @@ def _series_terms(q, dt):
     return 1.0 + z / 2.0 + z * z / 24.0, dt * (1.0 + z / 6.0 + z * z / 120.0)
 
 
-def _closed_terms(q, dt):
-    s = np.sqrt(q)
-    sdt = s * dt
-    c = np.cosh(sdt)
+def _closed_terms(q, dt, c=None, sl=None, s=None):
+    """cosh(s dt) and sinh(s dt)/s for s = sqrt(q), written into c and sl
+    where given, with s the buffer of the square root."""
+    s = np.sqrt(q, out=s)
+    sdt = np.multiply(s, dt, out=sl)
+    c = np.cosh(sdt, out=c)
     sl = np.sinh(sdt, out=sdt)
     sl /= s
     return c, sl
@@ -271,12 +279,13 @@ def _block_anchors(xs, edge_idx, growth):
     segment is cut at once, one block per round, until all of them are used
     up.
     """
-    i0, i1 = edge_idx[:-1], edge_idx[1:]
-    block = xs[i1] - xs[i0]
-    wide = growth * block > 1.0
-    block[wide] = 1.0 / growth[wide]
+    i0 = edge_idx[:-1]
     anchors = [i0]
-    j0 = i0
+    long = np.diff(edge_idx) > 1  # a segment one step long is one block
+    j0, i1, rate = i0[long], edge_idx[1:][long], growth[long]
+    block = xs[i1] - xs[j0]
+    wide = rate * block > 1.0
+    block[wide] = 1.0 / rate[wide]
     while True:
         j1 = np.searchsorted(xs, xs[j0] + block, side="right") - 1
         j1 = np.maximum(np.minimum(j1, i1), j0 + 1)
@@ -296,6 +305,22 @@ def _steps(m, rows):
     for k in range(len(rows) - 1):
         np.multiply(m[k], rows[k], p)
         np.add(p[0], p[1], rows[k + 1, :, 0])
+
+
+def _scan_arrays(*shapes):
+    """Complex arrays of the given shapes, uninitialised, cut one after
+    another from this thread's buffer.  The buffer grows to the thread's
+    largest scan up to SCAN_WORKSPACE_BYTES; a larger scan gets a buffer of
+    its own and leaves the kept one as it is."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or len(buf) < sum(sizes):
+        buf = np.empty(sum(sizes), dtype=complex)
+        if buf.nbytes <= SCAN_WORKSPACE_BYTES:
+            _workspace.buf = buf
+    ends = np.cumsum(sizes).tolist()
+    return [buf[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def _anchor_scan(q, h, series, u, du, growth):
@@ -321,7 +346,9 @@ def _anchor_scan(q, h, series, u, du, growth):
     any row, group starts included.  The carry runs on contiguous copies of
     the group products and the group start rows.
 
-    Returns the rows: the data at xs[0], then at each block end.
+    Returns the rows: the data at xs[0], then at each block end.  They are
+    a view of this thread's workspace (`_scan_arrays`), so they hold only
+    until the thread's next scan.
     """
     nblk, ncol = len(q), len(u)
     b = max(1, math.isqrt(nblk // 2))
@@ -329,22 +356,26 @@ def _anchor_scan(q, h, series, u, du, growth):
     if grow * b > GROUP_GROWTH:
         b = max(1, int(GROUP_GROWTH / grow))
     g = nblk // b + 1  # the last group holds the last row
-    pad = np.zeros(g * b - nblk)  # identity blocks: c = 1, sl = q = 0
-    c, sl = (np.append(x, pad) for x in _propagator_terms(q, h, series))
-    c[nblk:] = 1.0
+    c, sl, qsl, m, rows, prod, flat = _scan_arrays(
+        (g * b,), (g * b,), (g * b,), (b, 2, 2, 1, g), (b, 2, 1, ncol, g),
+        (b + 1, 2, 1, 2, g - 1), (g * b, 2, ncol))
+    if series.any():
+        c[:nblk], sl[:nblk] = _propagator_terms(q, h, series)
+    else:  # in place, with qsl holding sqrt(q) until it takes q sl
+        _closed_terms(q, h, c[:nblk], sl[:nblk], qsl[:nblk])
+    np.multiply(q, sl[:nblk], out=qsl[:nblk])
+    c[nblk:], sl[nblk:], qsl[nblk:] = 1.0, 0.0, 0.0  # identity blocks: c = 1, sl = q = 0
     # entry (i, j) at m[:, j, i], so that p[0] + p[1] in _steps is
     # (c u + sl du, q sl u + c du)
-    m = np.empty((b, 2, 2, 1, g), dtype=complex)
     m[:, 0, 0, 0] = m[:, 1, 1, 0] = c.reshape(g, b).T
-    m[:, 0, 1, 0] = (np.append(q, pad) * sl).reshape(g, b).T
+    m[:, 0, 1, 0] = qsl.reshape(g, b).T
     m[:, 1, 0, 0] = sl.reshape(g, b).T
-    rows = np.empty((b, 2, 1, ncol, g), dtype=complex)
     # The scan stays in numpy ufuncs on purpose: numpy's complex multiply
     # uses FMA where the CPU has it, Python's complex `*` does not, and the
     # two disagree in the last bit on a large share of products.  The
     # products of groups 0 .. g-2 are their steps of two data columns started
     # at the identity: prod[b, i, 0, j, G] is entry (i, j)
-    prod = np.zeros((b + 1, 2, 1, 2, g - 1), dtype=complex)
+    prod[0] = 0.0
     prod[0, 0, 0, 0] = prod[0, 1, 0, 1] = 1.0
     _steps(m[..., :-1], prod)
     # group start to group start, one group per step, on contiguous copies
@@ -354,7 +385,7 @@ def _anchor_scan(q, h, series, u, du, growth):
     _steps(carry, starts)
     rows[0] = starts[..., 0].transpose(1, 2, 3, 0)
     _steps(m, rows)
-    flat = np.ascontiguousarray(rows.transpose(4, 0, 1, 2, 3)).reshape(g * b, 2, ncol)
+    flat.reshape(g, b, 2, 1, ncol)[...] = rows.transpose(4, 0, 1, 2, 3)
     return flat[:nblk + 1]
 
 
@@ -375,7 +406,9 @@ def _exact_kernel(xs, edge_idx, qs, u, du):
     row_node = np.append(np.flatnonzero(is_anchor), n - 1)  # node of each scan row
     owner = np.cumsum(is_anchor[:-1]) - 1  # block of nodes 0..n-2
     xa = xs[row_node[:-1]]  # abscissa of each block anchor
-    seg = np.searchsorted(edge_idx, row_node[:-1], side="right") - 1
+    is_start = np.zeros(n, dtype=bool)  # every segment starts a block
+    is_start[edge_idx[:-1]] = True
+    seg = np.cumsum(is_start[row_node[:-1]]) - 1
     q = qs[seg]
     h = xs[row_node[1:]] - xa
     series = _use_series(q, h)  # one choice per block, never per node

@@ -51,3 +51,34 @@ def test_summarise_reads_committed_files(tmp_path):
     bench_pairs.summarise([path], out)
     assert out.getvalue() == ("BENCH_0.json sweep seed 1 wall_s: unpaired +10.0% unresolved, "
                               "paired +10.0% [+10.0%, +10.0%] within bound 0.25, wins 0/10\n")
+
+
+def test_run_once_counts_faults_and_passes(tmp_path):
+    # a stand-in perfbench that touches 8 MiB (2,048 pages) in 4 passes
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "touched = b'x' * (8 << 20)\n"
+        "print('passes 4')\n"
+        "print('output_sha256 ab12')\n"
+        "print(json.dumps({'correct': True, 'failed': 0,\n"
+        "                  'metrics': {'wall_s': {'value': 0.5, 'unit': 's'}}}))\n")
+    metrics, digests, ok, run = bench_pairs.run_once(tmp_path, "sweep", 1, 1)
+    assert metrics == {"wall_s": 0.5} and digests == ["ab12"] and ok
+    assert run["passes"] == 4 and run["minflt"] >= 2048
+    assert bench_pairs.faults_per_pass([run, {"minflt": 0, "passes": 1},
+                                        {"minflt": 30, "passes": 3}]) == 10.0
+
+
+def test_summarise_prints_faults_per_pass(tmp_path):
+    parent = [1.0, 1.2, 0.9, 1.1]
+    row = {"workload": "transfer_long", "seed": 6,
+           "faults": {"parent": [{"minflt": 9000, "passes": 10}, {"minflt": 500, "passes": 1}],
+                      "change": [{"minflt": 100, "passes": 10}, {"minflt": 300, "passes": 10}]},
+           "metrics": {"wall_s": {"parent": parent, "change": parent, "bound": 0.25}}}
+    path = tmp_path / "BENCH_0.json"
+    path.write_text(json.dumps({"results": [row]}))
+    out = io.StringIO()
+    bench_pairs.summarise([path], out)
+    assert out.getvalue().splitlines()[-1] == (
+        "BENCH_0.json transfer_long seed 6 minor faults per pass: parent 700.0, change 20.0")

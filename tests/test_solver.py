@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -648,6 +650,123 @@ class TestKernelOracle:
                         assert spy.near_tie(xs, o_new, o_old["witness_x"]), o_new
                         o_new["witness_x"] = o_old["witness_x"]
             _assert_reports_close(new, old)
+
+
+def _old_block_anchors(xs, edge_idx, growth):
+    """`solver._block_anchors` with every segment in the rounds, one step
+    long or not."""
+    i0, i1 = edge_idx[:-1], edge_idx[1:]
+    block = xs[i1] - xs[i0]
+    wide = growth * block > 1.0
+    block[wide] = 1.0 / growth[wide]
+    anchors, j0 = [i0], i0
+    while True:
+        j1 = np.searchsorted(xs, xs[j0] + block, side="right") - 1
+        j1 = np.maximum(np.minimum(j1, i1), j0 + 1)
+        more = j1 < i1
+        if not more.any():
+            return np.concatenate(anchors)
+        j0, i1, block = j1[more], i1[more], block[more]
+        anchors.append(j0)
+
+
+@pytest.mark.parametrize("V, step", [(_LATTICE_THEN_FREE, 1e-2), (_RANDOM_STEP, 3e-2),
+                                     (make_family("spike_lattice", {"span": 2.0}), 1e-3)])
+@pytest.mark.parametrize("energy", [1.0, -30.0, 2.0 + 5.0j])
+def test_block_anchors_equal_all_segment_rounds(V, step, energy):
+    xs, edge_idx = build_grid(V, V.support[0], V.support[1], step)
+    mids = (xs[edge_idx[:-1]] + xs[edge_idx[1:]]) / 2.0
+    growth = np.abs(np.sqrt(V.value_at(mids) - complex(energy)).real)
+    assert np.array_equal(solver._block_anchors(xs, edge_idx, growth),
+                          _old_block_anchors(xs, edge_idx, growth))
+
+
+# (V, E, x0, x_end, max_step): a lattice of one-step cells, a 3-cell step and
+# a random step, each of which the scan cuts into a different number of blocks
+_WORKSPACE_CASES = {
+    "lattice": (make_family("spike_lattice", {"span": 2.0, "g": 3.0}), 1.0, 0.0, 2.0, 1e-3),
+    "step3": (PiecewisePotential((0.0, 1.0, 2.5, 3.0), (4.0, -2.0, 0.5)), 0.5 + 0.25j,
+              0.0, 3.0, 1e-2),
+    "random_step": (_RANDOM_STEP, -1.0, _RANDOM_STEP.support[1], 0.0, 1e-2),
+}
+_COLUMNS = {1: ([1.0], [0.3j]), 2: ([1.0, 0.0], [0.0, 1.0])}
+
+
+def _trace_bytes(case, ncol):
+    """The bytes of the traces of one workspace case, run in this thread."""
+    V, E, x0, x_end, step = _WORKSPACE_CASES[case]
+    u0, du0 = (np.array(a, dtype=complex) for a in _COLUMNS[ncol])
+    return b"".join(t.xs.tobytes() + t.u.tobytes() + t.du.tobytes()
+                    for t in _traces(V, E, x0, x_end, u0, du0, step))
+
+
+def _in_threads(jobs, timeout=60.0):
+    """Run each job in a thread of its own; return their results."""
+    results = [None] * len(jobs)
+
+    def run(i):
+        results[i] = jobs[i]()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+@pytest.fixture(scope="module")
+def fresh_bytes():
+    """The bytes of every workspace case, each run first in a fresh thread."""
+    keys = [(case, ncol) for case in _WORKSPACE_CASES for ncol in _COLUMNS]
+    return dict(zip(keys, _in_threads([lambda k=k: _trace_bytes(*k) for k in keys])))
+
+
+class TestScanWorkspace:
+    """The anchor scan's work arrays, kept per thread (`solver._scan_arrays`)."""
+
+    def test_one_thread_reuses_its_workspace(self, fresh_bytes):
+        # lattice -> 3-cell step -> lattice, one column -> two columns: every
+        # scan finds the arrays of the one before it in the workspace
+        order = [("lattice", 1), ("step3", 1), ("lattice", 1), ("lattice", 2),
+                 ("step3", 2), ("random_step", 1), ("random_step", 2), ("lattice", 2)]
+        for key in order:
+            assert _trace_bytes(*key) == fresh_bytes[key], key
+
+    @pytest.mark.parametrize("nthreads", [2, 4])
+    def test_threads_equal_serial_bytes(self, fresh_bytes, nthreads):
+        keys = list(fresh_bytes)
+
+        def job(i):
+            # each thread its own order of potentials and column counts
+            order = keys[i:] + keys[:i]
+            return [(key, _trace_bytes(*key)) for _ in range(3) for key in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _in_threads([lambda i=i: job(i) for i in range(nthreads)])
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert len(result) == 3 * len(keys)
+            for key, got in result:
+                assert got == fresh_bytes[key], key
+
+    def test_scan_past_the_cap_keeps_no_larger_workspace(self, monkeypatch, fresh_bytes):
+        cap = 1 << 16  # room for the 3-cell step's scan, not for the lattice's
+        monkeypatch.setattr(solver, "SCAN_WORKSPACE_BYTES", cap)
+
+        def job():
+            sizes = []
+            for key in [("step3", 2), ("lattice", 2), ("lattice", 1), ("step3", 1)]:
+                assert _trace_bytes(*key) == fresh_bytes[key], key
+                sizes.append(solver._workspace.buf.nbytes)
+            return sizes
+
+        (sizes,) = _in_threads([job])
+        assert sizes[0] <= cap and sizes == [sizes[0]] * 4
 
 
 class _ArgmaxSpy:

@@ -38,6 +38,7 @@ from schro1d.verifier import (
     _interior_indices,
     _lemma31_worst,
     _outcome,
+    _principal,
     _reduceat_extreme,
     _snap_indices,
     _table_extreme,
@@ -841,6 +842,33 @@ class TestLoopOracles:
         # nodes, midpoints (ties go left), points outside, random points
         x = np.concatenate([xs, (xs[:-1] + xs[1:]) / 2, [xs[0] - 1.0, xs[-1] + 1.0], extra])
         assert _snap_indices(xs, x).tolist() == [_snap_index(xs, float(v)) for v in x]
+
+    def test_snap_indices_equal_unsorted_search(self):
+        # the keys in draw order, searched one by one as before they were
+        # sorted: random keys, keys on nodes and midpoints (ties go left),
+        # repeated keys and keys outside the grid on both sides
+        rng = np.random.default_rng(5)
+        xs = np.cumsum(rng.uniform(1e-3, 1.0, 4001))
+        x = np.concatenate([rng.uniform(xs[0] - 2.0, xs[-1] + 2.0, 3000), xs[::7],
+                            (xs[1::5] + xs[:-1:5]) / 2, [xs[0] - 5.0, xs[-1] + 5.0] * 3])
+        x = np.concatenate([x, x[:500]])[rng.permutation(len(x) + 500)]
+        i = np.searchsorted(xs, x)
+        right, left = np.minimum(i, len(xs) - 1), np.maximum(i - 1, 0)
+        expected = np.where(np.abs(xs[right] - x) < np.abs(xs[left] - x), right, left)
+        assert np.array_equal(_snap_indices(xs, x), expected)
+
+    def test_principal_step_equals_mod(self):
+        # the wrap points -pi, 0 and pi of d, and pi +- 2 pi, with their
+        # float neighbours, and random steps of two phases in [-pi, pi]
+        two_pi = 2.0 * math.pi
+        wraps = np.array([-two_pi, -math.pi, 0.0, math.pi, two_pi])
+        d = np.concatenate([wraps, -wraps, np.nextafter(wraps, np.inf),
+                            np.nextafter(wraps, -np.inf), [-0.0, 5e-324, -5e-324],
+                            np.random.default_rng(9).uniform(-two_pi, two_pi, 100_000)])
+        expected = np.mod(d + np.pi, two_pi) - np.pi
+        got = _principal(d.copy())
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_lemma31_equals_loop(self, oracle_case):
         # the closed form against a loop over 4096 phases of omega

@@ -21,14 +21,18 @@ parent's IQR; a worsening beyond the bound is unresolved, not a regression,
 when the parent's own IQR is wider than the bound, unless every run of the
 change is better than every run of the parent.  The output_sha256 of
 every run is kept too, so the file shows whether the outputs were the same.
+So are each run's minor page faults (RUSAGE_CHILDREN around the run's
+process, start-up and set-up included) and its passes, as perfbench prints
+them, with the median faults per pass of each side.
 
 Speed drifts between pairs on a shared machine, which widens the parent's
 IQR past the bound.  So the file also records each pair's ratio
 change/parent, which cancels most of that drift, with its median and
 quartiles, and `paired_within_bound`: the upper quartile of the paired
 worsening is at most the bound.  It adds to the verdicts above and replaces
-none of them.  --summarise prints these paired statistics from the raw
-values of committed files, without running anything.
+none of them.  --summarise prints these paired statistics, and the faults
+per pass where a file has them, from the raw values of committed files,
+without running anything.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -73,15 +78,25 @@ def export(rev, dest):
 
 
 def run_once(tree, workload, seed, seconds):
-    """One perfbench run in tree: (metric values, output digests, correct)."""
+    """One perfbench run in tree: (metric values, output digests, correct,
+    {"minflt": minor page faults of the run's process, "passes": passes})."""
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds)],
                          cwd=tree, check=True, capture_output=True, text=True).stdout
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - minflt
     lines = out.splitlines()
     result = json.loads(lines[-1])
     digests = sorted(line.split()[1] for line in lines if line.startswith("output_sha256 "))
+    passes = next(int(line.split()[1]) for line in lines if line.startswith("passes "))
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return metrics, digests, result["correct"] and result["failed"] == 0
+    return (metrics, digests, result["correct"] and result["failed"] == 0,
+            {"minflt": minflt, "passes": passes})
+
+
+def faults_per_pass(runs):
+    """Median over runs of minor page faults per pass."""
+    return statistics.median(r["minflt"] / r["passes"] for r in runs)
 
 
 def summary(parent, change, better, bound):
@@ -131,6 +146,10 @@ def summarise(paths, out=sys.stdout):
                       f"paired {s['paired_ratio_median'] - 1:+.1%} [{lo - 1:+.1%}, {hi - 1:+.1%}] "
                       f"{'within' if s['paired_within_bound'] else 'beyond'} bound "
                       f"{s['bound']:g}, wins {s['change_wins']}/{s['pairs']}", file=out)
+            if "faults" in row:
+                f = {side: faults_per_pass(runs) for side, runs in row["faults"].items()}
+                print(f"{Path(path).name} {row['workload']} seed {row['seed']} minor faults "
+                      f"per pass: parent {f['parent']:.1f}, change {f['change']:.1f}", file=out)
 
 
 def main(argv=None):
@@ -161,17 +180,22 @@ def main(argv=None):
             for seed in SEEDS:
                 values = {"parent": [], "change": []}
                 digests = {"parent": set(), "change": set()}
+                faults = {"parent": [], "change": []}
                 correct = True
                 for i in range(PAIRS):
                     for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                        metrics, sha, ok = run_once(trees[side], workload, seed, seconds)
+                        metrics, sha, ok, run = run_once(trees[side], workload, seed, seconds)
                         values[side].append(metrics)
                         digests[side].update(sha)
+                        faults[side].append(run)
                         correct &= ok
                     print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}", file=sys.stderr)
                 row = {"workload": workload, "seed": seed, "correct": correct,
                        "output_sha256": {side: sorted(d) for side, d in digests.items()},
                        "same_output": digests["parent"] == digests["change"],
+                       "faults": faults,
+                       "faults_per_pass": {side: faults_per_pass(runs)
+                                           for side, runs in faults.items()},
                        "metrics": {}}
                 for metric in bench["end_to_end"]:
                     name = metric["name"]
