@@ -214,12 +214,10 @@ def _series_terms(q, dt):
     return 1.0 + z / 2.0 + z * z / 24.0, dt * (1.0 + z / 6.0 + z * z / 120.0)
 
 
-def _closed_terms(q, dt, c=None, sl=None, s=None):
-    """cosh(s dt) and sinh(s dt)/s for s = sqrt(q), written into c and sl
-    where given, with s the buffer of the square root."""
-    s = np.sqrt(q, out=s)
-    sdt = np.multiply(s, dt, out=sl)
-    c = np.cosh(sdt, out=c)
+def _closed_terms(q, dt):
+    s = np.sqrt(q)
+    sdt = s * dt
+    c = np.cosh(sdt)
     sl = np.sinh(sdt, out=sdt)
     sl /= s
     return c, sl
@@ -359,10 +357,7 @@ def _anchor_scan(q, h, series, u, du, growth):
     c, sl, qsl, m, rows, prod, flat = _scan_arrays(
         (g * b,), (g * b,), (g * b,), (b, 2, 2, 1, g), (b, 2, 1, ncol, g),
         (b + 1, 2, 1, 2, g - 1), (g * b, 2, ncol))
-    if series.any():
-        c[:nblk], sl[:nblk] = _propagator_terms(q, h, series)
-    else:  # in place, with qsl holding sqrt(q) until it takes q sl
-        _closed_terms(q, h, c[:nblk], sl[:nblk], qsl[:nblk])
+    c[:nblk], sl[:nblk] = _propagator_terms(q, h, series)
     np.multiply(q, sl[:nblk], out=qsl[:nblk])
     c[nblk:], sl[nblk:], qsl[nblk:] = 1.0, 0.0, 0.0  # identity blocks: c = 1, sl = q = 0
     # entry (i, j) at m[:, j, i], so that p[0] + p[1] in _steps is
