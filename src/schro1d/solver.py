@@ -153,11 +153,8 @@ class SolutionTrace:
         return self.u.real.copy(), self.du.real.copy()
 
     def to_csv(self, path):
-        header = "x,re_u,im_u,re_du,im_du"
-        data = np.column_stack(
-            [self.xs, self.u.real, self.u.imag, self.du.real, self.du.imag]
-        )
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        write_csv(path, "x,re_u,im_u,re_du,im_du",
+                  self.xs, self.u.real, self.u.imag, self.du.real, self.du.imag)
 
 
 @dataclass
@@ -187,6 +184,12 @@ class TransferMatrix:
         """|det - 1| scaled by the matrix magnitude (cancellation floor)."""
         scale = max(1.0, float(np.sum(np.abs(self.entries) ** 2)))
         return abs(self.det - 1.0) / scale
+
+
+def write_csv(path, header, *columns):
+    """Write the columns under a one-line header to path, a file name or a
+    text stream, as comma-separated values."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="")
 
 
 def cumtrapz(y, x):

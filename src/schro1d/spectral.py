@@ -20,11 +20,11 @@ import numpy as np
 from .constants import energy_of
 from .errors import GridTooCoarse, NotRealSolution
 from .potential import PiecewisePotential
-from .solver import SolutionTrace, basis_traces, cumtrapz
+from .solver import SolutionTrace, basis_traces, cumtrapz, write_csv
 
 
-def singular_values_2x2(a, b, c, d):
-    """Largest/smallest singular values of [[a,b],[c,d]] (complex, vectorized).
+def largest_singular_value_2x2(a, b, c, d):
+    """Largest singular value of [[a,b],[c,d]] (complex, vectorized).
 
     sigma_max^2 = (f + sqrt(f^2 - 4 g^2)) / 2 with f the squared Frobenius
     norm and g = |det|.
@@ -32,15 +32,12 @@ def singular_values_2x2(a, b, c, d):
     f = np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2
     g2 = np.abs(a * d - b * c) ** 2
     disc = np.sqrt(np.maximum(f * f - 4.0 * g2, 0.0))
-    smax = np.sqrt((f + disc) / 2.0)
-    smin = np.sqrt(np.maximum((f - disc) / 2.0, 0.0))
-    return smax, smin
+    return np.sqrt((f + disc) / 2.0)
 
 
 def operator_norm_2x2(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
-    smax, _ = singular_values_2x2(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-    return float(smax)
+    return float(largest_singular_value_2x2(m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
 
 
 @dataclass
@@ -54,9 +51,8 @@ class SimonStolzCurve:
     energy: complex
 
     def to_csv(self, path):
-        header = "x,norm_T,integrand,cumulative"
-        data = np.column_stack([self.xs, self.norm_T, self.integrand, self.cumulative])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        write_csv(path, "x,norm_T,integrand,cumulative",
+                  self.xs, self.norm_T, self.integrand, self.cumulative)
 
 
 def simon_stolz_curve(
@@ -74,7 +70,7 @@ def simon_stolz_curve(
         return SimonStolzCurve(np.array([0.0]), one, one.copy(),
                                np.array([0.0]), energy)
     t1, t2 = basis_traces(V, energy, 0.0, X, step)
-    smax, _ = singular_values_2x2(t1.u, t2.u, t1.du, t2.du)
+    smax = largest_singular_value_2x2(t1.u, t2.u, t1.du, t2.du)
     integrand = 1.0 / (smax * smax)
     return SimonStolzCurve(
         xs=t1.xs,
@@ -95,9 +91,7 @@ class PruferTrace:
     k: float
 
     def to_csv(self, path):
-        header = "x,R,theta"
-        np.savetxt(path, np.column_stack([self.xs, self.R, self.theta]),
-                   delimiter=",", header=header, comments="")
+        write_csv(path, "x,R,theta", self.xs, self.R, self.theta)
 
 
 def prufer_decompose(trace: SolutionTrace, k: float) -> PruferTrace:
@@ -108,8 +102,8 @@ def prufer_decompose(trace: SolutionTrace, k: float) -> PruferTrace:
     cannot resolve the rotation and GridTooCoarse is raised.
     """
     k = float(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0.0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     e = trace.energy
     tol = 1e-12 * max(1.0, k * k)
     if abs(e.imag) > tol or abs(e.real - k * k) > tol:

@@ -16,9 +16,8 @@ and the window bounds for each radius from its trace (`SolutionTrace.abs_u`,
 
 Window operations are answered for all centres at once: sliding maxima and
 minima over windows given in x (the grid is non-uniform at breakpoints) go
-through `_window_extreme`, a sparse-table range query or, for a few short
-windows, one reduceat, both exact, and window integrals of |u|^p are
-differences of the trace's cumulative integral.
+through `_window_extreme`, an exact sparse-table range query, and window
+integrals of |u|^p are differences of the trace's cumulative integral.
 Windows whose integral drowns in the rounding of that sum (deep tails), the
 weighted check's too, are summed again from np.trapezoid's own terms.
 
@@ -134,33 +133,21 @@ def _window_extreme(a, lo, hi, op):
     """op-reduction of a[lo[j]:hi[j]] for every query j, op being np.maximum
     or np.minimum; every window must be nonempty.
 
-    The windows go to a sparse table (`_table_extreme`) unless the windows
-    and the span they cover hold fewer elements than the table's levels,
-    which a few short windows over a long array do: then one reduceat reads
-    them in place (`_reduceat_extreme`).  max and min are exact, so either
-    result equals the per-window reduction bit for bit, except that a zero
-    extreme of a window holding both +0.0 and -0.0 may carry either sign (the
-    order-dependent case of np.max too; moduli hold no -0.0).
+    A sparse-table range query (Bender & Farach-Colton, LATIN 2000): level k
+    holds the reduction of every run of 2^k consecutive entries, and a window
+    of length n with 2^k <= n < 2^(k+1) is covered by its first and last such
+    runs.  Levels are built one at a time and dropped once passed, so memory
+    stays O(len(a) + len(lo)); only the levels that hold queries are read,
+    each for a slice of the queries sorted by level.  max and min are exact,
+    so the result equals the per-window reduction bit for bit, except that a
+    zero extreme of a window holding both +0.0 and -0.0 may carry either sign
+    (the order-dependent case of np.max too; moduli hold no -0.0).
     """
     lo = np.asarray(lo, dtype=np.intp)
     hi = np.asarray(hi, dtype=np.intp)
     if np.any(hi <= lo):
         raise ValueError("every window must be nonempty")
     a = np.asarray(a)
-    length = hi - lo
-    levels = int(length.max(initial=0)).bit_length() - 1
-    if int(length.sum()) + int(hi.max(initial=0) - lo.min(initial=0)) < levels * len(a):
-        return _reduceat_extreme(a, lo, hi, op)
-    return _table_extreme(a, lo, hi, op)
-
-
-def _table_extreme(a, lo, hi, op):
-    """_window_extreme by a sparse-table range query (Bender & Farach-Colton,
-    LATIN 2000): level k holds the reduction of every run of 2^k consecutive
-    entries, and a window of length n with 2^k <= n < 2^(k+1) is covered by
-    its first and last such runs.  Levels are built one at a time and dropped
-    once passed, so memory stays O(len(a) + len(lo)); only the levels that
-    hold queries are read, each for a slice of the queries sorted by level."""
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(length)), exact for ints
     counts = np.bincount(level)
     held = np.flatnonzero(counts).tolist()
@@ -179,24 +166,6 @@ def _table_extreme(a, lo, hi, op):
         return by_level
     out = np.empty_like(by_level)
     out[order] = by_level
-    return out
-
-
-def _reduceat_extreme(a, lo, hi, op):
-    """_window_extreme by one op.reduceat over a[:max hi]: the windows sorted
-    by lo, their bounds interleaved, each hi held below that end, whose last
-    element then joins the windows that end there.  The odd segments of
-    reduceat, from one window's hi to the next lo, read only the gaps between
-    windows and are dropped."""
-    order = np.argsort(lo, kind="stable")
-    end = int(hi.max(initial=0))
-    bounds = np.empty(2 * len(lo), dtype=np.intp)
-    bounds[0::2] = lo[order]
-    bounds[1::2] = np.minimum(hi[order], end - 1)
-    out = np.empty(lo.shape, dtype=a.dtype)
-    out[order] = op.reduceat(a[:end], bounds)[0::2]
-    last = np.flatnonzero(hi == end)
-    out[last] = op(out[last], a[end - 1:end])
     return out
 
 
@@ -291,7 +260,8 @@ def check_persistence(
     trace: SolutionTrace, consts: EstimateConstants, tolerance: float = DEFAULT_TOL
 ) -> CheckOutcome:
     """|u(y)| > |u(x)|/2 on [x, x+delta) where |u(x)| is away from zero and
-    Re[conj(u) u'](x) >= 0.  Reported ratio is (1/2) / min |u(y)|/|u(x)|."""
+    Re[conj(u) u'](x) >= 0.  Reported ratio is (1/2) / min |u(y)|/|u(x)|,
+    inf where |u| reaches 0."""
     xs, au = trace.xs, trace.abs_u
     delta = consts.delta
     radial = np.real(np.conj(trace.u) * trace.du)
@@ -306,7 +276,7 @@ def check_persistence(
     ratios = _window_extreme(au, eligible, end, np.minimum) / au[eligible]
     j = int(np.argmin(ratios))  # first of the ties
     min_ratio, worst_i = float(ratios[j]), eligible[j]
-    worst = 0.5 / min_ratio
+    worst = 0.5 / min_ratio if min_ratio > 0.0 else math.inf
     # pass iff min_ratio >= 1/2 - tolerance, expressed in ratio form
     eff_tol = 0.5 / (0.5 - tolerance) - 1.0 if tolerance < 0.5 else np.inf
     notes = f"min_modulus_ratio={min_ratio:.6f}; near_zero_points_skipped={skipped_zeros}"

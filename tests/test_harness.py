@@ -640,3 +640,14 @@ class TestCli:
         cfg = tmp_path / "scn.json"
         cfg.write_text(json.dumps(dict(SQUARE_WELL_SCENARIO, energy={"re": 1, "im": 1})))
         assert main(["prufer", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_prufer_rejects_non_finite_k(self, tmp_path, capsys, k):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(SQUARE_WELL_SCENARIO))
+        out = tmp_path / "prufer.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["prufer", "--config", str(cfg), "--k", k, "--out", str(out)]) == 2
+        assert "k must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -14,7 +14,7 @@ from schro1d import (
     prufer_decompose,
     simon_stolz_curve,
 )
-from schro1d.spectral import operator_norm_2x2, singular_values_2x2
+from schro1d.spectral import operator_norm_2x2
 
 from conftest import frobenius_integrand
 
@@ -31,8 +31,6 @@ class TestMatrixNorm:
             got = operator_norm_2x2(m)
             ref = np.linalg.svd(m, compute_uv=False)
             assert got == pytest.approx(ref[0], rel=1e-12)
-            _, smin = singular_values_2x2(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-            assert smin == pytest.approx(ref[1], rel=1e-9, abs=1e-12)
 
 
 class TestSimonStolzCurve:

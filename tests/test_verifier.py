@@ -39,9 +39,7 @@ from schro1d.verifier import (
     _lemma31_worst,
     _outcome,
     _principal,
-    _reduceat_extreme,
     _snap_indices,
-    _table_extreme,
     _window_extreme,
     _window_integrals,
 )
@@ -106,6 +104,16 @@ class TestPersistence:
         out = check_persistence(sin_trace, sin_consts)
         assert out.passed
         assert "near_zero_points_skipped" in out.margin_notes
+
+    def test_window_reaching_zero_fails(self):
+        # a narrow Gaussian underflows to exactly 0 within delta ~ 2.70 of
+        # its eligible nodes: the ratio is infinite and the check fails
+        xs = np.linspace(0.0, 10.0, 10001)
+        u = np.exp(-1000.0 * (xs - 5.0) ** 2)
+        tr = analytic_trace(xs, lambda x: u, lambda x: -2000.0 * (x - 5.0) * u, 0.05)
+        out = check_persistence(tr, constants_for(0.0, 0.05))
+        assert out.worst_ratio == math.inf and not out.passed
+        assert "min_modulus_ratio=0.000000" in out.margin_notes
 
     def test_no_eligible_points(self, free_potential):
         # e^{-x}: Re[conj(u) u'] < 0 everywhere
@@ -1069,20 +1077,6 @@ def _assert_closed_form_bounds_old(trace, c2, om, ix, iy, need=10 ** 9):
     return ok
 
 
-@pytest.fixture
-def table_arrays(monkeypatch):
-    """The arrays that sparse tables are built over while the test runs."""
-    seen = []
-    inner = verifier._table_extreme
-
-    def spy(a, lo, hi, op):
-        seen.append(a)
-        return inner(a, lo, hi, op)
-
-    monkeypatch.setattr(verifier, "_table_extreme", spy)
-    return seen
-
-
 class TestLemma31Certificate:
     @pytest.mark.parametrize("need", [1, 100, 10 ** 6])
     def test_complex_trace(self, need):
@@ -1106,18 +1100,16 @@ class TestLemma31Certificate:
             assert 0 < np.count_nonzero(ok) < len(lo)
         assert _lemma31_worst(trace, 1.0, lo, hi)[0].all()
 
-    @pytest.mark.parametrize("name, n, tables", [
-        ("spike_lattice", 400, True), ("random_step_complex", 400, True),
-        ("spike_lattice", 3, False), ("random_step_complex", 3, False),
+    @pytest.mark.parametrize("name, n", [
+        ("spike_lattice", 400), ("random_step_complex", 400),
+        ("spike_lattice", 3), ("random_step_complex", 3),
     ])
-    def test_sample_lemma31_equals_loop(self, table_arrays, name, n, tables):
-        # many windows read sparse tables over the trace; a few are reduced
-        # in place
+    def test_sample_lemma31_equals_loop(self, name, n):
+        # many windows and a few short ones
         trace, consts = _lemma31_case(name)
         got = sample_lemma31(trace, consts, n, np.random.default_rng(23))
         _assert_same_sweep(got, *_loop_sample_lemma31(trace, consts, n,
                                                       np.random.default_rng(23)))
-        assert any(np.shares_memory(a, trace.abs_u) for a in table_arrays) == tables
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["sin", "harmonic", "random_step_complex", "spike_lattice",
@@ -1161,18 +1153,17 @@ class TestWindowExtreme:
         a, lo, hi = case
         # all the windows; those of one shared level; and those of every
         # other level that holds any, so that levels between them are built
-        # but hold no query.  Through either path and the choice between them
+        # but hold no query
         level = np.frexp(hi - lo)[1] - 1
         held = np.unique(level)
         for sel in (level >= 0, level == held[-1], np.isin(level, held[::2])):
             for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
                 want = np.array([reduce(a[i:j]) for i, j in zip(lo[sel], hi[sel])])
-                for extreme in (_window_extreme, _table_extreme, _reduceat_extreme):
-                    got = extreme(a, lo[sel], hi[sel], op)
-                    assert got.dtype == a.dtype
-                    assert np.array_equal(got, want)
-                    if not np.any(np.signbit(a) & (a == 0.0)):  # no -0.0: bitwise too
-                        assert got.tobytes() == want.tobytes()
+                got = _window_extreme(a, lo[sel], hi[sel], op)
+                assert got.dtype == a.dtype
+                assert np.array_equal(got, want)
+                if not np.any(np.signbit(a) & (a == 0.0)):  # no -0.0: bitwise too
+                    assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lo, hi", [
         ([40, 3, 17, 3, 90], [60, 9, 18, 100, 91]),  # unsorted and overlapping
@@ -1180,25 +1171,14 @@ class TestWindowExtreme:
         ([10, 0, 60, 99], [100, 100, 100, 100]),  # ending at len(a)
         ([], []),  # no window
     ])
-    def test_reduceat_equals_table(self, lo, hi):
+    def test_edge_windows_equal_brute_force(self, lo, hi):
         a = np.random.default_rng(0).normal(size=100)
         lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
-        for op in (np.maximum, np.minimum):
-            want = _table_extreme(a, lo, hi, op)
-            assert want.dtype == a.dtype and len(want) == len(lo)
-            assert _reduceat_extreme(a, lo, hi, op).tobytes() == want.tobytes()
-            assert _window_extreme(a, lo, hi, op).tobytes() == want.tobytes()
-
-    def test_few_short_windows_read_in_place(self, monkeypatch):
-        # two windows of 45 elements over 1000 read fewer than the 5 levels
-        # of 1000 a table would build; 225 such windows read more
-        a = np.arange(1000.0)
-        for path in ("_table_extreme", "_reduceat_extreme"):
-            with monkeypatch.context() as mp:
-                mp.setattr(verifier, path, None)  # calling the other path fails
-                lo = np.arange(0, 900, 450 if path == "_table_extreme" else 4)
-                got = _window_extreme(a, lo, lo + 45, np.maximum)
-                assert got.tolist() == (lo + 44).tolist()
+        for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+            want = np.array([reduce(a[i:j]) for i, j in zip(lo, hi)], dtype=a.dtype)
+            got = _window_extreme(a, lo, hi, op)
+            assert got.dtype == a.dtype and len(got) == len(lo)
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
